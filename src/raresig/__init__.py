@@ -37,6 +37,7 @@ from .kernels import (
     ipcov_kernel,
     kendall_kernel,
     kernel_dcov,
+    kernel_from_name,
     kernel_imbalanced_kendall,
     kernel_ipcov,
     kernel_kendall,
@@ -56,12 +57,11 @@ from .multiclass import (
     multi_asymptotic_variance,
     multi_second_order_variance,
 )
+from .pipeline import MethodConfig, run_test
 from .simulate import (
     ErpReport,
-    MethodConfig,
     ScenarioSpec,
     benchmark_complexity,
-    compare_backends,
     figure1_phenomenon,
     generate,
     run_erp,

@@ -1,25 +1,16 @@
-"""Hot pairwise-sum kernels: numba loops with a numpy fallback.
+"""Hot pairwise-sum kernels.
 
 The O(n^2 p) statistics (distance and angular-affinity forms) reduce to
 four primitives: cross-block and within-block totals, plus per-row
-cross sums.  Two interchangeable implementations are provided:
-
-* ``numba``: ``@njit`` streaming loops with Kahan-compensated
-  accumulation; O(1) extra memory at any n.
-* ``numpy``: chunked ``scipy.spatial.distance.cdist`` / BLAS blocks,
-  per-chunk totals combined with ``math.fsum``; O(chunk * n) memory.
-
-Both accumulate in a fixed order, so results are reproducible run to
-run.  Selection: ``RARE_SIG_BACKEND=numpy`` forces the fallback,
-``RARE_SIG_BACKEND=numba`` requires numba; by default numba is used
-when importable.  ``raresig bench --compare-backends`` times the two
-implementations side by side.
+cross sums.  Each runs over chunked ``scipy.spatial.distance.cdist`` /
+BLAS blocks of at most ``_CHUNK`` rows, so memory is O(chunk * n), and
+combines the per-chunk totals with ``math.fsum`` in a fixed order, so
+results are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -37,171 +28,43 @@ __all__ = [
     "dist_matrix",
     "angle_matrix",
     "angle_embed",
-    "backend_implementations",
 ]
 
 _CHUNK = 512
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency here
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_env = os.environ.get("RARE_SIG_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValidationError(f"RARE_SIG_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-if _env == "numba" and not HAS_NUMBA:
-    raise ValidationError("RARE_SIG_BACKEND=numba but numba is not importable")
-USE_NUMBA = HAS_NUMBA and _env != "numpy"
-
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the pairwise-sum implementation (recorded in statistics)."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# numba implementations (streaming, Kahan-compensated)
+# pairwise sums (chunked blocks, fsum across chunks)
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _nb_cross_dist_sum(a, b):
-    total = 0.0
-    comp = 0.0
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            d = 0.0
-            for k in range(a.shape[1]):
-                diff = a[i, k] - b[j, k]
-                d += diff * diff
-            y = math.sqrt(d) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+def _c(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
-@njit(cache=True)
-def _nb_within_dist_sum(a):
-    total = 0.0
-    comp = 0.0
-    for i in range(a.shape[0]):
-        for j in range(i + 1, a.shape[0]):
-            d = 0.0
-            for k in range(a.shape[1]):
-                diff = a[i, k] - a[j, k]
-                d += diff * diff
-            y = math.sqrt(d) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+def _angle_block(u_block, v):
+    g = u_block @ v.T
+    np.clip(g, -1.0, 1.0, out=g)
+    return np.arccos(g)
 
 
-@njit(cache=True)
-def _nb_cross_dist_rowsum(a, b):
-    out = np.empty(a.shape[0])
-    for i in range(a.shape[0]):
-        total = 0.0
-        comp = 0.0
-        for j in range(b.shape[0]):
-            d = 0.0
-            for k in range(a.shape[1]):
-                diff = a[i, k] - b[j, k]
-                d += diff * diff
-            y = math.sqrt(d) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        out[i] = total
-    return out
-
-
-@njit(cache=True)
-def _nb_cross_angle_sum(u, v):
-    # rows of u, v are unit vectors; the angle is arccos of their dot
-    total = 0.0
-    comp = 0.0
-    for i in range(u.shape[0]):
-        for j in range(v.shape[0]):
-            d = 0.0
-            for k in range(u.shape[1]):
-                d += u[i, k] * v[j, k]
-            if d > 1.0:
-                d = 1.0
-            elif d < -1.0:
-                d = -1.0
-            y = math.acos(d) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
-
-
-@njit(cache=True)
-def _nb_within_angle_sum(u):
-    total = 0.0
-    comp = 0.0
-    for i in range(u.shape[0]):
-        for j in range(i + 1, u.shape[0]):
-            d = 0.0
-            for k in range(u.shape[1]):
-                d += u[i, k] * u[j, k]
-            if d > 1.0:
-                d = 1.0
-            elif d < -1.0:
-                d = -1.0
-            y = math.acos(d) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
-
-
-@njit(cache=True)
-def _nb_cross_angle_rowsum(u, v):
-    out = np.empty(u.shape[0])
-    for i in range(u.shape[0]):
-        total = 0.0
-        comp = 0.0
-        for j in range(v.shape[0]):
-            d = 0.0
-            for k in range(u.shape[1]):
-                d += u[i, k] * v[j, k]
-            if d > 1.0:
-                d = 1.0
-            elif d < -1.0:
-                d = -1.0
-            y = math.acos(d) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        out[i] = total
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy/scipy implementations (chunked blocks, fsum across chunks)
-# ---------------------------------------------------------------------------
-
-
-def _np_cross_dist_sum(a, b):
+def cross_dist_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of Euclidean distances over all (row of a, row of b) pairs."""
+    a, b = _c(a), _c(b)
     parts = []
     for lo in range(0, a.shape[0], _CHUNK):
         parts.append(float(cdist(a[lo : lo + _CHUNK], b).sum()))
     return math.fsum(parts)
 
 
-def _np_within_dist_sum(a):
+def within_dist_sum(a: np.ndarray) -> float:
+    """Sum of Euclidean distances over unordered row pairs of ``a``."""
+    a = _c(a)
     n = a.shape[0]
     parts = []
     for lo in range(0, n, _CHUNK):
@@ -213,7 +76,9 @@ def _np_within_dist_sum(a):
     return math.fsum(parts)
 
 
-def _np_cross_dist_rowsum(a, b):
+def cross_dist_rowsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row-of-``a`` sums of distances to every row of ``b``."""
+    a, b = _c(a), _c(b)
     out = np.empty(a.shape[0])
     for lo in range(0, a.shape[0], _CHUNK):
         hi = min(lo + _CHUNK, a.shape[0])
@@ -221,94 +86,33 @@ def _np_cross_dist_rowsum(a, b):
     return out
 
 
-def _np_angle_block(u_block, v):
-    g = u_block @ v.T
-    np.clip(g, -1.0, 1.0, out=g)
-    return np.arccos(g)
-
-
-def _np_cross_angle_sum(u, v):
+def cross_angle_sum(u: np.ndarray, v: np.ndarray) -> float:
+    """Sum of arccos of dot products over cross pairs of unit rows."""
+    u, v = _c(u), _c(v)
     parts = []
     for lo in range(0, u.shape[0], _CHUNK):
-        parts.append(float(_np_angle_block(u[lo : lo + _CHUNK], v).sum()))
+        parts.append(float(_angle_block(u[lo : lo + _CHUNK], v).sum()))
     return math.fsum(parts)
 
 
-def _np_within_angle_sum(u):
+def within_angle_sum(u: np.ndarray) -> float:
+    u = _c(u)
     n = u.shape[0]
     parts = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        block = _np_angle_block(u[lo:hi], u[lo:])
+        block = _angle_block(u[lo:hi], u[lo:])
         parts.append(float(np.triu(block, k=1).sum()))
     return math.fsum(parts)
 
 
-def _np_cross_angle_rowsum(u, v):
+def cross_angle_rowsum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    u, v = _c(u), _c(v)
     out = np.empty(u.shape[0])
     for lo in range(0, u.shape[0], _CHUNK):
         hi = min(lo + _CHUNK, u.shape[0])
-        out[lo:hi] = _np_angle_block(u[lo:hi], v).sum(axis=1)
+        out[lo:hi] = _angle_block(u[lo:hi], v).sum(axis=1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_IMPLS = {
-    "cross_dist_sum": (_nb_cross_dist_sum, _np_cross_dist_sum),
-    "within_dist_sum": (_nb_within_dist_sum, _np_within_dist_sum),
-    "cross_dist_rowsum": (_nb_cross_dist_rowsum, _np_cross_dist_rowsum),
-    "cross_angle_sum": (_nb_cross_angle_sum, _np_cross_angle_sum),
-    "within_angle_sum": (_nb_within_angle_sum, _np_within_angle_sum),
-    "cross_angle_rowsum": (_nb_cross_angle_rowsum, _np_cross_angle_rowsum),
-}
-
-
-def backend_implementations() -> dict:
-    """Both implementations of every hot kernel, keyed by kernel name."""
-    return {
-        name: {"numba": nb if HAS_NUMBA else None, "numpy": np_}
-        for name, (nb, np_) in _IMPLS.items()
-    }
-
-
-def _pick(name: str):
-    nb, np_ = _IMPLS[name]
-    return nb if USE_NUMBA else np_
-
-
-def _c(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def cross_dist_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of Euclidean distances over all (row of a, row of b) pairs."""
-    return float(_pick("cross_dist_sum")(_c(a), _c(b)))
-
-
-def within_dist_sum(a: np.ndarray) -> float:
-    """Sum of Euclidean distances over unordered row pairs of ``a``."""
-    return float(_pick("within_dist_sum")(_c(a)))
-
-
-def cross_dist_rowsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row-of-``a`` sums of distances to every row of ``b``."""
-    return np.asarray(_pick("cross_dist_rowsum")(_c(a), _c(b)))
-
-
-def cross_angle_sum(u: np.ndarray, v: np.ndarray) -> float:
-    """Sum of arccos of dot products over cross pairs of unit rows."""
-    return float(_pick("cross_angle_sum")(_c(u), _c(v)))
-
-
-def within_angle_sum(u: np.ndarray) -> float:
-    return float(_pick("within_angle_sum")(_c(u)))
-
-
-def cross_angle_rowsum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.asarray(_pick("cross_angle_rowsum")(_c(u), _c(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,53 +20,28 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import LabeledSample, group_by_label, standardize
-from .engine import compute_rit
 from .errors import DegenerateDataError, RaresigError, ValidationError
-from .inference import (
-    condition_diagnostic,
-    estimate_xi01,
-    estimate_xi02,
-    estimate_xi10,
-    local_power_threshold,
-    power_first_order,
-    power_highdim,
-    pvalue_asymptotic_first,
-    pvalue_asymptotic_highdim,
-    pvalue_permutation,
-)
-from .multiclass import (
-    MultiClassSpec,
-    compute_multi_bit,
-    compute_multi_rit,
-    estimate_zeta1k,
-    multi_asymptotic_variance,
-)
-from .rng import spawn_seed
+from .inference import local_power_threshold, power_first_order, power_highdim
+from .pipeline import MethodConfig, run_test
 from .simulate import (
-    MethodConfig,
     ScenarioSpec,
     benchmark_complexity,
-    compare_backends,
     figure1_phenomenon,
-    kernel_from_name,
     loglog_slope,
     run_erp,
 )
 from .subsample import (
-    compute_bit,
     draw_subsample,
     select_s_power_floor,
     select_s_power_gap,
     select_s_variance,
-    thin_controls,
 )
 
-__all__ = ["RunConfig", "ingest_csv", "run_test", "main"]
+__all__ = ["ingest_csv", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,179 +112,54 @@ def ingest_csv(path: str, label_col: str, feature_cols=None):
 
 
 # ---------------------------------------------------------------------------
-# single-test orchestration
+# the test command
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one ``test`` invocation needs."""
-
-    input: str
-    label_col: str = "label"
-    feature_cols: tuple | None = None
-    kernel: str = "kendall"
-    kernel_params: dict = field(default_factory=dict)
-    method: str = "rit"  # rit | bit
-    s: int | None = None
-    inference: str = "auto"  # auto | asymptotic | permutation | highdim
-    B: int = 999
-    alpha: float = 0.05
-    seed: int = 0
-    standardize: bool = False
-    budget: int = 2000
-    xi_basis: str = "cases"
-    output_format: str = "json"
-
-
-def _resolve_inference(kind_order: str, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    return "asymptotic" if kind_order == "first" else "permutation"
-
-
-def _multiclass_test(grouped, kernel, cfg: RunConfig, warnings: list):
-    mspec = MultiClassSpec.from_grouped(grouped, kernel.block_orders)
-    if cfg.method == "bit":
-        plan = draw_subsample(grouped, cfg.s, spawn_seed(cfg.seed, 1), kernel.m0)
-        if plan.attempts > 1:
-            warnings.append(f"subsample plan needed {plan.attempts} draws")
-        stat = compute_multi_bit(grouped, kernel, plan, mspec)
-    else:
-        stat = compute_multi_rit(grouped, kernel, mspec)
-    zetas = [
-        estimate_zeta1k(grouped, kernel, mspec, k, cfg.budget, spawn_seed(cfg.seed, 7, k))
-        for k in range(grouped.n_classes)
-    ]
-    var = multi_asymptotic_variance(
-        mspec, zetas, s=(cfg.s if cfg.method == "bit" else None)
-    )
-    from scipy.stats import norm
-
-    scaled = math.sqrt(grouped.counts[1]) * stat.value
-    p = max(2 * float(norm.sf(abs(scaled) / math.sqrt(var))), 5e-324)
-    return stat, scaled, var, p, "asymptotic_first"
-
-
-def run_test(config: RunConfig) -> dict:
-    """Run one test per the configuration; returns the result object
-    serialized by the CLI (all fields JSON-ready)."""
+def _run_test_command(args) -> dict:
+    """Ingest, optionally standardize, run the pipeline; returns the
+    result object serialized by the CLI (all fields JSON-ready)."""
     t0 = time.perf_counter()
-    warnings: list = []
-    sample, dropped = ingest_csv(config.input, config.label_col, config.feature_cols)
-    if dropped:
-        warnings.append(f"dropped {dropped} rows with missing or unparseable values")
-    if config.standardize:
+    features = args.features.split(",") if args.features else None
+    sample, dropped = ingest_csv(args.input, args.label_col, features)
+    if args.standardize:
         sample = standardize(sample)
-    grouped = group_by_label(sample)
-    n0, n1 = grouped.counts[0], grouped.counts[1]
-
-    params = dict(config.kernel_params)
-    if config.kernel.replace("-", "_") == "multi_kendall":
-        params.setdefault("n_rare", grouped.n_classes - 1)
-    kernel = kernel_from_name(config.kernel, **params)
-
-    if config.method not in ("rit", "bit"):
-        raise ValidationError(f"unknown method {config.method!r}")
-    if config.method == "bit" and (config.s is None):
-        raise ValidationError("method=bit requires --s")
-
-    s = config.s if config.method == "bit" else None
-    inference = _resolve_inference(kernel.order, config.inference)
-    auto_fallback = config.inference == "auto" and inference == "asymptotic"
-
-    if kernel.n_blocks > 2 or grouped.n_classes > 2:
-        stat, scaled, var, p, method = _multiclass_test(grouped, kernel, config, warnings)
-    elif inference == "permutation":
-        out = pvalue_permutation(sample, kernel, config.B, config.seed, s=s)
-        stat_value = out.statistic
-        scaled, var, p, method = (
-            out.scaled_statistic,
-            out.variance_estimate,
-            out.p_value,
-            out.method,
-        )
-        stat = None
-    else:
-        if config.method == "bit":
-            plan = draw_subsample(grouped, s, spawn_seed(config.seed, 1), kernel.m0)
-            if plan.attempts > 1:
-                warnings.append(f"subsample plan needed {plan.attempts} draws")
-            stat = compute_bit(grouped, kernel, plan)
-            est_data = thin_controls(grouped, plan)
-        else:
-            stat = compute_rit(grouped, kernel)
-            est_data = grouped
-        if inference == "asymptotic":
-            if kernel.order != "first":
-                raise ValidationError(
-                    "asymptotic inference requires a first-order kernel; "
-                    "use --inference permutation or highdim"
-                )
-            xi01 = estimate_xi01(
-                est_data, kernel, config.budget, spawn_seed(config.seed, 5),
-                basis=config.xi_basis,
-            )
-            if auto_fallback and xi01 <= 0:
-                # fully separated data degenerates the plug-in variance;
-                # the permutation null still applies
-                warnings.append(
-                    "projection-variance estimate is zero; fell back to the "
-                    "permutation test"
-                )
-                out = pvalue_permutation(sample, kernel, config.B, config.seed, s=s)
-                stat = None  # report the permutation path's own statistic
-                stat_value = out.statistic
-            elif config.method == "bit":
-                xi10 = estimate_xi10(
-                    est_data, kernel, config.budget, spawn_seed(config.seed, 6)
-                )
-                out = pvalue_asymptotic_first(stat, xi01, s=s, xi10=xi10)
-            else:
-                out = pvalue_asymptotic_first(stat, xi01)
-        elif inference == "highdim":
-            if kernel.order != "second":
-                raise ValidationError("highdim inference requires a second-order kernel")
-            xi02 = estimate_xi02(est_data, kernel)
-            ratio = condition_diagnostic(est_data, kernel)
-            warnings.append(
-                f"high-dimensional normality diagnostic ratio {ratio:.3g} "
-                "(values near zero support the normal null)"
-            )
-            out = pvalue_asymptotic_highdim(stat, xi02)
-        else:
-            raise ValidationError(f"unknown inference {inference!r}")
-        scaled, var, p, method = (
-            out.scaled_statistic,
-            out.variance_estimate,
-            out.p_value,
-            out.method,
-        )
-
-    if stat is not None:
-        stat_value = stat.value
-        if stat.meta.get("budgeted"):
-            warnings.append(
-                "statistic used a budgeted subsample of control blocks "
-                f"(budget {stat.meta['budget']})"
-            )
-
+    kernel_params = {}
+    if args.kernel == "imbalanced-kendall":
+        kernel_params["m"] = args.m
+    if args.kernel == "ipcov":
+        kernel_params["c_sigma2"] = args.c_sigma2
+    method = MethodConfig(
+        kernel=args.kernel,
+        mode=args.method,
+        s=args.s,
+        inference=args.inference,
+        B=args.B,
+        budget=args.budget,
+        xi_basis=args.xi_basis,
+        kernel_params=kernel_params,
+    )
+    out = run_test(sample, method, args.seed)
+    meta = out.metadata
+    warnings = list(meta["warnings"])
+    if dropped:
+        warnings.insert(0, f"dropped {dropped} rows with missing or unparseable values")
     result = {
-        "statistic": float(stat_value),
-        "scaled_statistic": float(scaled),
-        "variance_estimate": float(var),
-        "p_value": float(p),
-        "method": method,
-        "n0": int(n0),
-        "n1": int(n1),
-        "seed": int(config.seed),
+        "statistic": float(out.statistic),
+        "scaled_statistic": float(out.scaled_statistic),
+        "variance_estimate": float(out.variance_estimate),
+        "p_value": float(out.p_value),
+        "method": out.method,
+        "n0": int(meta["n0"]),
+        "n1": int(meta["n1"]),
+        "seed": int(args.seed),
         "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
         "warnings": warnings,
     }
-    if s is not None:
-        result["s"] = int(s)
-    if method == "permutation":
-        result["B"] = int(config.B)
+    if meta["s"] is not None:
+        result["s"] = int(meta["s"])
+    if meta["B"] is not None:
+        result["B"] = int(meta["B"])
     return result
 
 
@@ -320,7 +170,7 @@ def run_test(config: RunConfig) -> dict:
 
 def _emit(data, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(data, sort_keys=True, indent=2, allow_nan=True)
+        text = json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
     elif fmt == "csv":
         rows = data if isinstance(data, list) else [data]
         buf = io.StringIO()
@@ -443,14 +293,14 @@ def _run_simulate(args) -> None:
 
 
 def _run_bench(args) -> None:
-    if args.compare_backends:
-        rows = compare_backends(sizes=tuple(args.sizes or [500, 1000]),
-                                p=args.p or 10, trials=args.trials, seed=args.seed)
-        _emit(rows, args.format, args.output)
-        return
+    sizes = args.sizes or [1000, 2000, 4000]
+    grid = (args.s_grid or []) if args.mode == "bit" else sizes
+    if len(set(grid)) < 2:
+        flag = "--s-grid values" if args.mode == "bit" else "--sizes"
+        raise ValidationError(f"a log-log slope needs at least two distinct {flag}")
     rows = benchmark_complexity(
         args.kernel.replace("-", "_"),
-        args.sizes or [1000, 2000, 4000],
+        sizes,
         mode=args.mode,
         n1=args.n1,
         s_values=args.s_grid,
@@ -516,10 +366,15 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--inference", default="auto",
                    choices=("auto", "asymptotic", "permutation", "highdim"))
     t.add_argument("--B", type=int, default=999)
-    t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--standardize", action="store_true")
     t.add_argument("--budget", type=int, default=2000)
-    t.add_argument("--xi-basis", default="cases", choices=("cases", "controls"))
+    t.add_argument(
+        "--xi-basis", default="cases", choices=("cases", "controls"),
+        help="points the xi01 projection is evaluated at: 'cases' (default; "
+             "estimates the case-side variance on any data) or 'controls' "
+             "(far less noisy, but the same quantity only under the null; the "
+             "simulate command and the library's MethodConfig default to it)",
+    )
 
     sp = sub.add_parser("subsample-plan", help="draw a control-inclusion plan",
                         parents=[common])
@@ -601,36 +456,13 @@ def _build_parser() -> argparse.ArgumentParser:
     be.add_argument("--s-grid", type=_int_list)
     be.add_argument("--trials", type=int, default=5)
     be.add_argument("--p", type=int)
-    be.add_argument("--compare-backends", action="store_true")
 
     return ap
 
 
 def _dispatch(args) -> None:
     if args.command == "test":
-        kernel_params = {}
-        if args.kernel == "imbalanced-kendall":
-            kernel_params["m"] = args.m
-        if args.kernel == "ipcov":
-            kernel_params["c_sigma2"] = args.c_sigma2
-        cfg = RunConfig(
-            input=args.input,
-            label_col=args.label_col,
-            feature_cols=tuple(args.features.split(",")) if args.features else None,
-            kernel=args.kernel,
-            kernel_params=kernel_params,
-            method=args.method,
-            s=args.s,
-            inference=args.inference,
-            B=args.B,
-            alpha=args.alpha,
-            seed=args.seed,
-            standardize=args.standardize,
-            budget=args.budget,
-            xi_basis=args.xi_basis,
-            output_format=args.format,
-        )
-        _emit(run_test(cfg), args.format, args.output)
+        _emit(_run_test_command(args), args.format, args.output)
     elif args.command == "subsample-plan":
         from .data import LabeledSample as _LS
 

@@ -244,6 +244,35 @@ def _pair_projection_matrix(
     return h
 
 
+def _checked_pair_projection(
+    data: GroupedSample, kernel: KernelSpec, reference: str
+) -> np.ndarray:
+    if reference not in ("controls", "pooled"):
+        raise ValidationError("reference must be 'controls' or 'pooled'")
+    if data.counts[1] < 3:
+        raise DegenerateDataError(
+            "need at least three cases (two give a single pair, no variance)"
+        )
+    return _pair_projection_matrix(data, kernel, reference)
+
+
+def _xi02_from(h: np.ndarray) -> float:
+    iu = np.triu_indices(h.shape[0], k=1)
+    return float(h[iu].var(ddof=1))
+
+
+def _condition_ratio_from(h: np.ndarray) -> float:
+    n1 = h.shape[0]
+    off = ~np.eye(n1, dtype=bool)
+    eh2 = float((h[off] ** 2).mean())
+    eh4 = float((h[off] ** 4).mean())
+    g = (h @ h) / n1
+    eg2 = float((g[off] ** 2).mean())
+    if eh2 <= 0:
+        raise DegenerateDataError("pair projection is identically zero")
+    return (eg2 + eh4 / n1) / (eh2 * eh2)
+
+
 def estimate_xi02(
     data: GroupedSample, kernel: KernelSpec, reference: str = "controls"
 ) -> float:
@@ -253,16 +282,7 @@ def estimate_xi02(
     ``"controls"`` (default; they dominate the data and share the case
     law under the null) or ``"pooled"``.
     """
-    if reference not in ("controls", "pooled"):
-        raise ValidationError("reference must be 'controls' or 'pooled'")
-    n1 = data.counts[1]
-    if n1 < 3:
-        raise DegenerateDataError(
-            "need at least three cases (two give a single pair, no variance)"
-        )
-    h = _pair_projection_matrix(data, kernel, reference)
-    iu = np.triu_indices(n1, k=1)
-    return float(h[iu].var(ddof=1))
+    return _xi02_from(_checked_pair_projection(data, kernel, reference))
 
 
 def condition_diagnostic(
@@ -275,16 +295,7 @@ def condition_diagnostic(
     ``(E[G^2] + E[h^4]/n1) / E[h^2]^2`` with
     ``G(x,y) = E[h(X,x) h(X,y)]``, all moments taken over case pairs.
     """
-    n1 = data.counts[1]
-    h = _pair_projection_matrix(data, kernel, reference)
-    off = ~np.eye(n1, dtype=bool)
-    eh2 = float((h[off] ** 2).mean())
-    eh4 = float((h[off] ** 4).mean())
-    g = (h @ h) / n1
-    eg2 = float((g[off] ** 2).mean())
-    if eh2 <= 0:
-        raise DegenerateDataError("pair projection is identically zero")
-    return (eg2 + eh4 / n1) / (eh2 * eh2)
+    return _condition_ratio_from(_pair_projection_matrix(data, kernel, reference))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +449,7 @@ def _generic_permutation_stats(
     seed: int,
     s: int | None,
 ) -> np.ndarray:
-    multiclass = kernel.n_blocks > 2
+    multiclass = kernel.n_blocks > 2 or kernel.kind == "multi_kendall"
     if multiclass:
         from .multiclass import compute_multi_bit, compute_multi_rit
 

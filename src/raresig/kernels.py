@@ -35,6 +35,7 @@ __all__ = [
     "ipcov_kernel",
     "multi_kendall_kernel",
     "custom_kernel",
+    "kernel_from_name",
     "kernel_pearson",
     "kernel_kendall",
     "kernel_imbalanced_kendall",
@@ -139,6 +140,26 @@ def custom_kernel(fn, block_orders, order: str = "first", **params) -> KernelSpe
     return KernelSpec(
         "custom", tuple(int(m) for m in block_orders), dict(params), fn, order
     )
+
+
+def kernel_from_name(name: str, **params) -> KernelSpec:
+    """Built-in kernel by name (``-`` and ``_`` interchangeable); ``params``
+    supplies ``m`` (imbalanced_kendall), ``c_sigma2`` (ipcov) and
+    ``n_rare`` (multi_kendall)."""
+    name = name.replace("-", "_")
+    if name == "pearson":
+        return pearson_kernel()
+    if name == "kendall":
+        return kendall_kernel()
+    if name == "imbalanced_kendall":
+        return imbalanced_kendall_kernel(int(params.get("m", 2)))
+    if name == "dcov":
+        return dcov_kernel()
+    if name == "ipcov":
+        return ipcov_kernel(float(params.get("c_sigma2", 1.0)))
+    if name == "multi_kendall":
+        return multi_kendall_kernel(int(params.get("n_rare", 1)))
+    raise ValidationError(f"unknown kernel name {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,35 +18,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import norm
 
-from . import _accel
-from .data import GroupedSample, LabeledSample, group_by_label
+from .data import LabeledSample, group_by_label
 from .engine import compute_classical, compute_rit
 from .errors import ValidationError
-from .inference import (
-    estimate_xi01,
-    estimate_xi02,
-    estimate_xi10,
-    pvalue_asymptotic_first,
-    pvalue_asymptotic_highdim,
-    pvalue_permutation,
-)
-from .kernels import (
-    KernelSpec,
-    dcov_kernel,
-    imbalanced_kendall_kernel,
-    ipcov_kernel,
-    kendall_kernel,
-    multi_kendall_kernel,
-    pearson_kernel,
-)
-from .multiclass import (
-    MultiClassSpec,
-    compute_multi_rit,
-    estimate_zeta1k,
-    multi_asymptotic_variance,
-)
+from .kernels import kernel_from_name
+from .pipeline import MethodConfig, run_test
 from .rng import spawn_rng, spawn_seed
-from .subsample import compute_bit, draw_subsample, thin_controls
+from .subsample import compute_bit, draw_subsample
 
 __all__ = [
     "ScenarioSpec",
@@ -56,9 +34,7 @@ __all__ = [
     "run_erp",
     "figure1_phenomenon",
     "benchmark_complexity",
-    "compare_backends",
     "loglog_slope",
-    "kernel_from_name",
     "classical_pvalue",
     "SCENARIO_FAMILIES",
 ]
@@ -230,54 +206,8 @@ def generate(spec: ScenarioSpec, rep: int) -> LabeledSample:
 
 
 # ---------------------------------------------------------------------------
-# method configuration and single-replication evaluation
+# single-replication evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MethodConfig:
-    """One (statistic, inference) combination to run inside a study."""
-
-    kernel: str = "kendall"
-    mode: str = "rit"  # rit | bit | classical
-    s: int | None = None
-    inference: str = "auto"  # auto | asymptotic | permutation | highdim
-    B: int = 199
-    budget: int = 2000
-    xi_basis: str = "controls"
-    kernel_params: dict = field(default_factory=dict)
-
-    def label(self) -> str:
-        bits = [self.kernel, self.mode]
-        if self.s is not None:
-            bits.append(f"s={self.s}")
-        bits.append(self.resolved_inference())
-        return ":".join(bits)
-
-    def resolved_inference(self) -> str:
-        if self.mode == "classical":
-            return "classical"
-        if self.inference != "auto":
-            return self.inference
-        spec = kernel_from_name(self.kernel, **self.kernel_params)
-        return "asymptotic" if spec.order == "first" else "permutation"
-
-
-def kernel_from_name(name: str, **params) -> KernelSpec:
-    name = name.replace("-", "_")
-    if name == "pearson":
-        return pearson_kernel()
-    if name == "kendall":
-        return kendall_kernel()
-    if name == "imbalanced_kendall":
-        return imbalanced_kendall_kernel(int(params.get("m", 2)))
-    if name == "dcov":
-        return dcov_kernel()
-    if name == "ipcov":
-        return ipcov_kernel(float(params.get("c_sigma2", 1.0)))
-    if name == "multi_kendall":
-        return multi_kendall_kernel(int(params.get("n_rare", 1)))
-    raise ValidationError(f"unknown kernel name {name!r}")
 
 
 def classical_pvalue(
@@ -310,55 +240,13 @@ def classical_pvalue(
     raise ValidationError(f"unknown classical statistic {kind!r}")
 
 
-def _multiclass_pvalue(
-    grouped: GroupedSample, kernel: KernelSpec, method: MethodConfig, seed: int
-) -> float:
-    stat = compute_multi_rit(grouped, kernel)
-    spec = MultiClassSpec.from_grouped(grouped, kernel.block_orders)
-    zetas = [None] + [
-        estimate_zeta1k(grouped, kernel, spec, k, method.budget, spawn_seed(seed, 7, k))
-        for k in range(1, grouped.n_classes)
-    ]
-    var = multi_asymptotic_variance(spec, zetas)
-    z = math.sqrt(grouped.counts[1]) * stat.value / math.sqrt(var)
-    return float(2 * norm.sf(abs(z)))
-
-
 def evaluate_replication(
     sample: LabeledSample, method: MethodConfig, seed: int
 ) -> float:
     """P-value of the configured test on one generated sample."""
     if method.mode == "classical":
         return classical_pvalue(sample, method.kernel, method.B, seed)
-    kernel = kernel_from_name(method.kernel, **method.kernel_params)
-    inference = method.resolved_inference()
-    if inference == "permutation":
-        s = method.s if method.mode == "bit" else None
-        out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
-        return out.p_value
-    grouped = group_by_label(sample)
-    if kernel.kind == "multi_kendall" and grouped.n_classes > 2:
-        return _multiclass_pvalue(grouped, kernel, method, seed)
-    if method.mode == "bit":
-        if method.s is None:
-            raise ValidationError("bit mode needs the sampling ratio s")
-        plan = draw_subsample(grouped, method.s, spawn_seed(seed, 1), kernel.m0)
-        stat = compute_bit(grouped, kernel, plan)
-        basis_data = thin_controls(grouped, plan)
-    else:
-        stat = compute_rit(grouped, kernel)
-        basis_data = grouped
-    if inference == "highdim":
-        xi02 = estimate_xi02(basis_data, kernel)
-        return pvalue_asymptotic_highdim(stat, xi02).p_value
-    if inference != "asymptotic":
-        raise ValidationError(f"unknown inference {inference!r}")
-    xi01 = estimate_xi01(basis_data, kernel, method.budget, spawn_seed(seed, 5),
-                         basis=method.xi_basis)
-    if method.mode == "bit":
-        xi10 = estimate_xi10(basis_data, kernel, method.budget, spawn_seed(seed, 6))
-        return pvalue_asymptotic_first(stat, xi01, s=method.s, xi10=xi10).p_value
-    return pvalue_asymptotic_first(stat, xi01).p_value
+    return run_test(sample, method, seed).p_value
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +386,7 @@ def figure1_phenomenon(
 
 
 def _median_time(fn, trials: int) -> float:
-    fn()  # warm-up (JIT compilation, allocator)
+    fn()  # warm-up (allocator, caches)
     times = []
     for _ in range(trials):
         t0 = time.perf_counter()
@@ -570,34 +458,4 @@ def benchmark_complexity(
             )
     else:
         raise ValidationError("mode must be 'rit' or 'bit'")
-    return rows
-
-
-def compare_backends(sizes=(500, 1000), p: int = 10, trials: int = 5, seed: int = 0):
-    """Time the numba and numpy implementations of each hot kernel."""
-    impls = _accel.backend_implementations()
-    rng = spawn_rng(seed)
-    rows = []
-    for n in sizes:
-        a = rng.standard_normal((n, p))
-        b = rng.standard_normal((n // 2, p))
-        args = {
-            "cross_dist_sum": (a, b),
-            "within_dist_sum": (a,),
-            "cross_dist_rowsum": (a, b),
-            "cross_angle_sum": (_accel.angle_embed(a, 1.0), _accel.angle_embed(b, 1.0)),
-            "within_angle_sum": (_accel.angle_embed(a, 1.0),),
-            "cross_angle_rowsum": (
-                _accel.angle_embed(a, 1.0),
-                _accel.angle_embed(b, 1.0),
-            ),
-        }
-        for name, pair in impls.items():
-            row = {"kernel": name, "n": n}
-            for backend, fn in pair.items():
-                if fn is None:
-                    row[backend] = float("nan")
-                    continue
-                row[backend] = _median_time(lambda f=fn, ag=args[name]: f(*ag), trials)
-            rows.append(row)
     return rows

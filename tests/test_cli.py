@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from raresig import DegenerateDataError, ValidationError
-from raresig.cli import RunConfig, ingest_csv, main, run_test
+from raresig.cli import _emit, ingest_csv, main
+from raresig.pipeline import MethodConfig, run_test
 
 
 def _write_csv(path, header, rows):
@@ -86,11 +87,16 @@ def test_ingest_roundtrip_group_counts(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_run_test_separated_data_permutation(separated_csv):
-    cfg = RunConfig(
-        input=separated_csv, kernel="kendall", inference="permutation", B=99, seed=4
-    )
-    result = run_test(cfg)
+def _test_json(capsys, *argv):
+    code = main(["test", *argv])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return json.loads(captured.out)
+
+
+def test_run_test_separated_data_permutation(separated_csv, capsys):
+    result = _test_json(capsys, "--input", separated_csv, "--kernel", "kendall",
+                        "--inference", "permutation", "--B", "99", "--seed", "4")
     assert result["statistic"] == 1.0
     assert result["p_value"] == 1 / 100
     assert result["method"] == "permutation"
@@ -98,55 +104,61 @@ def test_run_test_separated_data_permutation(separated_csv):
     assert result["n0"] == 40 and result["n1"] == 8
 
 
-def test_run_test_deterministic_modulo_walltime(tmp_path):
+def test_run_test_deterministic_modulo_walltime(tmp_path, capsys):
     rng = np.random.default_rng(9)
     rows = [[f"{v:.6f}", 0] for v in rng.standard_normal(120)]
     rows += [[f"{v + 0.4:.6f}", 1] for v in rng.standard_normal(15)]
     path = _write_csv(tmp_path / "mix.csv", ["x", "label"], rows)
-    cfg = RunConfig(input=path, kernel="kendall", seed=9)
-    a = run_test(cfg)
-    b = run_test(cfg)
+    argv = ["--input", path, "--kernel", "kendall", "--seed", "9"]
+    a = _test_json(capsys, *argv)
+    b = _test_json(capsys, *argv)
     a.pop("wall_time_ms"), b.pop("wall_time_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_run_test_degenerate_separation_asymptotic_errors(separated_csv):
     # fully separated cases leave the case-side plug-in variance at zero
+    sample, _ = ingest_csv(separated_csv, "label")
+    method = MethodConfig(kernel="kendall", inference="asymptotic", xi_basis="cases")
     with pytest.raises(DegenerateDataError, match="permutation"):
-        run_test(RunConfig(input=separated_csv, kernel="kendall", seed=9,
-                           inference="asymptotic"))
+        run_test(sample, method, 9)
 
 
-def test_run_test_auto_falls_back_to_permutation(separated_csv):
-    result = run_test(RunConfig(input=separated_csv, kernel="kendall", seed=9, B=99))
+def test_run_test_auto_falls_back_to_permutation(separated_csv, capsys):
+    result = _test_json(capsys, "--input", separated_csv, "--kernel", "kendall",
+                        "--seed", "9", "--B", "99")
     assert result["statistic"] == 1.0
     assert result["method"] == "permutation"
     assert result["p_value"] == 1 / 100
     assert any("fell back" in w for w in result["warnings"])
 
 
-def test_run_test_bit_and_standardize(tmp_path):
+def test_run_test_bit_and_standardize(tmp_path, capsys):
     rng = np.random.default_rng(5)
     rows = [[f"{v:.6f}", 0] for v in rng.standard_normal(400) * 3 + 1]
     rows += [[f"{v:.6f}", 1] for v in rng.standard_normal(20) * 3 + 1]
     path = _write_csv(tmp_path / "h.csv", ["x", "label"], rows)
-    cfg = RunConfig(input=path, kernel="pearson", method="bit", s=5,
-                    standardize=True, seed=1)
-    result = run_test(cfg)
+    result = _test_json(capsys, "--input", path, "--kernel", "pearson", "--method",
+                        "bit", "--s", "5", "--standardize", "--seed", "1")
     assert result["s"] == 5
     assert result["method"] == "asymptotic_first"
     assert 0 < result["p_value"] <= 1
 
 
-def test_run_test_multiclass(tmp_path):
+def test_run_test_multiclass(tmp_path, capsys):
     rng = np.random.default_rng(6)
     rows = [[f"{v:.6f}", 0] for v in rng.standard_normal(300)]
     rows += [[f"{v:.6f}", 1] for v in rng.standard_normal(30)]
     rows += [[f"{v:.6f}", 2] for v in rng.standard_normal(30)]
     path = _write_csv(tmp_path / "i.csv", ["x", "label"], rows)
-    result = run_test(RunConfig(input=path, kernel="multi-kendall", seed=2))
+    result = _test_json(capsys, "--input", path, "--kernel", "multi-kendall",
+                        "--seed", "2")
     assert result["method"] == "asymptotic_first"
     assert 0 < result["p_value"] <= 1
+
+
+def test_cli_test_rejects_removed_alpha_flag(separated_csv, capsys):
+    assert main(["test", "--input", separated_csv, "--alpha", "0.5"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +260,6 @@ def test_cli_simulate_table_preset_smoke(capsys):
     assert rows[2]["n1s"] == 200
 
 
-def test_cli_bench_compare_backends(capsys):
-    code = main(
-        ["bench", "--compare-backends", "--sizes", "80", "--p", "4", "--trials", "2"]
-    )
-    assert code == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert {"kernel", "n", "numba", "numpy"} <= set(rows[0])
-
-
 def test_cli_bench_json(capsys):
     code = main(
         ["bench", "--kernel", "kendall", "--sizes", "2000,4000", "--trials", "2"]
@@ -276,3 +279,24 @@ def test_cli_output_file(tmp_path, separated_csv):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["statistic"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sizes", "2000"],
+        ["--sizes", "2000,2000"],
+        ["--mode", "bit", "--n1", "20", "--s-grid", "4"],
+    ],
+)
+def test_cli_bench_rejects_single_point_grid(argv, capsys):
+    code = main(["bench", "--kernel", "kendall", "--trials", "1", *argv])
+    assert code == 2
+    assert "at least two distinct" in capsys.readouterr().err
+
+
+def test_emit_refuses_non_finite_json(capsys):
+    with pytest.raises(ValueError):
+        _emit({"value": float("nan")}, "json", None)
+    _emit({"value": 1.5}, "json", None)
+    assert json.loads(capsys.readouterr().out) == {"value": 1.5}

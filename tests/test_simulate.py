@@ -5,15 +5,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from raresig import ValidationError
-from raresig._accel import backend_implementations
+from raresig.kernels import kernel_from_name
 from raresig.simulate import (
     MethodConfig,
     ScenarioSpec,
     benchmark_complexity,
-    compare_backends,
     figure1_phenomenon,
     generate,
-    kernel_from_name,
     loglog_slope,
     run_erp,
 )
@@ -172,34 +170,3 @@ def test_benchmark_rows_and_slope():
     assert math.isfinite(loglog_slope(xs, ts))
     with pytest.raises(ValidationError):
         benchmark_complexity("kendall", sizes=(100,), mode="bit")
-
-
-def test_backend_implementations_agree():
-    impls = backend_implementations()
-    rng = np.random.default_rng(16)
-    a = rng.standard_normal((80, 6))
-    b = rng.standard_normal((50, 6))
-    from raresig._accel import angle_embed
-
-    ua, ub = angle_embed(a, 1.0), angle_embed(b, 1.0)
-    args = {
-        "cross_dist_sum": (a, b),
-        "within_dist_sum": (a,),
-        "cross_dist_rowsum": (a, b),
-        "cross_angle_sum": (ua, ub),
-        "within_angle_sum": (ua,),
-        "cross_angle_rowsum": (ua, ub),
-    }
-    for name, pair in impls.items():
-        if pair["numba"] is None:
-            continue
-        nb = pair["numba"](*[np.ascontiguousarray(x) for x in args[name]])
-        np_ = pair["numpy"](*args[name])
-        assert_allclose(nb, np_, rtol=1e-10)
-
-
-def test_compare_backends_rows():
-    rows = compare_backends(sizes=(60,), p=4, trials=2, seed=17)
-    assert {r["kernel"] for r in rows} == set(backend_implementations())
-    for r in rows:
-        assert r["numpy"] > 0
