@@ -46,7 +46,6 @@ from .kernels import (
     pearson_kernel,
     project_h01,
     project_h01_many,
-    project_h02_dcov,
 )
 from .multiclass import (
     MultiClassSpec,

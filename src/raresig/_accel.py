@@ -1,11 +1,14 @@
-"""Hot pairwise-sum kernels.
+"""Pairwise sums of the second-order kernels.
 
-The O(n^2 p) statistics (distance and angular-affinity forms) reduce to
-four primitives: cross-block and within-block totals, plus per-row
-cross sums.  Each runs over chunked ``scipy.spatial.distance.cdist`` /
-BLAS blocks of at most ``_CHUNK`` rows, so memory is O(chunk * n), and
-combines the per-chunk totals with ``math.fsum`` in a fixed order, so
-results are reproducible run to run.
+Both second-order kernels are the six-term kernel over one pair function
+d(x, y): the Euclidean distance for ``rescaled_dcov`` and the angle
+between augmented unit rows for ``rescaled_ipcov``.  ``_pair_metric`` is
+the one place that maps a kernel to its pair function; every O(n^2 p)
+quantity is built from four primitives over it: the cross-block total,
+the within-block total, per-row cross sums and the dense within matrix.
+Each runs over blocks of at most ``_CHUNK`` rows, so memory is
+O(chunk * n) outside the dense matrix, and the totals combine per-row or
+per-block sums with ``math.fsum``, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -13,20 +16,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import ValidationError
+from .kernels import KernelSpec
 
 __all__ = [
     "active_backend",
-    "cross_dist_sum",
-    "within_dist_sum",
-    "cross_dist_rowsum",
-    "cross_angle_sum",
-    "within_angle_sum",
-    "cross_angle_rowsum",
-    "dist_matrix",
-    "angle_matrix",
+    "cross_sum",
+    "within_sum",
+    "cross_rowsum",
+    "pair_matrix",
     "angle_embed",
 ]
 
@@ -38,92 +38,8 @@ def active_backend() -> str:
     return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pairwise sums (chunked blocks, fsum across chunks)
-# ---------------------------------------------------------------------------
-
-
 def _c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def _angle_block(u_block, v):
-    g = u_block @ v.T
-    np.clip(g, -1.0, 1.0, out=g)
-    return np.arccos(g)
-
-
-def cross_dist_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of Euclidean distances over all (row of a, row of b) pairs."""
-    a, b = _c(a), _c(b)
-    parts = []
-    for lo in range(0, a.shape[0], _CHUNK):
-        parts.append(float(cdist(a[lo : lo + _CHUNK], b).sum()))
-    return math.fsum(parts)
-
-
-def within_dist_sum(a: np.ndarray) -> float:
-    """Sum of Euclidean distances over unordered row pairs of ``a``."""
-    a = _c(a)
-    n = a.shape[0]
-    parts = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        block = cdist(a[lo:hi], a[lo:])
-        # keep strictly-upper entries relative to the full matrix
-        tri = np.triu(block, k=1)
-        parts.append(float(tri.sum()))
-    return math.fsum(parts)
-
-
-def cross_dist_rowsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row-of-``a`` sums of distances to every row of ``b``."""
-    a, b = _c(a), _c(b)
-    out = np.empty(a.shape[0])
-    for lo in range(0, a.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, a.shape[0])
-        out[lo:hi] = cdist(a[lo:hi], b).sum(axis=1)
-    return out
-
-
-def cross_angle_sum(u: np.ndarray, v: np.ndarray) -> float:
-    """Sum of arccos of dot products over cross pairs of unit rows."""
-    u, v = _c(u), _c(v)
-    parts = []
-    for lo in range(0, u.shape[0], _CHUNK):
-        parts.append(float(_angle_block(u[lo : lo + _CHUNK], v).sum()))
-    return math.fsum(parts)
-
-
-def within_angle_sum(u: np.ndarray) -> float:
-    u = _c(u)
-    n = u.shape[0]
-    parts = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        block = _angle_block(u[lo:hi], u[lo:])
-        parts.append(float(np.triu(block, k=1).sum()))
-    return math.fsum(parts)
-
-
-def cross_angle_rowsum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u, v = _c(u), _c(v)
-    out = np.empty(u.shape[0])
-    for lo in range(0, u.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, u.shape[0])
-        out[lo:hi] = _angle_block(u[lo:hi], v).sum(axis=1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# matrix helpers (plumbing shared by inference and permutation paths)
-# ---------------------------------------------------------------------------
-
-
-def dist_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Dense Euclidean distance matrix (within ``a`` when ``b`` is None)."""
-    a = _c(a)
-    return cdist(a, a if b is None else _c(b))
 
 
 def angle_embed(x: np.ndarray, c_sigma2: float) -> np.ndarray:
@@ -137,12 +53,63 @@ def angle_embed(x: np.ndarray, c_sigma2: float) -> np.ndarray:
     return aug / np.linalg.norm(aug, axis=1, keepdims=True)
 
 
-def angle_matrix(
-    a: np.ndarray, b: np.ndarray | None = None, c_sigma2: float = 1.0
-) -> np.ndarray:
-    """Dense matrix of angular affinities (within ``a`` when ``b`` is None)."""
-    u = angle_embed(a, c_sigma2)
-    v = u if b is None else angle_embed(b, c_sigma2)
-    g = u @ v.T
+def _angles(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    g = np.matmul(u, v.T, out=out)
     np.clip(g, -1.0, 1.0, out=g)
-    return np.arccos(g)
+    return np.arccos(g, out=g)
+
+
+def _pair_metric(kernel: KernelSpec):
+    """``(rows, block, upper)`` for a second-order kernel:
+    ``block(rows(a), rows(b), out=None)[i, j]`` is the pair function
+    d(a_i, b_j), and ``upper(rows(a)).sum()`` is the sum of d over the
+    unordered pairs of ``a`` (``pdist`` computes only those pairs, half
+    the work of a square block and no triangle mask)."""
+    if kernel.kind == "rescaled_dcov":
+        return _c, cdist, pdist
+    if kernel.kind == "rescaled_ipcov":
+        c = kernel.params.get("c_sigma2", 1.0)
+        return (lambda x: angle_embed(x, c)), _angles, lambda u: np.triu(_angles(u, u), 1)
+    raise ValidationError(f"{kernel.kind} has no pair function")
+
+
+def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row-of-``a`` sums of d to every row of ``b``."""
+    rows, block, _ = _pair_metric(kernel)
+    a, b = rows(a), rows(b)
+    out = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], _CHUNK):
+        out[lo : lo + _CHUNK] = block(a[lo : lo + _CHUNK], b).sum(axis=1)
+    return out
+
+
+def cross_sum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of d over all (row of a, row of b) pairs."""
+    return math.fsum(cross_rowsum(kernel, a, b))
+
+
+def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:
+    """Sum of d over unordered row pairs of ``a``: the pairs within each
+    chunk plus the whole block from the chunk to later rows."""
+    rows, block, upper = _pair_metric(kernel)
+    a = rows(a)
+    n = a.shape[0]
+    parts = []
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        parts.append(float(upper(a[lo:hi]).sum()))
+        if hi < n:
+            parts.append(float(block(a[lo:hi], a[hi:]).sum()))
+    return math.fsum(parts)
+
+
+def pair_matrix(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix of d within ``a``, diagonal zeroed."""
+    rows, block, _ = _pair_metric(kernel)
+    a = rows(a)
+    n = a.shape[0]
+    out = np.empty((n, n))
+    for lo in range(0, n, _CHUNK):
+        block(a[lo : lo + _CHUNK], a, out=out[lo : lo + _CHUNK])
+    np.fill_diagonal(out, 0.0)
+    return out

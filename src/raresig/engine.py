@@ -23,7 +23,7 @@ import numpy as np
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
 from .errors import DegenerateDataError, ValidationError
-from .kernels import KernelSpec, evaluate
+from .kernels import SECOND_ORDER_KINDS, KernelSpec, evaluate, kernel_from_name
 from .rng import spawn_rng
 
 __all__ = ["RitStatistic", "compute_rit", "compute_rit_bruteforce", "compute_classical"]
@@ -123,17 +123,9 @@ def _imbalanced_kendall(data: GroupedSample, spec: KernelSpec, seed: int):
 def _second_order_value(data: GroupedSample, spec: KernelSpec) -> float:
     x0, x1 = data.group(0), data.group(1)
     n0, n1 = data.counts[0], data.counts[1]
-    if spec.kind == "rescaled_dcov":
-        s01 = _accel.cross_dist_sum(x1, x0)
-        s00 = 2.0 * _accel.within_dist_sum(x0)
-        s11 = 2.0 * _accel.within_dist_sum(x1)
-    else:
-        c = spec.params.get("c_sigma2", 1.0)
-        u0 = _accel.angle_embed(x0, c)
-        u1 = _accel.angle_embed(x1, c)
-        s01 = _accel.cross_angle_sum(u1, u0)
-        s00 = 2.0 * _accel.within_angle_sum(u0)
-        s11 = 2.0 * _accel.within_angle_sum(u1)
+    s01 = _accel.cross_sum(spec, x1, x0)
+    s00 = 2.0 * _accel.within_sum(spec, x0)
+    s11 = 2.0 * _accel.within_sum(spec, x1)
     return (
         4.0 * s01 / (n0 * n1)
         - 2.0 * s00 / (n0 * (n0 - 1))
@@ -160,7 +152,7 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         algorithm = "sort-count"
     elif kernel.kind == "imbalanced_kendall":
         value, algorithm, meta = _imbalanced_kendall(data, kernel, seed)
-    elif kernel.kind in ("rescaled_dcov", "rescaled_ipcov"):
+    elif kernel.kind in SECOND_ORDER_KINDS:
         value = _second_order_value(data, kernel)
         algorithm = f"pairwise-sums[{_accel.active_backend()}]"
     elif kernel.kind == "custom":
@@ -228,21 +220,14 @@ def _classical_pearson(x: np.ndarray, labels: np.ndarray) -> float:
     return math.sqrt(p1) * (x[labels == 1].mean() - x.mean()) / (sd * math.sqrt(1 - p1))
 
 
-def _classical_squared_cov(x: np.ndarray, labels: np.ndarray, kind: str) -> float:
+def _classical_squared_cov(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec) -> float:
     """Squared pooled distance/angle covariance from the raw three-term
     moment decomposition with the binary label metric |y_i - y_j|."""
     n = x.shape[0]
     n1 = int(labels.sum())
     n0 = n - n1
-    cases = x[labels == 1]
-    if kind == "dcov":
-        row_to_cases = _accel.cross_dist_rowsum(x, cases)
-        row_total = _accel.cross_dist_rowsum(x, x)
-    else:
-        u = _accel.angle_embed(x, 1.0)
-        uc = u[labels == 1]
-        row_to_cases = _accel.cross_angle_rowsum(u, uc)
-        row_total = _accel.cross_angle_rowsum(u, u)  # self terms are acos(1) = 0
+    row_to_cases = _accel.cross_rowsum(kernel, x, x[labels == 1])
+    row_total = _accel.cross_rowsum(kernel, x, x)  # self terms d(x, x) ~ 0
     s1 = 2.0 * float(row_to_cases[labels == 0].sum()) / (n * n)
     s2 = (float(row_total.sum()) / (n * n)) * (2.0 * n0 * n1 / (n * n))
     row_y = np.where(labels == 1, n0, n1).astype(np.float64)
@@ -270,5 +255,5 @@ def compute_classical(sample: LabeledSample, kind: str) -> float:
             else _classical_kendall(x, labels)
         )
     if kind in ("dcov", "ipcov"):
-        return _classical_squared_cov(sample.features, labels, kind)
+        return _classical_squared_cov(sample.features, labels, kernel_from_name(kind))
     raise ValidationError(f"unknown classical statistic {kind!r}")

@@ -21,7 +21,7 @@ from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
 from .engine import RitStatistic, compute_rit
 from .errors import DegenerateDataError, ValidationError
-from .kernels import KernelSpec, evaluate
+from .kernels import SECOND_ORDER_KINDS, KernelSpec, evaluate
 from .rng import spawn_rng
 from .subsample import SubsamplePlan, compute_bit
 
@@ -45,6 +45,10 @@ __all__ = [
 _PAIR_PROJECTION_SCALE = 2.0
 
 _TINY_P = 5e-324  # keep p-values in (0, 1]
+
+# Largest n whose pairwise-kernel permutation test uses the dense n x n
+# matrix (512 MB here); above it each permutation recomputes the statistic.
+MAX_POOLED = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,20 +229,9 @@ def _pair_projection_matrix(
     cases = data.group(1)
     ref = data.group(0) if reference == "controls" else np.vstack(data.groups)
     n_ref = ref.shape[0]
-    if kernel.kind == "rescaled_dcov":
-        d_to_ref = _accel.cross_dist_rowsum(cases, ref) / n_ref
-        gamma = 2.0 * _accel.within_dist_sum(ref) / (n_ref * n_ref)
-        pair = _accel.dist_matrix(cases)
-    else:
-        c = kernel.params.get("c_sigma2", 1.0)
-        u_cases = _accel.angle_embed(cases, c)
-        u_ref = _accel.angle_embed(ref, c)
-        d_to_ref = _accel.cross_angle_rowsum(u_cases, u_ref) / n_ref
-        gamma = 2.0 * _accel.within_angle_sum(u_ref) / (n_ref * n_ref)
-        g = u_cases @ u_cases.T
-        np.clip(g, -1.0, 1.0, out=g)
-        pair = np.arccos(g)
-        np.fill_diagonal(pair, 0.0)
+    d_to_ref = _accel.cross_rowsum(kernel, cases, ref) / n_ref
+    gamma = 2.0 * _accel.within_sum(kernel, ref) / (n_ref * n_ref)
+    pair = _accel.pair_matrix(kernel, cases)
     h = _PAIR_PROJECTION_SCALE * (d_to_ref[:, None] + d_to_ref[None, :] - pair - gamma)
     np.fill_diagonal(h, 0.0)
     return h
@@ -295,7 +288,7 @@ def condition_diagnostic(
     ``(E[G^2] + E[h^4]/n1) / E[h^2]^2`` with
     ``G(x,y) = E[h(X,x) h(X,y)]``, all moments taken over case pairs.
     """
-    return _condition_ratio_from(_pair_projection_matrix(data, kernel, reference))
+    return _condition_ratio_from(_checked_pair_projection(data, kernel, reference))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +386,8 @@ def _pooled_permutation_stats(
     permutation b, so all statistics cost one GEMM after the O(p n^2)
     matrix build.
     """
-    x = sample.features
     n = sample.n
-    if kernel.kind == "rescaled_dcov":
-        mat = _accel.dist_matrix(x)
-    else:
-        mat = _accel.angle_matrix(x, c_sigma2=kernel.params.get("c_sigma2", 1.0))
-        np.fill_diagonal(mat, 0.0)
+    mat = _accel.pair_matrix(kernel, sample.features)
     labels = sample.labels
     n1 = int((labels == 1).sum())
     n0 = n - n1
@@ -486,7 +474,6 @@ def pvalue_permutation(
     B: int = 999,
     seed: int = 0,
     s: int | None = None,
-    max_pooled: int = 8192,
 ) -> TestOutcome:
     """Label-permutation p-value with the add-one estimator.
 
@@ -494,8 +481,8 @@ def pvalue_permutation(
     preserved) and, under subsampling, draws a fresh control-inclusion
     plan, so the null reflects both sources of randomness.  Permuted
     values tying the observed one count toward rejection.  For the
-    pairwise second-order kernels at moderate n the statistics are
-    batched through one pooled matrix (see
+    pairwise second-order kernels at n <= ``MAX_POOLED`` the statistics
+    are batched through one pooled matrix (see
     :func:`_pooled_permutation_stats`).
     """
     if B < 19:
@@ -510,9 +497,9 @@ def pvalue_permutation(
                 f"{grouped.counts[0]}; run the full-sample test instead"
             )
     pooled_ok = (
-        kernel.kind in ("rescaled_dcov", "rescaled_ipcov")
+        kernel.kind in SECOND_ORDER_KINDS
         and sample.n_classes == 2
-        and sample.n <= max_pooled
+        and sample.n <= MAX_POOLED
     )
     if pooled_ok:
         stats = _pooled_permutation_stats(sample, kernel, B, seed, s)

@@ -21,7 +21,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._accel import angle_embed
 from .errors import DegenerateDataError, ValidationError
 from .rng import spawn_rng
 
@@ -44,7 +43,6 @@ __all__ = [
     "evaluate",
     "project_h01",
     "project_h01_many",
-    "project_h02_dcov",
 ]
 
 FIRST_ORDER_KINDS = ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall")
@@ -357,28 +355,3 @@ def project_h01_many(
     basis = min(budget, math.comb(n0, spec.m0))
     return ProjectionEstimate((0, 1), vals, basis)
 
-
-def project_h02_dcov(x, y, reference) -> float:
-    """Plug-in two-case projection for the distance kernel.
-
-    ``D(v)`` is the mean distance from ``v`` to the reference rows and
-    ``gamma`` the mean of ``D`` over the reference itself; the value is
-    ``D(x) + D(y) - |x - y| - gamma``.
-    """
-    ref = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-    if ref.shape[0] < 1:
-        raise ValidationError("empty reference")
-    xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    yv = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    dx = np.linalg.norm(ref - xv, axis=1).mean()
-    dy = np.linalg.norm(ref - yv, axis=1).mean()
-    gamma = _reference_gamma_dist(ref)
-    return float(dx + dy - np.linalg.norm(xv - yv) - gamma)
-
-
-def _reference_gamma_dist(ref: np.ndarray) -> float:
-    """Mean of D over the reference: the full pairwise-distance average
-    (self terms included, matching the plug-in D)."""
-    n = ref.shape[0]
-    diffs = ref[:, None, :] - ref[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).sum() / (n * n))

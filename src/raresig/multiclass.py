@@ -243,15 +243,21 @@ def multi_asymptotic_variance(
             raise ValidationError(
                 "subsampled variance is defined for the comparable regime"
             )
-        return orders[1] ** 2 * rare[0]
-    total = math.fsum(
-        orders[k] ** 2 * rare[k - 1] / spec.ratios[k - 1]
-        for k in range(1, spec.n_rare + 1)
-    )
-    if s is not None:
-        if zetas[0] is None:
-            raise ValidationError("subsampled variance needs the control zeta")
-        total += orders[0] ** 2 * zetas[0] / s
+        total = orders[1] ** 2 * rare[0]
+    else:
+        total = math.fsum(
+            orders[k] ** 2 * rare[k - 1] / spec.ratios[k - 1]
+            for k in range(1, spec.n_rare + 1)
+        )
+        if s is not None:
+            if zetas[0] is None:
+                raise ValidationError("subsampled variance needs the control zeta")
+            total += orders[0] ** 2 * zetas[0] / s
+    if total <= 0:
+        raise DegenerateDataError(
+            "degenerate: the first-order variance vanishes in the "
+            f"{spec.regime} regime; use permutation for testing"
+        )
     return float(total)
 
 

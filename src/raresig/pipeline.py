@@ -5,9 +5,10 @@ full-sample rescaled one (``rit``) or the boosted one on Bernoulli-thinned
 controls (``bit``).  The null is the first-order normal null with xi01
 (plus xi10/s under ``bit``), the high-dimensional normal null with xi02,
 or label permutation; ``auto`` takes the first for first-order kernels
-and permutation otherwise, and falls back to permutation when xi01
-vanishes.  The multi-class kernel uses the zeta_k variances.  Both the
-command line and the Monte Carlo harness call it.
+and permutation otherwise, and falls back to permutation when the
+first-order variance estimate vanishes.  The multi-class kernel uses the
+zeta_k variances.  Both the command line and the Monte Carlo harness
+call it.
 
 Random streams derived from ``seed``: ``(seed, 1)`` the subsample plan,
 ``(seed, 5)`` xi01, ``(seed, 6)`` xi10, ``(seed, 7, k)`` zeta_k; the
@@ -19,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .data import GroupedSample, LabeledSample, group_by_label
-from .engine import RitStatistic, compute_rit
-from .errors import ValidationError
+from .data import LabeledSample, group_by_label
+from .engine import compute_rit
+from .errors import DegenerateDataError, ValidationError
 from .inference import (
     TestOutcome,
     _checked_pair_projection,
@@ -151,7 +152,14 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
                 else None
                 for k in range(grouped.n_classes)
             ]
-            degenerate = not any(zetas[1:])
+            mspec = MultiClassSpec.from_grouped(grouped, kernel.block_orders)
+            degenerate = False
+            try:
+                var = multi_asymptotic_variance(mspec, zetas, s=s)
+            except DegenerateDataError:
+                if method.inference != "auto":
+                    raise
+                degenerate = True
         else:
             xi01 = estimate_xi01(
                 est_data, kernel, method.budget, spawn_seed(seed, 5),
@@ -168,7 +176,10 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
             return _finish(out, s, method.B, warnings)
         if multiclass:
-            out = _pvalue_multiclass(stat, grouped, zetas, s)
+            scaled = math.sqrt(stat.n1) * stat.value
+            p = _two_sided_p(abs(scaled) / math.sqrt(var))
+            meta = {"kernel": kernel.kind, "n0": stat.n0, "n1": stat.n1, "zetas": zetas}
+            out = TestOutcome(stat.value, scaled, var, p, "asymptotic_first", meta)
         else:
             xi10 = None
             if plan is not None:
@@ -181,18 +192,6 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             f"(budget {stat.meta['budget']})"
         )
     return _finish(out, s, None, warnings)
-
-
-def _pvalue_multiclass(
-    stat: RitStatistic, grouped: GroupedSample, zetas: list, s: int | None
-) -> TestOutcome:
-    """Two-sided normal p-value for sqrt(n1) * T with the zeta_k variance."""
-    mspec = MultiClassSpec.from_grouped(grouped, stat.kernel.block_orders)
-    var = multi_asymptotic_variance(mspec, zetas, s=s)
-    scaled = math.sqrt(stat.n1) * stat.value
-    p = _two_sided_p(abs(scaled) / math.sqrt(var))
-    meta = {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1, "zetas": zetas}
-    return TestOutcome(stat.value, scaled, var, p, "asymptotic_first", meta)
 
 
 def _finish(out: TestOutcome, s, B, warnings: list) -> TestOutcome:

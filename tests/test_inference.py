@@ -27,6 +27,7 @@ from raresig import (
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
+from raresig import inference
 from raresig.simulate import MethodConfig, ScenarioSpec, run_erp
 
 
@@ -121,6 +122,18 @@ def test_condition_diagnostic_positive_and_finite():
     g = _grouped(300, 50, rng, p=30)
     ratio = condition_diagnostic(g, dcov_kernel())
     assert 0 < ratio < 10
+
+
+def test_condition_diagnostic_rejects_unknown_reference():
+    g = _grouped(100, 20, np.random.default_rng(6), p=5)
+    with pytest.raises(ValidationError, match="reference"):
+        condition_diagnostic(g, dcov_kernel(), reference="bogus")
+
+
+def test_condition_diagnostic_single_pair_errors():
+    g = _grouped(20, 2, np.random.default_rng(5), p=2)
+    with pytest.raises(DegenerateDataError, match="single pair"):
+        condition_diagnostic(g, dcov_kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +234,21 @@ def test_permutation_invariant_to_monotone_transforms():
     assert a.p_value == b.p_value
 
 
-def test_permutation_pooled_path_matches_generic():
+def test_permutation_pooled_path_matches_generic(monkeypatch):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((70, 4))
     labels = np.r_[np.zeros(55, np.int64), np.ones(15, np.int64)]
     sample = LabeledSample(x, labels)
     fast = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2)
-    slow = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, max_pooled=10)
+    fast_s = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, s=3)
+    # a pooled-size limit below n forces the generic engine
+    monkeypatch.setattr(inference, "MAX_POOLED", 10)
+    slow = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2)
     assert fast.metadata["batched"] and not slow.metadata["batched"]
     assert_allclose(fast.statistic, slow.statistic, rtol=1e-10)
     assert fast.p_value == slow.p_value
     # subsampled variant agrees across paths too
-    fast_s = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, s=3)
-    slow_s = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, s=3, max_pooled=10)
+    slow_s = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, s=3)
     assert fast_s.p_value == slow_s.p_value
 
 

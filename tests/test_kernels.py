@@ -26,8 +26,8 @@ from raresig import (
     pearson_kernel,
     project_h01,
     project_h01_many,
-    project_h02_dcov,
 )
+from raresig.inference import _pair_projection_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +211,31 @@ def test_dcov_first_order_degeneracy():
     assert np.var(vals, ddof=1) < 0.05 * np.var(raw, ddof=1)
 
 
-def test_project_h02_dcov_values():
-    assert project_h02_dcov([1.0], [1.0], [[1.0]]) == 0.0
-    assert_allclose(project_h02_dcov([0.0], [2.0], [[0.0], [2.0]]), -1.0)
+def _pair_projection(cases, controls, kernel, reference="controls"):
+    x = np.vstack([controls, cases]).astype(float)
+    labels = np.r_[np.zeros(len(controls), np.int64), np.ones(len(cases), np.int64)]
+    grouped = group_by_label(LabeledSample(x, labels))
+    return _pair_projection_matrix(grouped, kernel, reference)
+
+
+def test_pair_projection_matrix_values():
+    # dcov, cases {0, 2} against controls {0, 2}: D = 1 at both cases,
+    # gamma = 1, |0 - 2| = 2, so h = 2 * (1 + 1 - 2 - 1) = -2
+    h = _pair_projection([[0.0], [2.0]], [[0.0], [2.0]], dcov_kernel())
+    assert_allclose(h, [[0.0, -2.0], [-2.0, 0.0]], atol=1e-15)
+    # ipcov with c = 1 at p = 1: the angle between x and y is
+    # |atan x - atan y|; cases and controls {-1, 1} give D = pi/4,
+    # gamma = pi/4 and a pair angle of pi/2, so h = -pi/2
+    h = _pair_projection([[-1.0], [1.0]], [[-1.0], [1.0]], ipcov_kernel())
+    assert_allclose(h, [[0.0, -math.pi / 2], [-math.pi / 2, 0.0]], atol=1e-15)
     rng = np.random.default_rng(6)
-    ref = rng.standard_normal((30, 2))
-    x, y = rng.standard_normal((2, 2))
-    assert project_h02_dcov(x, y, ref) == project_h02_dcov(y, x, ref)
-    with pytest.raises(ValidationError):
-        project_h02_dcov([0.0], [1.0], np.empty((0, 1)))
+    cases, controls = rng.standard_normal((12, 2)), rng.standard_normal((30, 2))
+    for kernel in (dcov_kernel(), ipcov_kernel(0.5)):
+        for reference in ("controls", "pooled"):
+            h = _pair_projection(cases, controls, kernel, reference)
+            assert h.shape == (12, 12)
+            assert np.all(np.diag(h) == 0.0)
+            assert_allclose(h, h.T, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

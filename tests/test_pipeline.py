@@ -187,6 +187,31 @@ def test_auto_fallback_applies_to_the_harness():
         assert any("fell back" in w for w in out.metadata["warnings"])
 
 
+def _separated_rarest_class() -> LabeledSample:
+    # class 1 (5 rows) sits above every control and is far smaller than
+    # class 2 (60 rows): the single_rarest regime with zeta_1 = 0
+    x = np.random.default_rng(8).standard_normal(365)
+    labels = np.r_[np.zeros(300, np.int64), np.ones(5, np.int64), np.full(60, 2)]
+    x[labels == 1] += 10.0
+    return LabeledSample(x[:, None], labels)
+
+
+def test_multiclass_zero_variance_is_a_degenerate_error(tmp_path):
+    path = _write(tmp_path / "separated.csv", _separated_rarest_class())
+    code, out, err = _cli(
+        "--input", path, "--kernel", "multi-kendall", "--inference", "asymptotic"
+    )
+    assert code == 3 and out == ""
+    assert "variance vanishes in the single_rarest regime" in err
+
+
+def test_multiclass_zero_variance_auto_falls_back():
+    method = MethodConfig(kernel="multi_kendall", B=99)
+    out = run_test(_separated_rarest_class(), method, SEED)
+    assert out.method == "permutation"
+    assert any("fell back" in w for w in out.metadata["warnings"])
+
+
 def test_outcome_metadata_carries_the_run_context():
     method = MethodConfig(kernel="pearson", mode="bit", s=4)
     out = run_test(_sample("scalar"), method, SEED)
