@@ -4,11 +4,12 @@ Both second-order kernels are the six-term kernel over one pair function
 d(x, y): the Euclidean distance for ``rescaled_dcov`` and the angle
 between augmented unit rows for ``rescaled_ipcov``.  ``_pair_metric`` is
 the one place that maps a kernel to its pair function; every O(n^2 p)
-quantity is built from four primitives over it: the cross-block total,
-the within-block total, per-row cross sums and the dense within matrix.
-Each runs over blocks of at most ``_CHUNK`` rows, so memory is
-O(chunk * n) outside the dense matrix, and the totals combine per-row or
-per-block sums with ``math.fsum``, so results are reproducible run to run.
+quantity is built from five primitives over it: the cross-block total,
+the within-block total, per-row cross and within sums, and the dense
+within matrix.  Each runs over blocks of at most ``_CHUNK`` rows, so
+memory is O(chunk * n) outside the dense matrix, and the totals combine
+per-row or per-block sums with ``math.fsum``, so results are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "cross_sum",
     "within_sum",
     "cross_rowsum",
+    "within_rowsum",
     "pair_matrix",
     "angle_embed",
 ]
@@ -101,6 +103,27 @@ def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:
         if hi < n:
             parts.append(float(block(a[lo:hi], a[hi:]).sum()))
     return math.fsum(parts)
+
+
+def within_rowsum(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
+    """Per-row sums of d to the other rows of ``a`` (no self terms), over
+    the same blocks as :func:`within_sum`: each diagonal chunk with its
+    diagonal zeroed, and each chunk-to-later-rows block added to the
+    rows on both of its sides."""
+    rows, block, _ = _pair_metric(kernel)
+    a = rows(a)
+    n = a.shape[0]
+    out = np.zeros(n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        d = block(a[lo:hi], a[lo:hi])
+        np.fill_diagonal(d, 0.0)
+        out[lo:hi] += d.sum(axis=1)
+        if hi < n:
+            d = block(a[lo:hi], a[hi:])
+            out[lo:hi] += d.sum(axis=1)
+            out[hi:] += d.sum(axis=0)
+    return out
 
 
 def pair_matrix(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:

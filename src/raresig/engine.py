@@ -8,8 +8,11 @@ subsample for the m-control sign kernel, and pairwise distance/angle
 sums for the second-order kernels (O(p n^2), streaming memory).
 ``compute_rit_bruteforce`` is the literal definition and serves as the
 oracle in tests.  ``compute_classical`` produces the unrescaled pooled
-statistics used as baselines; each is implemented independently of the
-rescaled path so the two can be checked against each other.
+statistics used as baselines; each has its own formula (the pairwise
+ones read the same pair sums as the rescaled statistic), so the two can
+be checked against each other.  ``_pair_sum_statistic`` evaluates
+either pairwise formula under relabelings of one pooled sample, which
+is what the permutation nulls iterate over.
 """
 
 from __future__ import annotations
@@ -120,17 +123,38 @@ def _imbalanced_kendall(data: GroupedSample, spec: KernelSpec, seed: int):
     return value, "budgeted-subsample", {"budgeted": True, "budget": IMBALANCED_BUDGET}
 
 
-def _second_order_value(data: GroupedSample, spec: KernelSpec) -> float:
-    x0, x1 = data.group(0), data.group(1)
-    n0, n1 = data.counts[0], data.counts[1]
-    s01 = _accel.cross_sum(spec, x1, x0)
-    s00 = 2.0 * _accel.within_sum(spec, x0)
-    s11 = 2.0 * _accel.within_sum(spec, x1)
+def _rit_from_sums(n0: int, n1: int, s00: float, s01: float, s11: float) -> float:
+    """Six-term second-order statistic from the pair sums over ordered
+    within-control pairs (``s00``), case-control pairs (``s01``) and
+    ordered within-case pairs (``s11``)."""
     return (
         4.0 * s01 / (n0 * n1)
         - 2.0 * s00 / (n0 * (n0 - 1))
         - 2.0 * s11 / (n1 * (n1 - 1))
     )
+
+
+def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
+    """``labels -> formula(n0, n1, s00, s01, s11)`` over the rows ``x``
+    for binary labels.
+
+    The pooled row sums r_i = sum_{j != i} d(x_i, x_j) and their total T
+    do not depend on the labels, so they are computed once (O(p n^2),
+    O(chunk * n) memory).  Each call then sums d over the case pairs
+    only: s11 is twice their within total, s01 = sum of r over the
+    cases - s11 and s00 = T - s11 - 2 s01.
+    """
+    r = _accel.within_rowsum(kernel, x)
+    total = math.fsum(r)
+
+    def statistic(labels: np.ndarray) -> float:
+        cases = labels == 1
+        n1 = int(cases.sum())
+        s11 = 2.0 * _accel.within_sum(kernel, x[cases])
+        s01 = math.fsum(r[cases]) - s11
+        return formula(x.shape[0] - n1, n1, total - s11 - 2.0 * s01, s01, s11)
+
+    return statistic
 
 
 def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitStatistic:
@@ -153,7 +177,14 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
     elif kernel.kind == "imbalanced_kendall":
         value, algorithm, meta = _imbalanced_kendall(data, kernel, seed)
     elif kernel.kind in SECOND_ORDER_KINDS:
-        value = _second_order_value(data, kernel)
+        x0, x1 = data.group(0), data.group(1)
+        value = _rit_from_sums(
+            n0,
+            n1,
+            2.0 * _accel.within_sum(kernel, x0),
+            _accel.cross_sum(kernel, x1, x0),
+            2.0 * _accel.within_sum(kernel, x1),
+        )
         algorithm = f"pairwise-sums[{_accel.active_backend()}]"
     elif kernel.kind == "custom":
         return compute_rit_bruteforce(data, kernel)
@@ -220,19 +251,39 @@ def _classical_pearson(x: np.ndarray, labels: np.ndarray) -> float:
     return math.sqrt(p1) * (x[labels == 1].mean() - x.mean()) / (sd * math.sqrt(1 - p1))
 
 
-def _classical_squared_cov(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec) -> float:
+def _classical_from_sums(
+    n0: int, n1: int, s00: float, s01: float, s11: float
+) -> float:
     """Squared pooled distance/angle covariance from the raw three-term
-    moment decomposition with the binary label metric |y_i - y_j|."""
-    n = x.shape[0]
-    n1 = int(labels.sum())
-    n0 = n - n1
-    row_to_cases = _accel.cross_rowsum(kernel, x, x[labels == 1])
-    row_total = _accel.cross_rowsum(kernel, x, x)  # self terms d(x, x) ~ 0
-    s1 = 2.0 * float(row_to_cases[labels == 0].sum()) / (n * n)
-    s2 = (float(row_total.sum()) / (n * n)) * (2.0 * n0 * n1 / (n * n))
-    row_y = np.where(labels == 1, n0, n1).astype(np.float64)
-    s3 = float((row_total * row_y).sum()) / (n * n * n)
+    moment decomposition with the binary label metric |y_i - y_j|, from
+    the same pair sums as :func:`_rit_from_sums`."""
+    n = n0 + n1
+    total = s00 + 2.0 * s01 + s11  # sum of d over ordered pairs
+    s1 = 2.0 * s01 / (n * n)
+    s2 = (total / (n * n)) * (2.0 * n0 * n1 / (n * n))
+    # each row's total times its label-metric row sum (n0 for a case,
+    # n1 for a control)
+    s3 = (n0 * (s01 + s11) + n1 * (s00 + s01)) / (n * n * n)
     return s1 + s2 - 2.0 * s3
+
+
+def _classical_statistic(sample: LabeledSample, kind: str):
+    """``labels -> classical statistic`` on the features of ``sample``
+    (see :func:`compute_classical`)."""
+    if sample.n_classes != 2:
+        raise ValidationError("classical baselines require binary labels")
+    group_by_label(sample)  # both classes must be populated
+    if kind in ("pearson", "kendall"):
+        if sample.p != 1:
+            raise ValidationError(f"classical {kind} requires scalar features")
+        x = sample.features[:, 0]
+        f = _classical_pearson if kind == "pearson" else _classical_kendall
+        return lambda labels: f(x, labels)
+    if kind in ("dcov", "ipcov"):
+        return _pair_sum_statistic(
+            sample.features, kernel_from_name(kind), _classical_from_sums
+        )
+    raise ValidationError(f"unknown classical statistic {kind!r}")
 
 
 def compute_classical(sample: LabeledSample, kind: str) -> float:
@@ -241,19 +292,4 @@ def compute_classical(sample: LabeledSample, kind: str) -> float:
 
     Labels must be binary.
     """
-    if sample.n_classes != 2:
-        raise ValidationError("classical baselines require binary labels")
-    group_by_label(sample)  # both classes must be populated
-    labels = sample.labels
-    if kind in ("pearson", "kendall"):
-        if sample.p != 1:
-            raise ValidationError(f"classical {kind} requires scalar features")
-        x = sample.features[:, 0]
-        return (
-            _classical_pearson(x, labels)
-            if kind == "pearson"
-            else _classical_kendall(x, labels)
-        )
-    if kind in ("dcov", "ipcov"):
-        return _classical_squared_cov(sample.features, labels, kernel_from_name(kind))
-    raise ValidationError(f"unknown classical statistic {kind!r}")
+    return _classical_statistic(sample, kind)(sample.labels)

@@ -19,11 +19,11 @@ from scipy.stats import norm
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
-from .engine import RitStatistic, compute_rit
+from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec, evaluate
-from .rng import spawn_rng
-from .subsample import SubsamplePlan, compute_bit
+from .rng import spawn_rng, spawn_seed
+from .subsample import draw_subsample
 
 __all__ = [
     "TestOutcome",
@@ -45,10 +45,6 @@ __all__ = [
 _PAIR_PROJECTION_SCALE = 2.0
 
 _TINY_P = 5e-324  # keep p-values in (0, 1]
-
-# Largest n whose pairwise-kernel permutation test uses the dense n x n
-# matrix (512 MB here); above it each permutation recomputes the statistic.
-MAX_POOLED = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,109 +359,41 @@ def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _draw_inclusion(rng, n0: int, q: float, min_include: int) -> np.ndarray:
-    for _ in range(100):
-        delta = rng.random(n0) < q
-        if int(delta.sum()) >= min_include:
-            return delta
-    raise DegenerateDataError(
-        f"could not keep {min_include} controls at inclusion probability {q:.3g}"
-    )
-
-
-def _pooled_permutation_stats(
-    sample: LabeledSample,
-    kernel: KernelSpec,
-    B: int,
-    seed: int,
-    s: int | None,
-) -> np.ndarray:
-    """Observed + B permuted statistics from one pooled pairwise matrix.
-
-    Column b of the batched matrix product gives the block sums for
-    permutation b, so all statistics cost one GEMM after the O(p n^2)
-    matrix build.
-    """
-    n = sample.n
-    mat = _accel.pair_matrix(kernel, sample.features)
-    labels = sample.labels
-    n1 = int((labels == 1).sum())
-    n0 = n - n1
-    q = (s * n1 / n0) if s is not None else None
+def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.ndarray:
+    """``statistic`` at the observed ``labels``, then at B uniform
+    permutations of them, permutation b drawn from ``spawn_rng(seed, 2, b)``."""
     stats = np.empty(B + 1)
-    chunk = 256
-    for lo in range(0, B + 1, chunk):
-        hi = min(lo + chunk, B + 1)
-        cases_ind = np.zeros((n, hi - lo))
-        ctrl_ind = np.zeros((n, hi - lo))
-        ms = np.empty(hi - lo, dtype=np.int64)
-        for j, b in enumerate(range(lo, hi)):
-            rng = spawn_rng(seed, 2, b)
-            lab = labels if b == 0 else labels[rng.permutation(n)]
-            case_rows = lab == 1
-            ctrl_rows = ~case_rows
-            if s is not None:
-                keep = _draw_inclusion(rng, n0, q, kernel.m0)
-                rows = np.flatnonzero(ctrl_rows)[keep]
-            else:
-                rows = np.flatnonzero(ctrl_rows)
-            cases_ind[case_rows, j] = 1.0
-            ctrl_ind[rows, j] = 1.0
-            ms[j] = rows.size
-        v = mat @ ctrl_ind
-        s00 = np.einsum("ib,ib->b", ctrl_ind, v)
-        s01 = np.einsum("ib,ib->b", cases_ind, v)
-        w = mat @ cases_ind
-        s11 = np.einsum("ib,ib->b", cases_ind, w)
-        t = (
-            4.0 * s01 / (ms * n1)
-            - 2.0 * s00 / (ms * (ms - 1))
-            - 2.0 * s11 / (n1 * (n1 - 1))
-        )
-        if s is not None:
-            denom = math.comb(s * n1, kernel.m0)
-            ratios = np.array([math.comb(int(m), kernel.m0) / denom for m in ms])
-            t = t * ratios
-        stats[lo:hi] = t
+    stats[0] = statistic(labels)
+    for b in range(1, B + 1):
+        stats[b] = statistic(labels[spawn_rng(seed, 2, b).permutation(labels.size)])
     return stats
 
 
-def _generic_permutation_stats(
-    sample: LabeledSample,
-    kernel: KernelSpec,
-    B: int,
-    seed: int,
-    s: int | None,
-) -> np.ndarray:
-    multiclass = kernel.n_blocks > 2 or kernel.kind == "multi_kendall"
-    if multiclass:
-        from .multiclass import compute_multi_bit, compute_multi_rit
+def _regroup_statistic(pool: LabeledSample, kernel: KernelSpec):
+    """``labels -> statistic`` that regroups the rows of ``pool`` and
+    recomputes the full-sample statistic on them."""
+    if kernel.n_blocks > 2 or kernel.kind == "multi_kendall":
+        from .multiclass import compute_multi_rit as rit
+    else:
+        rit = compute_rit
+    return lambda labels: rit(group_by_label(pool.with_labels(labels)), kernel).value
 
-    labels = sample.labels
-    n = sample.n
-    stats = np.empty(B + 1)
-    for b in range(B + 1):
-        rng = spawn_rng(seed, 2, b)
-        lab = labels if b == 0 else labels[rng.permutation(n)]
-        grouped = group_by_label(sample.with_labels(lab))
-        if s is not None:
-            n0 = grouped.counts[0]
-            q = s * grouped.counts[1] / n0
-            keep = _draw_inclusion(rng, n0, q, kernel.m0)
-            plan = SubsamplePlan(s, keep, 0, int(keep.sum()))
-            stat = (
-                compute_multi_bit(grouped, kernel, plan)
-                if multiclass
-                else compute_bit(grouped, kernel, plan)
-            )
-        else:
-            stat = (
-                compute_multi_rit(grouped, kernel)
-                if multiclass
-                else compute_rit(grouped, kernel)
-            )
-        stats[b] = stat.value
-    return stats
+
+def _thinned_pool(
+    sample: LabeledSample, grouped: GroupedSample, kernel: KernelSpec, s: int, seed: int
+) -> tuple:
+    """The rare-class rows and the controls kept by the plan from
+    ``(seed, 1)``, in their original order, and the plan's constant
+    C(realized, m0) / C(s n1, m0)."""
+    if kernel.n_blocks > 2 or kernel.kind == "multi_kendall":
+        from .multiclass import _check_comparable
+
+        _check_comparable(grouped, kernel)
+    plan = draw_subsample(grouped, s, spawn_seed(seed, 1), kernel.m0)
+    keep = sample.labels != 0
+    keep[grouped.indices[0][plan.inclusion]] = True
+    pool = LabeledSample(sample.features[keep], sample.labels[keep])
+    return pool, plan.ratio(grouped.counts[1], kernel.m0)
 
 
 def pvalue_permutation(
@@ -478,43 +406,47 @@ def pvalue_permutation(
     """Label-permutation p-value with the add-one estimator.
 
     Each permutation reshuffles the labels uniformly (class counts
-    preserved) and, under subsampling, draws a fresh control-inclusion
-    plan, so the null reflects both sources of randomness.  Permuted
-    values tying the observed one count toward rejection.  For the
-    pairwise second-order kernels at n <= ``MAX_POOLED`` the statistics
-    are batched through one pooled matrix (see
-    :func:`_pooled_permutation_stats`).
+    preserved); permuted values tying the observed one count toward
+    rejection.
+
+    Under subsampling the test conditions on one thinning plan: the plan
+    ``run_test`` uses under every null (``draw_subsample`` with seed
+    ``spawn_seed(seed, 1)``), whose statistic is the observed one.  The
+    labels are then permuted only within the cases and the kept
+    controls, and each value carries the plan's constant
+    C(realized, m0) / C(s n1, m0).  The plan depends on the class counts
+    and the seed only, not on the features, so under the null the cases
+    and the kept controls are i.i.d. given the plan and their labels are
+    exchangeable: the conditional null is exact.  It costs
+    O(p (s n1)^2) once, not a regrouping of all n rows per permutation.
+
+    For the binary pairwise kernels the pooled row sums are computed
+    once and each permutation sums only the case pairs
+    (``metadata["batched"]``, see :func:`engine._pair_sum_statistic`);
+    other kernels regroup and recompute the statistic per permutation.
     """
     if B < 19:
         raise ValidationError("need at least 19 permutations")
     grouped = group_by_label(sample)
+    pool, ratio = sample, 1.0
     if s is not None:
-        if int(s) != s or s < 2:
-            raise ValidationError("the sampling ratio s must be an integer >= 2")
-        if s * grouped.counts[1] > grouped.counts[0]:
-            raise ValidationError(
-                f"ratio exceeds 1: s*n1 = {s * grouped.counts[1]} > n0 = "
-                f"{grouped.counts[0]}; run the full-sample test instead"
-            )
-    pooled_ok = (
-        kernel.kind in SECOND_ORDER_KINDS
-        and sample.n_classes == 2
-        and sample.n <= MAX_POOLED
+        pool, ratio = _thinned_pool(sample, grouped, kernel, s, seed)
+    batched = kernel.kind in SECOND_ORDER_KINDS and sample.n_classes == 2
+    statistic = (
+        _pair_sum_statistic(pool.features, kernel, _rit_from_sums)
+        if batched
+        else _regroup_statistic(pool, kernel)
     )
-    if pooled_ok:
-        stats = _pooled_permutation_stats(sample, kernel, B, seed, s)
-    else:
-        stats = _generic_permutation_stats(sample, kernel, B, seed, s)
+    stats = ratio * _permutation_stats(statistic, pool.labels, B, seed)
     t_obs = stats[0]
     count = int((np.abs(stats[1:]) >= abs(t_obs)).sum())
     p = (1 + count) / (B + 1)
     n1 = grouped.counts[1]
-    scaled = (math.sqrt(n1) if kernel.order == "first" else n1) * t_obs
     scale = math.sqrt(n1) if kernel.order == "first" else n1
     null_var = float((scale * stats[1:]).var(ddof=1))
     return TestOutcome(
         float(t_obs),
-        float(scaled),
+        float(scale * t_obs),
         null_var,
         p,
         "permutation",
@@ -525,7 +457,7 @@ def pvalue_permutation(
             "B": B,
             "s": s,
             "seed": seed,
-            "batched": bool(pooled_ok),
+            "batched": batched,
         },
     )
 

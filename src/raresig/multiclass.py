@@ -169,6 +169,16 @@ def compute_multi_rit_bruteforce(
     )
 
 
+def _check_comparable(
+    data: GroupedSample, kernel: KernelSpec, spec: MultiClassSpec | None = None
+) -> None:
+    spec = spec or MultiClassSpec.from_grouped(data, kernel.block_orders)
+    if spec.regime != "comparable_rare":
+        raise ValidationError(
+            "subsampled multi-class statistic assumes comparable rare-class sizes"
+        )
+
+
 def compute_multi_bit(
     data: GroupedSample,
     kernel: KernelSpec,
@@ -180,11 +190,7 @@ def compute_multi_bit(
     Defined for comparable rare-class sizes; pass an explicit ``spec``
     to override the regime check.
     """
-    spec = spec or MultiClassSpec.from_grouped(data, kernel.block_orders)
-    if spec.regime != "comparable_rare":
-        raise ValidationError(
-            "subsampled multi-class statistic assumes comparable rare-class sizes"
-        )
+    _check_comparable(data, kernel, spec)
     if plan.realized_count < kernel.m0:
         raise DegenerateDataError(
             f"plan kept {plan.realized_count} controls, kernel needs {kernel.m0}; "
@@ -193,9 +199,7 @@ def compute_multi_bit(
     thinned = thin_controls(data, plan)
     base = compute_multi_rit(thinned, kernel)
     n1 = data.counts[1]
-    ratio = math.comb(plan.realized_count, kernel.m0) / math.comb(
-        plan.s * n1, kernel.m0
-    )
+    ratio = plan.ratio(n1, kernel.m0)
     meta = dict(base.meta)
     meta.update(
         {"s": plan.s, "realized_count": plan.realized_count, "expected_count": plan.s * n1}

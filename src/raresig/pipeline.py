@@ -10,9 +10,9 @@ first-order variance estimate vanishes.  The multi-class kernel uses the
 zeta_k variances.  Both the command line and the Monte Carlo harness
 call it.
 
-Random streams derived from ``seed``: ``(seed, 1)`` the subsample plan,
-``(seed, 5)`` xi01, ``(seed, 6)`` xi10, ``(seed, 7, k)`` zeta_k; the
-permutation test uses ``seed`` itself.
+Random streams derived from ``seed``: ``(seed, 1)`` the subsample plan
+(under every null), ``(seed, 5)`` xi01, ``(seed, 6)`` xi10, ``(seed, 7, k)``
+zeta_k, ``(seed, 2, b)`` permutation b.
 """
 
 from __future__ import annotations

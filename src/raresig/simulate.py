@@ -19,8 +19,9 @@ import numpy as np
 from scipy.stats import norm
 
 from .data import LabeledSample, group_by_label
-from .engine import compute_classical, compute_rit
+from .engine import _classical_statistic, compute_classical, compute_rit
 from .errors import ValidationError
+from .inference import _permutation_stats
 from .kernels import kernel_from_name
 from .pipeline import MethodConfig, run_test
 from .rng import spawn_rng, spawn_seed
@@ -229,14 +230,10 @@ def classical_pvalue(
         sd = math.sqrt(4.0 * p1 * (1 - p1) / 3.0)
         return float(2 * norm.sf(abs(tau) * math.sqrt(n) / sd))
     if kind in ("dcov", "ipcov"):
-        obs = abs(compute_classical(sample, kind))
-        labels = sample.labels
-        count = 0
-        for b in range(1, B + 1):
-            rng = spawn_rng(seed, 2, b)
-            perm = sample.with_labels(labels[rng.permutation(n)])
-            count += abs(compute_classical(perm, kind)) >= obs
-        return (1 + count) / (B + 1)
+        stats = np.abs(
+            _permutation_stats(_classical_statistic(sample, kind), sample.labels, B, seed)
+        )
+        return (1 + int((stats[1:] >= stats[0]).sum())) / (B + 1)
     raise ValidationError(f"unknown classical statistic {kind!r}")
 
 

@@ -54,6 +54,11 @@ class SubsamplePlan:
     def n0(self) -> int:
         return int(self.inclusion.size)
 
+    def ratio(self, n1: int, m0: int) -> float:
+        """C(realized, m0) / C(s n1, m0): renormalizes a kernel average
+        over the kept controls to the C(s n1, m0) expected blocks."""
+        return math.comb(self.realized_count, m0) / math.comb(self.s * n1, m0)
+
 
 def draw_subsample(
     data: GroupedSample, s: int, seed: int = 0, min_include: int = 1
@@ -118,9 +123,7 @@ def compute_bit(
         )
     thinned = thin_controls(data, plan)
     base = compute_rit(thinned, kernel, seed=seed)
-    ratio = math.comb(plan.realized_count, kernel.m0) / math.comb(
-        plan.s * n1, kernel.m0
-    )
+    ratio = plan.ratio(n1, kernel.m0)
     meta = dict(base.meta)
     meta.update(
         {"s": plan.s, "realized_count": plan.realized_count, "expected_count": plan.s * n1}

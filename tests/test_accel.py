@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from raresig import ValidationError, _accel
 from raresig._accel import angle_embed
@@ -99,6 +99,17 @@ def test_within_sum_matches_dense(kind, a):
     got = _accel.within_sum(KERNELS[kind], a)
     n = a.shape[0]
     _check(kind, got, _within_ref(kind, a).sum(), n * (n - 1) // 2)
+
+
+@fast
+@given(kinds, feature_rows())
+def test_within_rowsum_matches_dense(kind, a):
+    got = _accel.within_rowsum(KERNELS[kind], a)
+    n = a.shape[0]
+    assert got.shape == (n,)
+    want = squareform(pdist(a)) if kind == "dcov" else _dense(kind, a, a)
+    np.fill_diagonal(want, 0.0)
+    _check(kind, got, want.sum(axis=1), n - 1)
 
 
 @fast

@@ -20,6 +20,7 @@ from raresig import (
     kendall_kernel,
     pearson_kernel,
 )
+from raresig._accel import angle_embed
 
 
 def _grouped(x, labels):
@@ -208,6 +209,30 @@ def test_classical_dcov_rescaling_residual_identity():
         s11 = 2 * pdist(x[labels == 1]).sum()
         residual = 2 * s00 / (n0**2 * (n0 - 1)) + 2 * s11 / (n1**2 * (n1 - 1))
         assert_allclose(dcov2 * n**4 / (n0**2 * n1**2) - t, residual, atol=1e-10)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_classical_ipcov_matches_dense_angles(offset):
+    # the row totals leave out the self angles acos(u.u), which are not
+    # zero when u.u rounds below 1; a 1e8-offset column makes every pair
+    # angle ~1e-8, the size of those self angles
+    rng = np.random.default_rng(3)
+    n, n1 = 400, 40
+    x = rng.standard_normal((n, 50))
+    x[:, 0] += offset
+    labels = np.r_[np.zeros(n - n1, np.int64), np.ones(n1, np.int64)]
+    x[labels == 1, 1] += 0.5
+    u = angle_embed(x, 1.0)
+    a = np.arccos(np.clip(u @ u.T, -1.0, 1.0))
+    np.fill_diagonal(a, 0.0)
+    b = np.abs(labels[:, None] - labels[None, :]).astype(float)
+    want = (
+        (a * b).sum() / n**2
+        + a.sum() / n**2 * b.sum() / n**2
+        - 2 * (a.sum(axis=1) * b.sum(axis=1)).sum() / n**3
+    )
+    got = compute_classical(LabeledSample(x, labels), "ipcov")
+    assert_allclose(got, want, rtol=1e-9)
 
 
 def test_spearman_style_statistic_reduces_to_cross_term():

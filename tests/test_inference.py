@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 from scipy.stats import norm
 
 from raresig import (
@@ -234,22 +237,68 @@ def test_permutation_invariant_to_monotone_transforms():
     assert a.p_value == b.p_value
 
 
-def test_permutation_pooled_path_matches_generic(monkeypatch):
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((70, 4))
-    labels = np.r_[np.zeros(55, np.int64), np.ones(15, np.int64)]
-    sample = LabeledSample(x, labels)
-    fast = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2)
-    fast_s = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, s=3)
-    # a pooled-size limit below n forces the generic engine
-    monkeypatch.setattr(inference, "MAX_POOLED", 10)
-    slow = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2)
-    assert fast.metadata["batched"] and not slow.metadata["batched"]
-    assert_allclose(fast.statistic, slow.statistic, rtol=1e-10)
-    assert fast.p_value == slow.p_value
-    # subsampled variant agrees across paths too
-    slow_s = pvalue_permutation(sample, dcov_kernel(), B=59, seed=2, s=3)
-    assert fast_s.p_value == slow_s.p_value
+@st.composite
+def permutation_samples(draw):
+    """Small binary samples with ties, duplicate rows, constant columns,
+    1e8 offsets and as few as two cases."""
+    n1 = draw(st.sampled_from((2, 3, 8)))
+    n0 = draw(st.integers(24, 60))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n0 + n1, p))
+    if draw(st.booleans()):
+        x = np.round(x, 1)  # ties
+    if draw(st.booleans()):
+        src = rng.integers(0, x.shape[0], size=x.shape[0] // 2)
+        x[rng.integers(0, x.shape[0], size=src.size)] = x[src]  # duplicate rows
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, p - 1))] = 3.0  # constant column
+    if draw(st.booleans()):
+        x[:, 0] += 1e8
+    labels = rng.permutation(np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)])
+    return LabeledSample(x, labels)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(("dcov", "ipcov")),
+    st.sampled_from((None, 3)),
+    permutation_samples(),
+    st.integers(0, 2**16),
+)
+def test_permutation_row_sum_engine_matches_regrouping(kind, s, sample, seed):
+    # the pooled row-sum statistics equal compute_rit on each regrouped
+    # pool, over the same pool and the same permutation streams
+    kernel = dcov_kernel() if kind == "dcov" else ipcov_kernel()
+    B = 39
+    pool, ratio = sample, 1.0
+    if s is not None:
+        pool, ratio = inference._thinned_pool(
+            sample, group_by_label(sample), kernel, s, seed
+        )
+    rows = inference._pair_sum_statistic(pool.features, kernel, inference._rit_from_sums)
+    fast = ratio * inference._permutation_stats(rows, pool.labels, B, seed)
+    slow = ratio * inference._permutation_stats(
+        inference._regroup_statistic(pool, kernel), pool.labels, B, seed
+    )
+    # rounding of the six-term cancellation, relative to the pair
+    # distances; plus ANGLE_ATOL of test_accel, the arccos rounding near
+    # angle 0 (rows made parallel by a 1e8 offset)
+    atol = 1e-12 * pdist(pool.features).mean() + (1e-7 if kind == "ipcov" else 0.0)
+    assert_allclose(fast, slow, rtol=1e-9, atol=atol)
+    out = pvalue_permutation(sample, kernel, B=B, seed=seed, s=s)
+    assert out.metadata["batched"]
+    assert out.statistic == fast[0]
+    exceed = np.abs(fast[1:]) >= abs(fast[0])
+    assert out.p_value == (1 + int(exceed.sum())) / (B + 1)
+    # both engines count the same permutations, except those tying the
+    # observed value to within the rounding above: distinct case sets
+    # can tie exactly (e.g. collinear rows), and rounding breaks such a
+    # tie either way
+    near_tie = np.abs(np.abs(slow[1:]) - abs(slow[0])) <= 2 * (1e-9 * abs(slow[0]) + atol)
+    assert np.array_equal(
+        exceed[~near_tie], (np.abs(slow[1:]) >= abs(slow[0]))[~near_tie]
+    )
 
 
 def test_permutation_null_pvalues_roughly_uniform():

@@ -13,7 +13,9 @@ from raresig.cli import main
 from raresig.inference import condition_diagnostic, estimate_xi02
 from raresig.kernels import dcov_kernel
 from raresig.pipeline import MethodConfig, run_test
+from raresig.rng import spawn_seed
 from raresig.simulate import evaluate_replication
+from raresig.subsample import draw_subsample
 
 SEED = 5
 B = 19
@@ -232,3 +234,26 @@ def test_outcome_metadata_carries_the_run_context():
 def test_run_test_rejects_invalid_configs(method, match):
     with pytest.raises(ValidationError, match=match):
         run_test(_sample("scalar"), method, SEED)
+
+
+@pytest.mark.parametrize("kernel,other", [("dcov", "highdim"), ("kendall", "asymptotic")])
+def test_bit_permutation_tests_the_statistic_of_the_other_nulls(kernel, other):
+    # the permutation null conditions on the plan every null reports
+    sample = _sample("vector" if kernel == "dcov" else "scalar")
+    method = MethodConfig(kernel=kernel, mode="bit", s=3, inference="permutation", B=B)
+    perm = run_test(sample, method, SEED)
+    ref = run_test(sample, replace(method, inference=other), SEED)
+    np.testing.assert_allclose(perm.statistic, ref.statistic, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["dcov", "kendall"])
+def test_bit_permutation_ignores_the_dropped_controls(kernel):
+    sample = _sample("vector" if kernel == "dcov" else "scalar")
+    method = MethodConfig(kernel=kernel, mode="bit", s=3, inference="permutation", B=B)
+    grouped = group_by_label(sample)
+    plan = draw_subsample(grouped, 3, spawn_seed(SEED, 1), 2 if kernel == "dcov" else 1)
+    x = sample.features.copy()
+    x[grouped.indices[0][~plan.inclusion]] += 100.0
+    a = run_test(sample, method, SEED)
+    b = run_test(LabeledSample(x, sample.labels), method, SEED)
+    assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
