@@ -10,7 +10,6 @@ seeded permutation tests; a Monte Carlo harness reproduces the size and
 power behaviour and the runtime scaling of both statistics.
 """
 
-from ._accel import active_backend
 from .data import GroupedSample, LabeledSample, group_by_label, standardize
 from .engine import RitStatistic, compute_classical, compute_rit, compute_rit_bruteforce
 from .errors import DegenerateDataError, RaresigError, ValidationError
@@ -49,7 +48,6 @@ from .kernels import (
 )
 from .multiclass import (
     MultiClassSpec,
-    compute_multi_bit,
     compute_multi_rit,
     compute_multi_rit_bruteforce,
     estimate_zeta1k,

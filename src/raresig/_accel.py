@@ -23,7 +23,6 @@ from .errors import ValidationError
 from .kernels import KernelSpec
 
 __all__ = [
-    "active_backend",
     "cross_sum",
     "within_sum",
     "cross_rowsum",
@@ -36,7 +35,9 @@ _CHUNK = 512
 
 
 def active_backend() -> str:
-    """Name of the pairwise-sum implementation (recorded in statistics)."""
+    """``"numpy"``, the one pairwise-sum implementation.  Nothing in the
+    package calls it; ``perfbench/run.py`` records it in its machine
+    facts."""
     return "numpy"
 
 

@@ -75,13 +75,20 @@ def _check_sizes(data: GroupedSample, spec: KernelSpec) -> None:
         raise ValidationError(f"{spec.kind} requires scalar features (p=1)")
 
 
+def sign_counts(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per point of ``pts``, the integer sum of sgn(pt - r) over ``ref``
+    (sorted ascending): the count of smaller minus the count of larger
+    entries, ties counting 0."""
+    less = np.searchsorted(ref, pts, side="left")
+    greater = ref.size - np.searchsorted(ref, pts, side="right")
+    return less - greater
+
+
 def kendall_cross_mean(cases: np.ndarray, controls: np.ndarray) -> float:
     """Mean of sgn(case - control) over all cross pairs (ties count 0)."""
     ctrl = np.sort(np.asarray(controls, dtype=np.float64).reshape(-1))
     cs = np.asarray(cases, dtype=np.float64).reshape(-1)
-    less = np.searchsorted(ctrl, cs, side="left")
-    greater = ctrl.size - np.searchsorted(ctrl, cs, side="right")
-    return float((less - greater).sum(dtype=np.int64)) / (ctrl.size * cs.size)
+    return float(sign_counts(ctrl, cs).sum(dtype=np.int64)) / (ctrl.size * cs.size)
 
 
 def _distinct_tuples(rng, n: int, m: int, count: int) -> np.ndarray:
@@ -115,9 +122,7 @@ def _imbalanced_kendall(data: GroupedSample, spec: KernelSpec, seed: int):
         idx = _distinct_tuples(spawn_rng(seed), n0, m, IMBALANCED_BUDGET)
         means = x0[idx].mean(axis=1)
     means.sort()
-    less = np.searchsorted(means, x1, side="left")
-    greater = means.size - np.searchsorted(means, x1, side="right")
-    value = float((less - greater).sum(dtype=np.int64)) / (means.size * n1)
+    value = float(sign_counts(means, x1).sum(dtype=np.int64)) / (means.size * n1)
     if exact:
         return value, "exact-enumeration", {}
     return value, "budgeted-subsample", {"budgeted": True, "budget": IMBALANCED_BUDGET}
@@ -185,7 +190,7 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
             _accel.cross_sum(kernel, x1, x0),
             2.0 * _accel.within_sum(kernel, x1),
         )
-        algorithm = f"pairwise-sums[{_accel.active_backend()}]"
+        algorithm = "pairwise-sums"
     elif kernel.kind == "custom":
         return compute_rit_bruteforce(data, kernel)
     else:

@@ -19,11 +19,12 @@ from scipy.stats import norm
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
-from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, compute_rit
+from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, sign_counts
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec, evaluate
-from .rng import spawn_rng, spawn_seed
-from .subsample import draw_subsample
+from .multiclass import full_statistic
+from .rng import spawn_rng
+from .subsample import _draw_test_plan
 
 __all__ = [
     "TestOutcome",
@@ -83,10 +84,7 @@ def _h01_values(
         return points[:, 0] - controls[:, 0].mean()
     if kind == "rescaled_kendall":
         ctrl = np.sort(controls[:, 0])
-        pts = points[:, 0]
-        less = np.searchsorted(ctrl, pts, side="left")
-        greater = ctrl.size - np.searchsorted(ctrl, pts, side="right")
-        return (less - greater) / ctrl.size
+        return sign_counts(ctrl, points[:, 0]) / ctrl.size
     if kind == "imbalanced_kendall":
         m = spec.params["m"]
         x0 = controls[:, 0]
@@ -96,10 +94,7 @@ def _h01_values(
             means = np.sort(
                 [x0[list(c)].mean() for c in combinations(range(x0.size), m)]
             )
-            pts = points[:, 0]
-            less = np.searchsorted(means, pts, side="left")
-            greater = means.size - np.searchsorted(means, pts, side="right")
-            return (less - greater) / means.size
+            return sign_counts(means, points[:, 0]) / means.size
         out = np.empty(points.shape[0])
         for lo in range(0, points.shape[0], 256):
             hi = min(lo + 256, points.shape[0])
@@ -155,10 +150,7 @@ def _h10_values(
         return cases[:, 0].mean() - points[:, 0]
     if kind == "rescaled_kendall":
         cs = np.sort(cases[:, 0])
-        pts = points[:, 0]
-        greater = cs.size - np.searchsorted(cs, pts, side="right")
-        less = np.searchsorted(cs, pts, side="left")
-        return (greater - less) / cs.size
+        return -sign_counts(cs, points[:, 0]) / cs.size
     if kind == "imbalanced_kendall":
         m = spec.params["m"]
         x0 = data.group(0)[:, 0]
@@ -372,28 +364,19 @@ def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.n
 def _regroup_statistic(pool: LabeledSample, kernel: KernelSpec):
     """``labels -> statistic`` that regroups the rows of ``pool`` and
     recomputes the full-sample statistic on them."""
-    if kernel.n_blocks > 2 or kernel.kind == "multi_kendall":
-        from .multiclass import compute_multi_rit as rit
-    else:
-        rit = compute_rit
-    return lambda labels: rit(group_by_label(pool.with_labels(labels)), kernel).value
+    return lambda y: full_statistic(group_by_label(pool.with_labels(y)), kernel).value
 
 
 def _thinned_pool(
     sample: LabeledSample, grouped: GroupedSample, kernel: KernelSpec, s: int, seed: int
 ) -> tuple:
-    """The rare-class rows and the controls kept by the plan from
-    ``(seed, 1)``, in their original order, and the plan's constant
-    C(realized, m0) / C(s n1, m0)."""
-    if kernel.n_blocks > 2 or kernel.kind == "multi_kendall":
-        from .multiclass import _check_comparable
-
-        _check_comparable(grouped, kernel)
-    plan = draw_subsample(grouped, s, spawn_seed(seed, 1), kernel.m0)
-    keep = sample.labels != 0
-    keep[grouped.indices[0][plan.inclusion]] = True
-    pool = LabeledSample(sample.features[keep], sample.labels[keep])
-    return pool, plan.ratio(grouped.counts[1], kernel.m0)
+    """The plan every null of a subsampled test uses and the rows it
+    keeps, the rare-class rows and the kept controls, in their original
+    order: ``(pool, plan)``."""
+    plan, kept = _draw_test_plan(grouped, kernel, s, seed)
+    keep = np.zeros(sample.n, dtype=bool)
+    keep[np.concatenate(kept.indices)] = True
+    return LabeledSample(sample.features[keep], sample.labels[keep]), plan
 
 
 def pvalue_permutation(
@@ -419,6 +402,8 @@ def pvalue_permutation(
     and the kept controls are i.i.d. given the plan and their labels are
     exchangeable: the conditional null is exact.  It costs
     O(p (s n1)^2) once, not a regrouping of all n rows per permutation.
+    ``metadata["plan_attempts"]`` is the plan's draw count (None
+    without ``s``).
 
     For the binary pairwise kernels the pooled row sums are computed
     once and each permutation sums only the case pairs
@@ -428,9 +413,10 @@ def pvalue_permutation(
     if B < 19:
         raise ValidationError("need at least 19 permutations")
     grouped = group_by_label(sample)
-    pool, ratio = sample, 1.0
+    pool, ratio, attempts = sample, 1.0, None
     if s is not None:
-        pool, ratio = _thinned_pool(sample, grouped, kernel, s, seed)
+        pool, plan = _thinned_pool(sample, grouped, kernel, s, seed)
+        ratio, attempts = plan.ratio(grouped.counts[1], kernel.m0), plan.attempts
     batched = kernel.kind in SECOND_ORDER_KINDS and sample.n_classes == 2
     statistic = (
         _pair_sum_statistic(pool.features, kernel, _rit_from_sums)
@@ -458,6 +444,7 @@ def pvalue_permutation(
             "s": s,
             "seed": seed,
             "batched": batched,
+            "plan_attempts": attempts,
         },
     )
 

@@ -20,19 +20,19 @@ from .data import GroupedSample
 from .engine import (
     BRUTE_FORCE_GUARD,
     RitStatistic,
+    _check_sizes,
+    compute_rit,
     kendall_cross_mean,
+    sign_counts,
 )
 from .errors import DegenerateDataError, ValidationError
-from .inference import _h01_values
-from .kernels import KernelSpec, evaluate, kendall_kernel
+from .kernels import KernelSpec, evaluate
 from .rng import spawn_rng
-from .subsample import SubsamplePlan, thin_controls
 
 __all__ = [
     "MultiClassSpec",
     "compute_multi_rit",
     "compute_multi_rit_bruteforce",
-    "compute_multi_bit",
     "multi_asymptotic_variance",
     "multi_second_order_variance",
     "estimate_zeta1k",
@@ -61,19 +61,15 @@ class MultiClassSpec:
 
     @classmethod
     def from_grouped(
-        cls,
-        data: GroupedSample,
-        block_orders: tuple | None = None,
-        regime: str | None = None,
+        cls, data: GroupedSample, block_orders: tuple | None = None
     ) -> "MultiClassSpec":
         """Derive the class structure from counts.
 
-        Regime heuristic (overridable): class 1 is taken as the
-        designated rarest class; the regime is ``single_rarest`` when
-        n_1 is at most 0.2 times the smallest other rare-class count,
-        else ``comparable_rare``.  One dataset cannot decide an
-        asymptotic regime, so the classification is reported, not
-        asserted.
+        Regime heuristic: class 1 is taken as the designated rarest
+        class; the regime is ``single_rarest`` when n_1 is at most 0.2
+        times the smallest other rare-class count, else
+        ``comparable_rare``.  One dataset cannot decide an asymptotic
+        regime, so the classification is reported, not asserted.
         """
         k = data.n_classes - 1
         orders = tuple(block_orders) if block_orders else (1,) * (k + 1)
@@ -84,56 +80,54 @@ class MultiClassSpec:
                 )
         n1 = data.counts[1]
         ratios = tuple(data.counts[i] / n1 for i in range(1, k + 1))
-        if regime is None:
-            others = data.counts[2 : k + 1]
-            regime = (
-                "single_rarest"
-                if others and n1 <= SINGLE_RAREST_FACTOR * min(others)
-                else "comparable_rare"
-            )
+        others = data.counts[2 : k + 1]
+        regime = (
+            "single_rarest"
+            if others and n1 <= SINGLE_RAREST_FACTOR * min(others)
+            else "comparable_rare"
+        )
         return cls(k, orders, ratios, regime)
 
 
-def _check_multi(data: GroupedSample, kernel: KernelSpec) -> None:
-    if kernel.n_blocks != data.n_classes:
-        raise ValidationError(
-            f"kernel declares {kernel.n_blocks} blocks for {data.n_classes} classes"
-        )
-    for k, m in enumerate(kernel.block_orders):
-        if data.counts[k] < m:
-            raise DegenerateDataError(
-                f"class {k} has {data.counts[k]} rows, kernel needs {m}"
-            )
+def is_multiclass(kernel: KernelSpec) -> bool:
+    """Whether ``kernel`` takes the multi-class statistic and variances
+    (more than two blocks, or ``multi_kendall`` at any K)."""
+    return kernel.n_blocks > 2 or kernel.kind == "multi_kendall"
 
 
-def compute_multi_rit(
-    data: GroupedSample, kernel: KernelSpec, spec: MultiClassSpec | None = None
+def full_statistic(
+    data: GroupedSample, kernel: KernelSpec, seed: int = 0
 ) -> RitStatistic:
+    """The full-sample statistic of any kernel: :func:`compute_multi_rit`
+    for a multi-class kernel, else :func:`raresig.engine.compute_rit`
+    (``seed`` only reaches its budgeted path)."""
+    if is_multiclass(kernel):
+        return compute_multi_rit(data, kernel)
+    return compute_rit(data, kernel, seed=seed)
+
+
+def compute_multi_rit(data: GroupedSample, kernel: KernelSpec) -> RitStatistic:
     """Combinatorial kernel average over all per-class combinations.
 
     ``multi_kendall`` runs in O(n log n) as a sum of per-class sign
     statistics; other kernels enumerate (guarded).  With one rare class
     the result matches the binary engine exactly.
     """
-    _check_multi(data, kernel)
-    if kernel.kind == "multi_kendall":
-        if data.p != 1:
-            raise ValidationError("multi_kendall requires scalar features")
-        x0 = data.group(0)[:, 0]
-        value = math.fsum(
-            kendall_cross_mean(data.group(k)[:, 0], x0)
-            for k in range(1, data.n_classes)
-        )
-        algorithm = "sort-count"
-    else:
+    _check_sizes(data, kernel)
+    if kernel.kind != "multi_kendall":
         return compute_multi_rit_bruteforce(data, kernel)
+    x0 = data.group(0)[:, 0]
+    value = math.fsum(
+        kendall_cross_mean(data.group(k)[:, 0], x0)
+        for k in range(1, data.n_classes)
+    )
     return RitStatistic(
         value,
         kernel,
         kernel.order,
         data.counts[0],
         data.counts[1],
-        algorithm,
+        "sort-count",
         {"counts": data.counts},
     )
 
@@ -142,7 +136,7 @@ def compute_multi_rit_bruteforce(
     data: GroupedSample, kernel: KernelSpec
 ) -> RitStatistic:
     """Literal enumeration over every per-class index combination."""
-    _check_multi(data, kernel)
+    _check_sizes(data, kernel)
     count = 1
     for k, m in enumerate(kernel.block_orders):
         count *= math.comb(data.counts[k], m)
@@ -166,52 +160,6 @@ def compute_multi_rit_bruteforce(
         data.counts[1],
         "bruteforce",
         {"counts": data.counts},
-    )
-
-
-def _check_comparable(
-    data: GroupedSample, kernel: KernelSpec, spec: MultiClassSpec | None = None
-) -> None:
-    spec = spec or MultiClassSpec.from_grouped(data, kernel.block_orders)
-    if spec.regime != "comparable_rare":
-        raise ValidationError(
-            "subsampled multi-class statistic assumes comparable rare-class sizes"
-        )
-
-
-def compute_multi_bit(
-    data: GroupedSample,
-    kernel: KernelSpec,
-    plan: SubsamplePlan,
-    spec: MultiClassSpec | None = None,
-) -> RitStatistic:
-    """Subsampled multi-class statistic (controls thinned by the plan).
-
-    Defined for comparable rare-class sizes; pass an explicit ``spec``
-    to override the regime check.
-    """
-    _check_comparable(data, kernel, spec)
-    if plan.realized_count < kernel.m0:
-        raise DegenerateDataError(
-            f"plan kept {plan.realized_count} controls, kernel needs {kernel.m0}; "
-            f"redraw with min_include={kernel.m0}"
-        )
-    thinned = thin_controls(data, plan)
-    base = compute_multi_rit(thinned, kernel)
-    n1 = data.counts[1]
-    ratio = plan.ratio(n1, kernel.m0)
-    meta = dict(base.meta)
-    meta.update(
-        {"s": plan.s, "realized_count": plan.realized_count, "expected_count": plan.s * n1}
-    )
-    return RitStatistic(
-        base.value * ratio,
-        kernel,
-        kernel.order,
-        data.counts[0],
-        n1,
-        base.algorithm + "+subsample",
-        meta,
     )
 
 
@@ -342,18 +290,15 @@ def estimate_zeta1k(
         raise DegenerateDataError(f"need at least two class-{k} points")
     points = data.group(k)
     if kernel.kind == "multi_kendall":
+        pts = points[:, 0]
         if k >= 1:
-            vals = _h01_values(
-                kendall_kernel(), points, data.group(0), budget, spawn_rng(seed)
-            )
+            ctrl = np.sort(data.group(0)[:, 0])
+            vals = sign_counts(ctrl, pts) / ctrl.size
         else:
-            pts = points[:, 0]
             vals = np.zeros(pts.size)
             for cls_idx in range(1, data.n_classes):
                 xs = np.sort(data.group(cls_idx)[:, 0])
-                greater = xs.size - np.searchsorted(xs, pts, side="right")
-                less = np.searchsorted(xs, pts, side="left")
-                vals = vals + (greater - less) / xs.size
+                vals = vals + -sign_counts(xs, pts) / xs.size
         return float(vals.var(ddof=1))
     # generic kernels: Monte Carlo over tuples from the other classes
     rng = spawn_rng(seed)

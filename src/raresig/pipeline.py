@@ -7,8 +7,11 @@ controls (``bit``).  The null is the first-order normal null with xi01
 or label permutation; ``auto`` takes the first for first-order kernels
 and permutation otherwise, and falls back to permutation when the
 first-order variance estimate vanishes.  The multi-class kernel uses the
-zeta_k variances.  Both the command line and the Monte Carlo harness
-call it.
+zeta_k variances.  Under ``bit`` one plan is drawn and the controls are
+thinned once: the statistic and every variance estimate (xi01, xi10,
+xi02 or the zeta_k) read that one thinned sample, and the permutation
+null permutes within it.  Both the command line and the Monte Carlo
+harness call it.
 
 Random streams derived from ``seed``: ``(seed, 1)`` the subsample plan
 (under every null), ``(seed, 5)`` xi01, ``(seed, 6)`` xi10, ``(seed, 7, k)``
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .data import LabeledSample, group_by_label
-from .engine import compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .inference import (
     TestOutcome,
@@ -38,13 +40,13 @@ from .inference import (
 from .kernels import kernel_from_name
 from .multiclass import (
     MultiClassSpec,
-    compute_multi_bit,
-    compute_multi_rit,
     estimate_zeta1k,
+    full_statistic,
+    is_multiclass,
     multi_asymptotic_variance,
 )
 from .rng import spawn_seed
-from .subsample import compute_bit, draw_subsample, thin_controls
+from .subsample import _draw_test_plan, _kept_statistic
 
 __all__ = ["MethodConfig", "run_test"]
 
@@ -89,9 +91,10 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     """Run the configured test on ``sample``.
 
     ``metadata`` of the outcome carries ``n0``, ``n1``, ``s``, ``B``
-    (permutation only, else None) and ``warnings``: plan redraws, the
-    auto fallback, the high-dimensional condition ratio, and a budgeted
-    statistic.
+    (permutation only, else None), ``plan_attempts`` (the draws the
+    subsample plan needed; None under ``rit``) and ``warnings``: plan
+    redraws (once, under every null), the auto fallback, the
+    high-dimensional condition ratio, and a budgeted statistic.
     """
     params = dict(method.kernel_params)
     if method.kernel.replace("-", "_") == "multi_kendall":
@@ -116,25 +119,19 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     warnings: list = []
     if inference == "permutation":
         out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
-        return _finish(out, s, method.B, warnings)
+        return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
 
-    grouped = group_by_label(sample)
-    plan = None
+    # under bit the statistic and every variance estimate read the one
+    # thinned sample
+    data, plan = group_by_label(sample), None
     if s is not None:
-        plan = draw_subsample(grouped, s, spawn_seed(seed, 1), kernel.m0)
-        if plan.attempts > 1:
-            warnings.append(f"subsample plan needed {plan.attempts} draws")
-    multiclass = kernel.kind == "multi_kendall"
-    if plan is None:
-        stat = (compute_multi_rit if multiclass else compute_rit)(grouped, kernel)
-    else:
-        stat = (compute_multi_bit if multiclass else compute_bit)(grouped, kernel, plan)
-    # binary variance estimates see the kept controls only; the zeta_k
-    # estimates use every row
-    est_data = grouped if plan is None or multiclass else thin_controls(grouped, plan)
+        plan, data = _draw_test_plan(data, kernel, s, seed)
+    stat = (full_statistic(data, kernel) if plan is None
+            else _kept_statistic(data, kernel, plan))
+    multiclass = is_multiclass(kernel)
 
     if inference == "highdim":
-        h = _checked_pair_projection(est_data, kernel, "controls")
+        h = _checked_pair_projection(data, kernel, "controls")
         ratio = _condition_ratio_from(h)
         warnings.append(
             f"high-dimensional normality diagnostic ratio {ratio:.3g} "
@@ -146,13 +143,13 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             # the control-class zeta only enters under subsampling
             zetas = [
                 estimate_zeta1k(
-                    grouped, kernel, None, k, method.budget, spawn_seed(seed, 7, k)
+                    data, kernel, None, k, method.budget, spawn_seed(seed, 7, k)
                 )
-                if k or plan is not None
+                if k or s is not None
                 else None
-                for k in range(grouped.n_classes)
+                for k in range(data.n_classes)
             ]
-            mspec = MultiClassSpec.from_grouped(grouped, kernel.block_orders)
+            mspec = MultiClassSpec.from_grouped(data, kernel.block_orders)
             degenerate = False
             try:
                 var = multi_asymptotic_variance(mspec, zetas, s=s)
@@ -162,7 +159,7 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
                 degenerate = True
         else:
             xi01 = estimate_xi01(
-                est_data, kernel, method.budget, spawn_seed(seed, 5),
+                data, kernel, method.budget, spawn_seed(seed, 5),
                 basis=method.xi_basis,
             )
             degenerate = xi01 <= 0
@@ -174,7 +171,7 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
                 "permutation test"
             )
             out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
-            return _finish(out, s, method.B, warnings)
+            return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
         if multiclass:
             scaled = math.sqrt(stat.n1) * stat.value
             p = _two_sided_p(abs(scaled) / math.sqrt(var))
@@ -182,8 +179,8 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             out = TestOutcome(stat.value, scaled, var, p, "asymptotic_first", meta)
         else:
             xi10 = None
-            if plan is not None:
-                xi10 = estimate_xi10(est_data, kernel, method.budget, spawn_seed(seed, 6))
+            if s is not None:
+                xi10 = estimate_xi10(data, kernel, method.budget, spawn_seed(seed, 6))
             out = pvalue_asymptotic_first(stat, xi01, s=s, xi10=xi10)
 
     if stat.meta.get("budgeted"):
@@ -191,9 +188,14 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             "statistic used a budgeted subsample of control blocks "
             f"(budget {stat.meta['budget']})"
         )
-    return _finish(out, s, None, warnings)
+    return _finish(out, s, None, warnings, plan and plan.attempts)
 
 
-def _finish(out: TestOutcome, s, B, warnings: list) -> TestOutcome:
-    meta = {**out.metadata, "s": s, "B": B, "warnings": warnings}
+def _finish(out: TestOutcome, s, B, warnings: list, attempts) -> TestOutcome:
+    """The outcome with the run context; a plan's redraws are reported
+    here, once, whichever null ran."""
+    if (attempts or 1) > 1:
+        warnings.insert(0, f"subsample plan needed {attempts} draws")
+    meta = {**out.metadata, "s": s, "B": B, "plan_attempts": attempts,
+            "warnings": warnings}
     return replace(out, metadata=meta)

@@ -4,24 +4,28 @@ rules for choosing the sampling ratio.
 Keeping every case and an expected ``s * n1`` Bernoulli-thinned subset
 of the controls preserves the convergence behaviour of the full-sample
 statistic at a fraction of the cost; the price is an extra
-``m0^2 * xi10 / s`` term in the asymptotic variance.  The three
-``select_s_*`` rules bound, respectively, the variance inflation, a
-target power floor, and the power gap to the full-sample test.
+``m0^2 * xi10 / s`` term in the asymptotic variance.
+:func:`compute_bit` is the one subsampled statistic, for binary and
+multi-class kernels alike; a test draws its plan once and every null
+reads the same kept rows.  The three ``select_s_*`` rules bound,
+respectively, the variance inflation, a target power floor, and the
+power gap to the full-sample test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
 
 from .data import GroupedSample
-from .engine import RitStatistic, compute_rit
+from .engine import RitStatistic
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
-from .rng import spawn_rng
+from .multiclass import MultiClassSpec, full_statistic, is_multiclass
+from .rng import spawn_rng, spawn_seed
 
 __all__ = [
     "SubsamplePlan",
@@ -106,37 +110,62 @@ def thin_controls(data: GroupedSample, plan: SubsamplePlan) -> GroupedSample:
     return GroupedSample(groups, counts, indices)
 
 
-def compute_bit(
-    data: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan, seed: int = 0
-) -> RitStatistic:
-    """Subsampled statistic: the kernel average over included controls
-    only, normalized by C(s*n1, m0) * C(n1, m1).
-
-    Equals ``compute_rit`` exactly when every control is included and
-    ``s * n1 == n0``.
-    """
-    n1 = data.counts[1]
+def _kept_sample(
+    data: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan
+) -> GroupedSample:
+    """The cases and the controls ``plan`` keeps: the rows every
+    subsampled quantity reads.  Refuses a plan that keeps fewer than m0
+    controls, and for a multi-class kernel rare-class sizes outside the
+    comparable regime, the only one the subsampled variance covers."""
+    if is_multiclass(kernel):
+        spec = MultiClassSpec.from_grouped(data, kernel.block_orders)
+        if spec.regime != "comparable_rare":
+            raise ValidationError(
+                "subsampled multi-class statistic assumes comparable rare-class sizes"
+            )
     if plan.realized_count < kernel.m0:
         raise DegenerateDataError(
             f"plan kept {plan.realized_count} controls, kernel needs {kernel.m0}; "
             f"redraw with min_include={kernel.m0}"
         )
-    thinned = thin_controls(data, plan)
-    base = compute_rit(thinned, kernel, seed=seed)
-    ratio = plan.ratio(n1, kernel.m0)
-    meta = dict(base.meta)
-    meta.update(
-        {"s": plan.s, "realized_count": plan.realized_count, "expected_count": plan.s * n1}
-    )
-    return RitStatistic(
-        base.value * ratio,
-        kernel,
-        kernel.order,
-        data.counts[0],
-        n1,
-        base.algorithm + "+subsample",
-        meta,
-    )
+    return thin_controls(data, plan)
+
+
+def _kept_statistic(
+    kept: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan, seed: int = 0
+) -> RitStatistic:
+    """The subsampled statistic from the rows of :func:`_kept_sample`."""
+    base = full_statistic(kept, kernel, seed=seed)
+    n1 = kept.counts[1]
+    meta = {**base.meta, "s": plan.s, "realized_count": plan.realized_count,
+            "expected_count": plan.s * n1}
+    return replace(base, value=base.value * plan.ratio(n1, kernel.m0), n0=plan.n0,
+                   algorithm=base.algorithm + "+subsample", meta=meta)
+
+
+def compute_bit(
+    data: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan, seed: int = 0
+) -> RitStatistic:
+    """Subsampled statistic of any kernel, binary or multi-class: the
+    full-sample statistic on the cases and the controls ``plan`` keeps,
+    times C(realized, m0) / C(s n1, m0), so that it is normalized by
+    C(s n1, m0) * C(n1, m1) blocks.
+
+    Equals the full-sample statistic exactly when every control is
+    included and ``s * n1 == n0``.  A multi-class kernel needs
+    comparable rare-class sizes (``ValidationError`` otherwise).
+    """
+    return _kept_statistic(_kept_sample(data, kernel, plan), kernel, plan, seed)
+
+
+def _draw_test_plan(
+    data: GroupedSample, kernel: KernelSpec, s: int, seed: int
+) -> tuple:
+    """``(plan, kept)``: the plan a subsampled test with ``seed`` uses
+    under every null, drawn from ``spawn_seed(seed, 1)`` with at least
+    m0 controls, and the rows it keeps (see :func:`_kept_sample`)."""
+    plan = draw_subsample(data, s, spawn_seed(seed, 1), kernel.m0)
+    return plan, _kept_sample(data, kernel, plan)
 
 
 # ---------------------------------------------------------------------------

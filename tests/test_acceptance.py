@@ -19,7 +19,6 @@ from raresig import (
     LabeledSample,
     compute_bit,
     compute_classical,
-    compute_multi_bit,
     compute_multi_rit,
     compute_rit,
     compute_rit_bruteforce,
@@ -349,7 +348,7 @@ def test_criterion_9_multiclass_reduction_and_size():
     )
     plan = draw_subsample(g, 3, seed=55)
     assert (
-        compute_multi_bit(g, multi_kendall_kernel(1), plan).value
+        compute_bit(g, multi_kendall_kernel(1), plan).value
         == compute_bit(g, kendall_kernel(), plan).value
     )
     assert estimate_zeta1k(g, multi_kendall_kernel(1), k=1) == estimate_xi01(

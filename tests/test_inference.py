@@ -273,9 +273,9 @@ def test_permutation_row_sum_engine_matches_regrouping(kind, s, sample, seed):
     B = 39
     pool, ratio = sample, 1.0
     if s is not None:
-        pool, ratio = inference._thinned_pool(
-            sample, group_by_label(sample), kernel, s, seed
-        )
+        grouped = group_by_label(sample)
+        pool, plan = inference._thinned_pool(sample, grouped, kernel, s, seed)
+        ratio = plan.ratio(grouped.counts[1], kernel.m0)
     rows = inference._pair_sum_statistic(pool.features, kernel, inference._rit_from_sums)
     fast = ratio * inference._permutation_stats(rows, pool.labels, B, seed)
     slow = ratio * inference._permutation_stats(

@@ -10,7 +10,6 @@ from raresig import (
     MultiClassSpec,
     ValidationError,
     compute_bit,
-    compute_multi_bit,
     compute_multi_rit,
     compute_multi_rit_bruteforce,
     compute_rit,
@@ -69,7 +68,7 @@ def test_binary_reduction_is_bitwise():
     binary = compute_rit(g, kendall_kernel())
     assert multi.value == binary.value
     plan = draw_subsample(g, 2, seed=7)
-    multi_s = compute_multi_bit(g, multi_kendall_kernel(1), plan)
+    multi_s = compute_bit(g, multi_kendall_kernel(1), plan)
     binary_s = compute_bit(g, kendall_kernel(), plan)
     assert multi_s.value == binary_s.value
     z = estimate_zeta1k(g, multi_kendall_kernel(1), k=1)
@@ -82,7 +81,7 @@ def test_multi_bit_full_inclusion_identity():
     g = _grouped((20, 5, 5), rng)
     plan = draw_subsample(g, 4, seed=0)  # 4 * 5 = 20 -> probability one
     kernel = multi_kendall_kernel(2)
-    assert compute_multi_bit(g, kernel, plan).value == compute_multi_rit(g, kernel).value
+    assert compute_bit(g, kernel, plan).value == compute_multi_rit(g, kernel).value
 
 
 def test_multi_bit_zero_mean_under_null():
@@ -91,7 +90,7 @@ def test_multi_bit_zero_mean_under_null():
         rng = np.random.default_rng(900 + rep)
         g = _grouped((600, 25, 25), rng)
         plan = draw_subsample(g, 4, seed=rep)
-        vals.append(compute_multi_bit(g, multi_kendall_kernel(2), plan).value)
+        vals.append(compute_bit(g, multi_kendall_kernel(2), plan).value)
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * vals.std(ddof=1) / math.sqrt(vals.size)
 
@@ -161,10 +160,9 @@ def test_regime_heuristic():
     assert MultiClassSpec.from_grouped(g2).regime == "comparable_rare"
     g3 = _grouped((2000, 40), rng)
     assert MultiClassSpec.from_grouped(g3).regime == "comparable_rare"
-    spec = MultiClassSpec.from_grouped(g)
     plan = draw_subsample(g, 2, seed=0)
     with pytest.raises(ValidationError, match="comparable"):
-        compute_multi_bit(g, multi_kendall_kernel(2), plan, spec)
+        compute_bit(g, multi_kendall_kernel(2), plan)
 
 
 def test_multi_kernel_arity_checks():

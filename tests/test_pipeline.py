@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from raresig import LabeledSample, ValidationError, group_by_label
 from raresig import inference as inference_mod
-from raresig import pipeline
+from raresig import pipeline, subsample
 from raresig.cli import main
 from raresig.inference import condition_diagnostic, estimate_xi02
 from raresig.kernels import dcov_kernel
@@ -98,12 +99,13 @@ def test_cli_and_harness_agree(kernel, mode, inference, tmp_path):
 def test_multi_kendall_on_binary_data_is_the_kendall_test(tmp_path):
     path = _write(tmp_path / "binary.csv", _sample("scalar"))
     for inference in ("asymptotic", "permutation"):
-        argv = ["--input", path, "--inference", inference, "--B", str(B),
-                "--seed", str(SEED)]
-        multi = _cli_json("--kernel", "multi-kendall", *argv)
-        binary = _cli_json("--kernel", "kendall", *argv)
-        multi.pop("wall_time_ms"), binary.pop("wall_time_ms")
-        assert multi == binary
+        for method in (["--method", "rit"], ["--method", "bit", "--s", "3"]):
+            argv = ["--input", path, "--inference", inference, "--B", str(B),
+                    "--seed", str(SEED), *method]
+            multi = _cli_json("--kernel", "multi-kendall", *argv)
+            binary = _cli_json("--kernel", "kendall", *argv)
+            multi.pop("wall_time_ms"), binary.pop("wall_time_ms")
+            assert multi == binary
 
 
 def test_multi_kendall_inference_is_honoured(tmp_path):
@@ -257,3 +259,42 @@ def test_bit_permutation_ignores_the_dropped_controls(kernel):
     a = run_test(sample, method, SEED)
     b = run_test(LabeledSample(x, sample.labels), method, SEED)
     assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
+
+
+def test_plan_redraws_are_reported_once_under_every_null():
+    # two cases at s = 2 keep ~4 of 400 controls; under seed 14 the first
+    # draw keeps none and the plan needs a second.  The two cases tie, so
+    # xi01 at the case points is zero and auto falls back to permutation
+    x = np.random.default_rng(3).standard_normal(402)
+    x[400:] = 0.5
+    sample = LabeledSample(x, np.r_[np.zeros(400, np.int64), np.ones(2, np.int64)])
+    method = MethodConfig(kernel="kendall", mode="bit", s=2, B=B)
+    warning = "subsample plan needed 2 draws"
+    for inference, basis in (("permutation", "controls"), ("asymptotic", "controls"),
+                             ("auto", "cases")):
+        out = run_test(sample, replace(method, inference=inference, xi_basis=basis), 14)
+        assert out.metadata["warnings"].count(warning) == 1
+        assert out.metadata["plan_attempts"] == 2
+    assert out.method == "permutation"
+    assert any("fell back" in w for w in out.metadata["warnings"])
+
+
+@pytest.mark.parametrize("kernel,inference", [
+    ("kendall", "asymptotic"), ("multi_kendall", "asymptotic"), ("dcov", "highdim"),
+])
+def test_bit_thins_the_controls_once(kernel, inference, monkeypatch):
+    # the statistic and every variance estimate read one thinned sample
+    calls = []
+    original = subsample.thin_controls
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("raresig") and getattr(mod, "thin_controls", None) is original:
+            monkeypatch.setattr(mod, "thin_controls", counting)
+    sample = _sample({"kendall": "scalar", "multi_kendall": "three"}.get(kernel, "vector"))
+    method = MethodConfig(kernel=kernel, mode="bit", s=3, inference=inference)
+    run_test(sample, method, SEED)
+    assert len(calls) == 1
