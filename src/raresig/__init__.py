@@ -28,7 +28,6 @@ from .inference import (
 )
 from .kernels import (
     KernelSpec,
-    ProjectionEstimate,
     custom_kernel,
     dcov_kernel,
     evaluate,
@@ -43,11 +42,10 @@ from .kernels import (
     kernel_pearson,
     multi_kendall_kernel,
     pearson_kernel,
-    project_h01,
-    project_h01_many,
 )
 from .multiclass import (
     MultiClassSpec,
+    block_projection,
     compute_multi_rit,
     compute_multi_rit_bruteforce,
     estimate_zeta1k,

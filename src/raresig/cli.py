@@ -370,8 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--budget", type=int, default=2000)
     t.add_argument(
         "--xi-basis", default="cases", choices=("cases", "controls"),
-        help="points the xi01 projection is evaluated at: 'cases' (default; "
-             "estimates the case-side variance on any data) or 'controls' "
+        help="points each rare-class projection variance (xi01, zeta_k) is "
+             "evaluated at: 'cases' (default; estimates the case-side "
+             "variance on any data) or 'controls' "
              "(far less noisy, but the same quantity only under the null; the "
              "simulate command and the library's MethodConfig default to it)",
     )

@@ -19,10 +19,10 @@ from scipy.stats import norm
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
-from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, sign_counts
+from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums
 from .errors import DegenerateDataError, ValidationError
-from .kernels import SECOND_ORDER_KINDS, KernelSpec, evaluate
-from .multiclass import full_statistic
+from .kernels import SECOND_ORDER_KINDS, KernelSpec
+from .multiclass import estimate_zeta1k, full_statistic
 from .rng import spawn_rng
 from .subsample import _draw_test_plan
 
@@ -75,44 +75,6 @@ def _second_order_only(spec: KernelSpec, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _h01_values(
-    spec: KernelSpec, points: np.ndarray, controls: np.ndarray, budget: int, rng
-) -> np.ndarray:
-    """One-case projection evaluated at ``points`` (both arrays 2-d)."""
-    kind = spec.kind
-    if kind == "rescaled_pearson":
-        return points[:, 0] - controls[:, 0].mean()
-    if kind == "rescaled_kendall":
-        ctrl = np.sort(controls[:, 0])
-        return sign_counts(ctrl, points[:, 0]) / ctrl.size
-    if kind == "imbalanced_kendall":
-        m = spec.params["m"]
-        x0 = controls[:, 0]
-        if math.comb(x0.size, m) <= budget:
-            from itertools import combinations
-
-            means = np.sort(
-                [x0[list(c)].mean() for c in combinations(range(x0.size), m)]
-            )
-            return sign_counts(means, points[:, 0]) / means.size
-        out = np.empty(points.shape[0])
-        for lo in range(0, points.shape[0], 256):
-            hi = min(lo + 256, points.shape[0])
-            idx = rng.integers(0, x0.size, size=(hi - lo, budget, m))
-            means = x0[idx].mean(axis=2)
-            out[lo:hi] = np.sign(points[lo:hi, 0:1] - means).mean(axis=1)
-        return out
-    # generic kernels: Monte Carlo tuples per point
-    from .kernels import project_h01
-
-    return np.array(
-        [
-            project_h01(spec, points[i], controls, budget, int(rng.integers(2**31)))
-            for i in range(points.shape[0])
-        ]
-    )
-
-
 def estimate_xi01(
     data: GroupedSample,
     kernel: KernelSpec,
@@ -120,92 +82,26 @@ def estimate_xi01(
     seed: int = 0,
     basis: str = "cases",
 ) -> float:
-    """Variance of the one-case projection.
+    """Variance of the one-case projection: zeta_1 of
+    :func:`raresig.multiclass.estimate_zeta1k`.
 
     The projection is evaluated at the case points by default
     (``basis="cases"``); under the null the controls follow the same
     law and give a far less noisy estimate, so harness code passes
-    ``basis="controls"``.  ``budget`` caps the number of control tuples
-    per evaluation point for kernels without a closed projection.
+    ``basis="controls"``.  ``budget`` caps the number of tuples per
+    evaluation point for kernels without a closed projection.
     """
     _first_order_only(kernel, "estimate_xi01")
-    if budget < 30:
-        raise ValidationError("budget must be at least 30 tuples")
-    if data.counts[1] < 2:
-        raise DegenerateDataError("need at least two cases to estimate xi01")
-    if basis not in ("cases", "controls"):
-        raise ValidationError("basis must be 'cases' or 'controls'")
-    points = data.group(1) if basis == "cases" else data.group(0)
-    vals = _h01_values(kernel, points, data.group(0), budget, spawn_rng(seed))
-    return float(vals.var(ddof=1))
-
-
-def _h10_values(
-    spec: KernelSpec, points: np.ndarray, data: GroupedSample, budget: int, rng
-) -> np.ndarray:
-    """One-control projection evaluated at ``points``."""
-    cases = data.group(1)
-    kind = spec.kind
-    if kind == "rescaled_pearson":
-        return cases[:, 0].mean() - points[:, 0]
-    if kind == "rescaled_kendall":
-        cs = np.sort(cases[:, 0])
-        return -sign_counts(cs, points[:, 0]) / cs.size
-    if kind == "imbalanced_kendall":
-        m = spec.params["m"]
-        x0 = data.group(0)[:, 0]
-        x1 = cases[:, 0]
-        out = np.empty(points.shape[0])
-        for lo in range(0, points.shape[0], 256):
-            hi = min(lo + 256, points.shape[0])
-            k = hi - lo
-            others = (
-                x0[rng.integers(0, x0.size, size=(k, budget, m - 1))].sum(axis=2)
-                if m > 1
-                else np.zeros((k, budget))
-            )
-            case_draw = x1[rng.integers(0, x1.size, size=(k, budget))]
-            block_mean = (points[lo:hi, 0:1] + others) / m
-            out[lo:hi] = np.sign(case_draw - block_mean).mean(axis=1)
-        return out
-    # generic: average the kernel over tuples completing the blocks
-    m0, m1 = spec.m0, spec.m1
-    x0, x1 = data.group(0), data.group(1)
-    out = np.empty(points.shape[0])
-    for i in range(points.shape[0]):
-        vals = []
-        for _ in range(budget):
-            rest = (
-                x0[rng.choice(x0.shape[0], m0 - 1, replace=False)]
-                if m0 > 1
-                else np.empty((0, x0.shape[1]))
-            )
-            ctrl_block = np.vstack([points[i : i + 1], rest])
-            case_block = x1[rng.choice(x1.shape[0], m1, replace=False)]
-            vals.append(evaluate(spec, [ctrl_block, case_block]))
-        out[i] = math.fsum(vals) / budget
-    return out
+    return estimate_zeta1k(data, kernel, 1, budget, seed, basis)
 
 
 def estimate_xi10(
-    data: GroupedSample,
-    kernel: KernelSpec,
-    budget: int = 2000,
-    seed: int = 0,
-    basis: str = "controls",
+    data: GroupedSample, kernel: KernelSpec, budget: int = 2000, seed: int = 0
 ) -> float:
-    """Variance of the one-control projection (mirror of
-    :func:`estimate_xi01` with the class roles exchanged)."""
+    """Variance of the one-control projection, evaluated at the controls:
+    zeta_0 of :func:`raresig.multiclass.estimate_zeta1k`."""
     _first_order_only(kernel, "estimate_xi10")
-    if budget < 30:
-        raise ValidationError("budget must be at least 30 tuples")
-    if data.counts[0] < 2:
-        raise DegenerateDataError("need at least two controls to estimate xi10")
-    if basis not in ("cases", "controls"):
-        raise ValidationError("basis must be 'cases' or 'controls'")
-    points = data.group(0) if basis == "controls" else data.group(1)
-    vals = _h10_values(kernel, points, data, budget, spawn_rng(seed))
-    return float(vals.var(ddof=1))
+    return estimate_zeta1k(data, kernel, 0, budget, seed)
 
 
 def _pair_projection_matrix(

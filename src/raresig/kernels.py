@@ -1,4 +1,4 @@
-"""Kernel functions for the rescaled statistics, and their projections.
+"""Kernel functions for the rescaled statistics.
 
 Five built-in kernels are provided.  ``rescaled_pearson``,
 ``rescaled_kendall`` and ``imbalanced_kendall`` are first-order (the
@@ -8,25 +8,21 @@ are degenerate, the two-case projection is not).  ``multi_kendall``
 extends the Kendall comparison to K rare classes, and ``custom`` wraps a
 user callable.
 
-Projections condition the kernel on a subset of its arguments and
-average out the rest; their variances drive every variance estimate and
-asymptotic null in :mod:`raresig.inference`.
+The kernels' projections, whose variances drive the first-order
+asymptotic nulls, are in :func:`raresig.multiclass.block_projection`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
-from .rng import spawn_rng
+from .errors import ValidationError
 
 __all__ = [
     "KernelSpec",
-    "ProjectionEstimate",
     "pearson_kernel",
     "kendall_kernel",
     "imbalanced_kendall_kernel",
@@ -41,8 +37,6 @@ __all__ = [
     "kernel_dcov",
     "kernel_ipcov",
     "evaluate",
-    "project_h01",
-    "project_h01_many",
 ]
 
 FIRST_ORDER_KINDS = ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall")
@@ -260,98 +254,3 @@ def evaluate(spec: KernelSpec, blocks) -> float:
     if kind == "custom":
         return float(spec.fn(*blocks))
     raise ValidationError(f"unknown kernel kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# projections
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionEstimate:
-    """Evaluated projection values at a set of points.
-
-    ``kind`` is the (a, b) pair of conditioned block sizes; ``values``
-    holds one projection estimate per evaluation point; ``basis_size``
-    is the number of reference tuples each estimate averaged over.
-    """
-
-    kind: tuple
-    values: np.ndarray
-    basis_size: int
-
-    def __post_init__(self) -> None:
-        a, b = self.kind
-        if a < 0 or b < 0:
-            raise ValidationError("projection indices must be non-negative")
-
-
-def _h01_tuples(spec: KernelSpec, controls: np.ndarray, budget: int, rng):
-    """Index tuples (control indices, extra case indices) for the
-    one-case projection.  Exhaustive when the count fits the budget,
-    otherwise Monte Carlo draws of distinct reference rows."""
-    n0 = controls.shape[0]
-    m0, m1 = spec.m0, spec.m1
-    need = m0 + (m1 - 1)
-    if n0 < need:
-        raise DegenerateDataError(
-            f"projection needs {need} reference rows, have {n0}"
-        )
-    total = math.comb(n0, m0) * math.comb(n0 - m0, m1 - 1)
-    if total <= budget:
-        out = []
-        for ctrl in combinations(range(n0), m0):
-            rest = [i for i in range(n0) if i not in ctrl]
-            if m1 == 1:
-                out.append((ctrl, ()))
-            else:
-                out.extend((ctrl, extra) for extra in combinations(rest, m1 - 1))
-        return out
-    draws = []
-    for _ in range(budget):
-        idx = rng.choice(n0, size=need, replace=False)
-        draws.append((tuple(idx[:m0]), tuple(idx[m0:])))
-    return draws
-
-
-def project_h01(
-    spec: KernelSpec, case_point, controls, budget: int = 2000, seed: int = 0
-) -> float:
-    """One-case projection of the kernel at ``case_point``.
-
-    Averages the kernel over control blocks (and, for kernels with more
-    than one case slot, over extra case draws taken from the same
-    reference, which is valid under the null where the classes share one law).
-    Enumeration is exact when the number of reference tuples is within
-    ``budget``; otherwise that many random tuples are drawn.
-    """
-    controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
-    point = np.asarray(case_point, dtype=np.float64).reshape(1, -1)
-    kind = spec.kind
-    if kind == "rescaled_pearson":
-        return float(point[0, 0] - controls[:, 0].mean())
-    if kind == "rescaled_kendall":
-        return float(np.sign(point[0, 0] - controls[:, 0]).mean())
-    rng = spawn_rng(seed)
-    vals = []
-    for ctrl_idx, extra_idx in _h01_tuples(spec, controls, budget, rng):
-        case_block = np.vstack([point, controls[list(extra_idx)]]) if extra_idx else point
-        vals.append(evaluate(spec, [controls[list(ctrl_idx)], case_block]))
-    return math.fsum(vals) / len(vals)
-
-
-def project_h01_many(
-    spec: KernelSpec, points, controls, budget: int = 2000, seed: int = 0
-) -> ProjectionEstimate:
-    """``project_h01`` over many evaluation points."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    vals = np.array(
-        [
-            project_h01(spec, points[i], controls, budget, seed + i)
-            for i in range(points.shape[0])
-        ]
-    )
-    n0 = np.atleast_2d(controls).shape[0]
-    basis = min(budget, math.comb(n0, spec.m0))
-    return ProjectionEstimate((0, 1), vals, basis)
-

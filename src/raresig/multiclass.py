@@ -21,6 +21,7 @@ from .engine import (
     BRUTE_FORCE_GUARD,
     RitStatistic,
     _check_sizes,
+    _distinct_tuples,
     compute_rit,
     kendall_cross_mean,
     sign_counts,
@@ -35,6 +36,7 @@ __all__ = [
     "compute_multi_rit_bruteforce",
     "multi_asymptotic_variance",
     "multi_second_order_variance",
+    "block_projection",
     "estimate_zeta1k",
 ]
 
@@ -171,7 +173,8 @@ def compute_multi_rit_bruteforce(
 def multi_asymptotic_variance(
     spec: MultiClassSpec, zetas, s: int | None = None
 ) -> float:
-    """Asymptotic variance of sqrt(n1) times the multi-class statistic.
+    """Asymptotic variance of sqrt(n1) times the statistic of a first-order
+    kernel (a binary kernel is the K = 1 case).
 
     ``zetas[k]`` is the one-observation projection variance for class k
     (index 0 is the control class and is only consulted when ``s`` is
@@ -267,61 +270,116 @@ def multi_second_order_variance(
     return float(total)
 
 
+def block_projection(
+    data: GroupedSample,
+    kernel: KernelSpec,
+    k: int,
+    points: np.ndarray,
+    budget: int,
+    rng,
+) -> np.ndarray:
+    """The kernel's projection onto one block-k observation (Hoeffding,
+    1948) at each row of ``points``: one block-k slot is fixed at the
+    point and the kernel is averaged over every other slot.
+
+    The difference kernel and the sign kernels have closed forms
+    (``rescaled_kendall`` is the K = 1 ``multi_kendall``; at a rare
+    block the other rare classes only add a constant, which is left
+    out, since only the variance over points is used).
+    ``imbalanced_kendall`` enumerates the m-control blocks when there
+    are at most ``budget`` of them, else draws ``budget`` of them per
+    point.  Any other kernel averages ``budget`` Monte Carlo tuples per
+    point, each slot filled with distinct rows of its own class.
+    """
+    _check_sizes(data, kernel)
+    if not 0 <= k < data.n_classes:
+        raise ValidationError(f"class {k} out of range")
+    orders = kernel.block_orders
+    if orders[k] < 1:
+        raise ValidationError(f"kernel uses no class-{k} observations")
+    kind = kernel.kind
+    if kind == "rescaled_pearson":
+        pts = points[:, 0]
+        return pts - data.group(0)[:, 0].mean() if k else data.group(1)[:, 0].mean() - pts
+    if kind in ("rescaled_kendall", "multi_kendall"):
+        pts = points[:, 0]
+        if k:
+            return sign_counts(np.sort(data.group(0)[:, 0]), pts) / data.counts[0]
+        return -sum(
+            sign_counts(np.sort(data.group(c)[:, 0]), pts) / data.counts[c]
+            for c in range(1, data.n_classes)
+        )
+    if kind == "imbalanced_kendall":
+        return _imbalanced_kendall_projection(data, kernel.params["m"], k, points,
+                                              budget, rng)
+    out = np.empty(points.shape[0])
+    for i, point in enumerate(points):
+        # draws[c][j]: the class-c rows of tuple j, one fewer in block k
+        draws = [
+            data.group(c)[_distinct_tuples(rng, data.counts[c], m - (c == k), budget)]
+            for c, m in enumerate(orders)
+        ]
+        draws[k] = np.concatenate([np.broadcast_to(point, (budget, 1, point.size)),
+                                   draws[k]], axis=1)
+        out[i] = math.fsum(evaluate(kernel, [d[j] for d in draws])
+                           for j in range(budget)) / budget
+    return out
+
+
+def _imbalanced_kendall_projection(
+    data: GroupedSample, m: int, k: int, points: np.ndarray, budget: int, rng
+) -> np.ndarray:
+    """:func:`block_projection` of the imbalanced sign kernel, in chunks
+    of 256 points."""
+    x0, x1 = data.group(0)[:, 0], data.group(1)[:, 0]
+    if k and math.comb(x0.size, m) <= budget:
+        means = np.sort([x0[list(c)].mean() for c in combinations(range(x0.size), m)])
+        return sign_counts(means, points[:, 0]) / means.size
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], 256):
+        hi = min(lo + 256, points.shape[0])
+        pts = points[lo:hi, 0:1]
+        if k:
+            means = x0[rng.integers(0, x0.size, size=(hi - lo, budget, m))].mean(axis=2)
+            out[lo:hi] = np.sign(pts - means).mean(axis=1)
+            continue
+        others = (
+            x0[rng.integers(0, x0.size, size=(hi - lo, budget, m - 1))].sum(axis=2)
+            if m > 1
+            else np.zeros((hi - lo, budget))
+        )
+        case_draw = x1[rng.integers(0, x1.size, size=(hi - lo, budget))]
+        out[lo:hi] = np.sign(case_draw - (pts + others) / m).mean(axis=1)
+    return out
+
+
 def estimate_zeta1k(
     data: GroupedSample,
     kernel: KernelSpec,
-    spec: MultiClassSpec | None = None,
     k: int = 1,
     budget: int = 2000,
     seed: int = 0,
+    basis: str = "cases",
 ) -> float:
-    """Variance over class-k points of the projection fixing one
-    class-k observation and averaging the kernel over all other blocks.
+    """zeta_k: the variance of the kernel's projection onto one class-k
+    observation (:func:`block_projection`, drawing from
+    ``spawn_rng(seed)``).
 
-    For ``multi_kendall`` the cross-class terms of the projection are
-    constants and drop out of the variance, leaving the control-side
-    sign average; with one rare class this is exactly the binary
-    ``estimate_xi01``.  ``k = 0`` estimates the control-side projection
-    variance needed by the subsampled variance formula.
+    A rare block (k >= 1) is evaluated at its own class
+    (``basis="cases"``) or at the controls (``basis="controls"``), which
+    under the null follow the same law and give a far less noisy
+    estimate.  The control block (k = 0) is always evaluated at the
+    controls; it enters only the subsampled variance.  ``budget`` caps
+    the tuples per point for kernels without a closed projection.
     """
+    if budget < 30:
+        raise ValidationError("budget must be at least 30 tuples")
+    if basis not in ("cases", "controls"):
+        raise ValidationError("basis must be 'cases' or 'controls'")
     if not 0 <= k < data.n_classes:
         raise ValidationError(f"class {k} out of range")
     if data.counts[k] < 2:
         raise DegenerateDataError(f"need at least two class-{k} points")
-    points = data.group(k)
-    if kernel.kind == "multi_kendall":
-        pts = points[:, 0]
-        if k >= 1:
-            ctrl = np.sort(data.group(0)[:, 0])
-            vals = sign_counts(ctrl, pts) / ctrl.size
-        else:
-            vals = np.zeros(pts.size)
-            for cls_idx in range(1, data.n_classes):
-                xs = np.sort(data.group(cls_idx)[:, 0])
-                vals = vals + -sign_counts(xs, pts) / xs.size
-        return float(vals.var(ddof=1))
-    # generic kernels: Monte Carlo over tuples from the other classes
-    rng = spawn_rng(seed)
-    orders = kernel.block_orders
-    if orders[k] < 1:
-        raise ValidationError(f"kernel uses no class-{k} observations")
-    vals = np.empty(points.shape[0])
-    for i in range(points.shape[0]):
-        acc = []
-        for _ in range(budget):
-            blocks = []
-            for cls_idx in range(data.n_classes):
-                rows = data.group(cls_idx)
-                need = orders[cls_idx]
-                if cls_idx == k:
-                    rest = (
-                        rows[rng.choice(rows.shape[0], need - 1, replace=False)]
-                        if need > 1
-                        else np.empty((0, rows.shape[1]))
-                    )
-                    blocks.append(np.vstack([points[i : i + 1], rest]))
-                else:
-                    blocks.append(rows[rng.choice(rows.shape[0], need, replace=False)])
-            acc.append(evaluate(kernel, blocks))
-        vals[i] = math.fsum(acc) / budget
+    points = data.group(k if basis == "cases" else 0)
+    vals = block_projection(data, kernel, k, points, budget, spawn_rng(seed))
     return float(vals.var(ddof=1))

@@ -2,20 +2,18 @@
 
 The function owns the procedure's decision tree.  The statistic is the
 full-sample rescaled one (``rit``) or the boosted one on Bernoulli-thinned
-controls (``bit``).  The null is the first-order normal null with xi01
-(plus xi10/s under ``bit``), the high-dimensional normal null with xi02,
-or label permutation; ``auto`` takes the first for first-order kernels
-and permutation otherwise, and falls back to permutation when the
-first-order variance estimate vanishes.  The multi-class kernel uses the
-zeta_k variances.  Under ``bit`` one plan is drawn and the controls are
-thinned once: the statistic and every variance estimate (xi01, xi10,
-xi02 or the zeta_k) read that one thinned sample, and the permutation
+controls (``bit``).  The null is the first-order normal null, the
+high-dimensional normal null with xi02, or label permutation; ``auto``
+takes the first for first-order kernels and permutation otherwise, and
+falls back to permutation when the first-order variance estimate
+vanishes.  Every first-order kernel, binary or multi-class, takes one
+variance, sum_k m_k^2 zeta_k / r_k (plus m_0^2 zeta_0 / s under ``bit``),
+from the zeta_k of :func:`raresig.multiclass.estimate_zeta1k`; for a
+binary kernel zeta_1 is xi01 and zeta_0 is xi10.  Under ``bit`` one plan
+is drawn and the controls are thinned once: the statistic and every
+variance estimate read that one thinned sample, and the permutation
 null permutes within it.  Both the command line and the Monte Carlo
 harness call it.
-
-Random streams derived from ``seed``: ``(seed, 1)`` the subsample plan
-(under every null), ``(seed, 5)`` xi01, ``(seed, 6)`` xi10, ``(seed, 7, k)``
-zeta_k, ``(seed, 2, b)`` permutation b.
 """
 
 from __future__ import annotations
@@ -31,9 +29,6 @@ from .inference import (
     _condition_ratio_from,
     _two_sided_p,
     _xi02_from,
-    estimate_xi01,
-    estimate_xi10,
-    pvalue_asymptotic_first,
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
@@ -42,7 +37,6 @@ from .multiclass import (
     MultiClassSpec,
     estimate_zeta1k,
     full_statistic,
-    is_multiclass,
     multi_asymptotic_variance,
 )
 from .rng import spawn_seed
@@ -58,8 +52,8 @@ class MethodConfig:
     ``mode`` is ``rit`` or ``bit``; ``classical`` (the pooled baseline)
     is only meaningful to the Monte Carlo harness.  ``budget`` caps the
     Monte Carlo tuples per point in the projection-variance estimates;
-    ``xi_basis`` picks the points xi01 is evaluated at (see
-    :func:`raresig.inference.estimate_xi01`).
+    ``xi_basis`` picks the points every rare-class zeta_k is evaluated
+    at (see :func:`raresig.multiclass.estimate_zeta1k`).
     """
 
     kernel: str = "kendall"
@@ -94,7 +88,14 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     (permutation only, else None), ``plan_attempts`` (the draws the
     subsample plan needed; None under ``rit``) and ``warnings``: plan
     redraws (once, under every null), the auto fallback, the
-    high-dimensional condition ratio, and a budgeted statistic.
+    high-dimensional condition ratio, and a budgeted statistic.  The
+    first-order null adds ``zetas`` (None for the control block under
+    ``rit``).
+
+    Random streams derived from ``seed``: ``(seed, 1)`` the subsample
+    plan (under every null), ``(seed, 2, b)`` permutation b, and for
+    zeta_k ``(seed, 5)`` at k = 1, ``(seed, 6)`` at k = 0 and
+    ``(seed, 7, k)`` at k >= 2.
     """
     params = dict(method.kernel_params)
     if method.kernel.replace("-", "_") == "multi_kendall":
@@ -128,7 +129,6 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
         plan, data = _draw_test_plan(data, kernel, s, seed)
     stat = (full_statistic(data, kernel) if plan is None
             else _kept_statistic(data, kernel, plan))
-    multiclass = is_multiclass(kernel)
 
     if inference == "highdim":
         h = _checked_pair_projection(data, kernel, "controls")
@@ -139,31 +139,24 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
         )
         out = pvalue_asymptotic_highdim(stat, _xi02_from(h))
     else:
-        if multiclass:
-            # the control-class zeta only enters under subsampling
-            zetas = [
-                estimate_zeta1k(
-                    data, kernel, None, k, method.budget, spawn_seed(seed, 7, k)
-                )
-                if k or s is not None
-                else None
-                for k in range(data.n_classes)
-            ]
-            mspec = MultiClassSpec.from_grouped(data, kernel.block_orders)
-            degenerate = False
-            try:
-                var = multi_asymptotic_variance(mspec, zetas, s=s)
-            except DegenerateDataError:
-                if method.inference != "auto":
-                    raise
-                degenerate = True
-        else:
-            xi01 = estimate_xi01(
-                data, kernel, method.budget, spawn_seed(seed, 5),
+        # one zeta per block (the control block only enters under bit)
+        zetas = [
+            estimate_zeta1k(
+                data, kernel, k, method.budget,
+                spawn_seed(seed, 7, k) if k > 1 else spawn_seed(seed, 6 - k),
                 basis=method.xi_basis,
             )
-            degenerate = xi01 <= 0
-        if method.inference == "auto" and degenerate:
+            if k or s is not None
+            else None
+            for k in range(data.n_classes)
+        ]
+        try:
+            var = multi_asymptotic_variance(
+                MultiClassSpec.from_grouped(data, kernel.block_orders), zetas, s=s
+            )
+        except DegenerateDataError:
+            if method.inference != "auto":
+                raise
             # fully separated data degenerates the plug-in variance;
             # the permutation null still applies
             warnings.append(
@@ -172,16 +165,10 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             )
             out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
             return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
-        if multiclass:
-            scaled = math.sqrt(stat.n1) * stat.value
-            p = _two_sided_p(abs(scaled) / math.sqrt(var))
-            meta = {"kernel": kernel.kind, "n0": stat.n0, "n1": stat.n1, "zetas": zetas}
-            out = TestOutcome(stat.value, scaled, var, p, "asymptotic_first", meta)
-        else:
-            xi10 = None
-            if s is not None:
-                xi10 = estimate_xi10(data, kernel, method.budget, spawn_seed(seed, 6))
-            out = pvalue_asymptotic_first(stat, xi01, s=s, xi10=xi10)
+        scaled = math.sqrt(stat.n1) * stat.value
+        p = _two_sided_p(abs(scaled) / math.sqrt(var))
+        meta = {"kernel": kernel.kind, "n0": stat.n0, "n1": stat.n1, "zetas": zetas}
+        out = TestOutcome(stat.value, scaled, var, p, "asymptotic_first", meta)
 
     if stat.meta.get("budgeted"):
         warnings.append(

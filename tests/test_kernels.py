@@ -24,10 +24,10 @@ from raresig import (
     kernel_kendall,
     kernel_pearson,
     pearson_kernel,
-    project_h01,
-    project_h01_many,
 )
 from raresig.inference import _pair_projection_matrix
+from raresig.multiclass import block_projection
+from raresig.rng import spawn_rng
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +150,25 @@ def test_zero_mean_under_null_all_kernels():
 # ---------------------------------------------------------------------------
 
 
-def test_project_h01_kendall_and_pearson():
-    assert project_h01(kendall_kernel(), 2.0, [[1.0], [3.0]]) == 0.0
-    controls = np.array([[1.0], [2.0], [6.0]])
-    assert_allclose(project_h01(pearson_kernel(), 4.0, controls), 4.0 - 3.0)
+def _two_class(controls, cases):
+    x = np.vstack([controls, cases]).astype(float)
+    labels = np.r_[np.zeros(len(controls), np.int64), np.ones(len(cases), np.int64)]
+    return group_by_label(LabeledSample(x, labels))
 
 
-def test_project_h01_many_shapes():
-    est = project_h01_many(kendall_kernel(), [[0.0], [1.0]], [[0.5], [2.0]])
-    assert est.kind == (0, 1)
-    assert est.values.shape == (2,)
-    assert_allclose(est.values, [-1.0, 0.0])
+def test_block_projection_kendall_and_pearson():
+    g = _two_class([[1.0], [3.0]], [[2.0]])
+    assert block_projection(g, kendall_kernel(), 1, g.group(1), 2000, spawn_rng(0)) == 0.0
+    g = _two_class([[1.0], [2.0], [6.0]], [[4.0]])
+    vals = block_projection(g, pearson_kernel(), 1, g.group(1), 2000, spawn_rng(0))
+    assert_allclose(vals, [4.0 - 3.0])
+
+
+def test_block_projection_many_shapes():
+    g = _two_class([[0.5], [2.0]], [[0.0], [1.0]])
+    vals = block_projection(g, kendall_kernel(), 1, g.group(1), 2000, spawn_rng(0))
+    assert vals.shape == (2,)
+    assert_allclose(vals, [-1.0, 0.0])
 
 
 def test_kendall_projection_variance_one_third():
@@ -190,7 +198,7 @@ def test_imbalanced_kendall_normal_closed_forms():
     grouped = group_by_label(sample)
     spec = imbalanced_kendall_kernel(m)
     assert abs(estimate_xi01(grouped, spec, budget=1500, seed=1) - xi01_true) < 0.05
-    xi10 = estimate_xi10(grouped, spec, budget=1500, seed=2, basis="controls")
+    xi10 = estimate_xi10(grouped, spec, budget=1500, seed=2)
     assert abs(xi10 - xi10_true) < 0.05
 
 
@@ -201,10 +209,8 @@ def test_dcov_first_order_degeneracy():
     rng = np.random.default_rng(5)
     ref = rng.standard_normal((120, 2))
     points = rng.standard_normal((25, 2))
-    vals = [
-        project_h01(dcov_kernel(), points[i], ref, budget=4000, seed=i)
-        for i in range(points.shape[0])
-    ]
+    g = _two_class(ref, points)
+    vals = block_projection(g, dcov_kernel(), 1, points, 4000, spawn_rng(5))
     raw = [
         kernel_dcov(*rng.standard_normal((4, 2))) for _ in range(400)
     ]
@@ -212,10 +218,7 @@ def test_dcov_first_order_degeneracy():
 
 
 def _pair_projection(cases, controls, kernel, reference="controls"):
-    x = np.vstack([controls, cases]).astype(float)
-    labels = np.r_[np.zeros(len(controls), np.int64), np.ones(len(cases), np.int64)]
-    grouped = group_by_label(LabeledSample(x, labels))
-    return _pair_projection_matrix(grouped, kernel, reference)
+    return _pair_projection_matrix(_two_class(controls, cases), kernel, reference)
 
 
 def test_pair_projection_matrix_values():

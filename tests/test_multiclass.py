@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from raresig import (
@@ -16,13 +18,17 @@ from raresig import (
     custom_kernel,
     draw_subsample,
     estimate_xi01,
+    estimate_xi10,
     estimate_zeta1k,
     group_by_label,
     kendall_kernel,
     multi_asymptotic_variance,
     multi_kendall_kernel,
     multi_second_order_variance,
+    pearson_kernel,
 )
+from raresig.multiclass import block_projection
+from raresig.rng import spawn_rng
 
 
 def _grouped(counts, rng, p=1):
@@ -179,3 +185,72 @@ def test_multi_kernel_arity_checks():
             ),
             multi_kendall_kernel(2),
         )
+
+
+# ---------------------------------------------------------------------------
+# block projections
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def binary_scalar_samples(draw):
+    n0, n1 = draw(st.integers(2, 60)), draw(st.sampled_from((2, 3, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n0 + n1)
+    if draw(st.booleans()):
+        x = np.round(x, 1)  # ties
+    if draw(st.booleans()):
+        x[:] = 3.0  # constant column
+    if draw(st.booleans()):
+        x += 1e8
+    labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
+    return group_by_label(LabeledSample(x[:, None], labels))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(binary_scalar_samples(), st.sampled_from(("cases", "controls")))
+def test_k1_zetas_are_the_binary_xis(g, basis):
+    multi = multi_kendall_kernel(1)
+    zeta1 = estimate_zeta1k(g, multi, 1, basis=basis)
+    assert zeta1 == estimate_xi01(g, kendall_kernel(), basis=basis)
+    zeta0 = estimate_zeta1k(g, multi, 0, basis=basis)
+    assert zeta0 == estimate_xi10(g, kendall_kernel())
+    # brute force: the mean sign against the other class, at the basis points
+    x0, x1 = g.group(0)[:, 0], g.group(1)[:, 0]
+    pts = x1 if basis == "cases" else x0
+    h1 = np.sign(pts[:, None] - x0[None, :]).mean(axis=1)
+    h0 = np.sign(x1[None, :] - x0[:, None]).mean(axis=1)
+    assert_allclose([zeta1, zeta0], [h1.var(ddof=1), h0.var(ddof=1)], rtol=1e-12)
+
+
+def _mean_difference(*blocks):
+    """Sum over rare blocks of the block mean minus the control-block
+    mean: the difference kernel, for any block orders."""
+    rare = sum(b[:, 0].mean() for b in blocks[1:])
+    return rare - (len(blocks) - 1) * blocks[0][:, 0].mean()
+
+
+def _mean_difference_projection(g, orders, k, pts):
+    means = [g.group(c)[:, 0].mean() for c in range(g.n_classes)]
+    means[k] = (pts[:, 0] + (orders[k] - 1) * means[k]) / orders[k]
+    return sum(means[1:]) - (len(orders) - 1) * means[0]
+
+
+@pytest.mark.parametrize("orders", [(1, 1), (2, 1), (1, 1, 1)],
+                         ids=lambda o: "-".join(map(str, o)))
+def test_generic_projection_matches_the_closed_form(orders):
+    budget = 400
+    counts = (30, 8, 6)[: len(orders)]
+    labels = np.concatenate([np.full(c, k, np.int64) for k, c in enumerate(counts)])
+    x = np.random.default_rng(11).random((labels.size, 1))
+    g = group_by_label(LabeledSample(x, labels))
+    kernel = custom_kernel(_mean_difference, orders)
+    for k in range(len(orders)):
+        pts = g.group(k)
+        want = _mean_difference_projection(g, orders, k, pts)
+        if orders == (1, 1):
+            closed = block_projection(g, pearson_kernel(), k, pts, budget, None)
+            assert_allclose(want, closed, rtol=1e-12)
+        got = block_projection(g, kernel, k, pts, budget, spawn_rng(3, k))
+        assert np.abs(got - want).max() < 5 / math.sqrt(budget)
+

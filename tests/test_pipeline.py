@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -98,14 +99,16 @@ def test_cli_and_harness_agree(kernel, mode, inference, tmp_path):
 
 def test_multi_kendall_on_binary_data_is_the_kendall_test(tmp_path):
     path = _write(tmp_path / "binary.csv", _sample("scalar"))
-    for inference in ("asymptotic", "permutation"):
-        for method in (["--method", "rit"], ["--method", "bit", "--s", "3"]):
-            argv = ["--input", path, "--inference", inference, "--B", str(B),
-                    "--seed", str(SEED), *method]
-            multi = _cli_json("--kernel", "multi-kendall", *argv)
-            binary = _cli_json("--kernel", "kendall", *argv)
-            multi.pop("wall_time_ms"), binary.pop("wall_time_ms")
-            assert multi == binary
+    methods = (["--method", "rit"], ["--method", "bit", "--s", "3"])
+    for inference, method, basis in itertools.product(
+        ("asymptotic", "permutation"), methods, ("cases", "controls")
+    ):
+        argv = ["--input", path, "--inference", inference, "--B", str(B),
+                "--seed", str(SEED), "--xi-basis", basis, *method]
+        multi = _cli_json("--kernel", "multi-kendall", *argv)
+        binary = _cli_json("--kernel", "kendall", *argv)
+        multi.pop("wall_time_ms"), binary.pop("wall_time_ms")
+        assert multi == binary
 
 
 def test_multi_kendall_inference_is_honoured(tmp_path):
@@ -145,9 +148,9 @@ def test_control_zeta_only_under_subsampling(monkeypatch):
     seen = []
     original = pipeline.estimate_zeta1k
 
-    def spy(data, kernel, spec, k, *args):
+    def spy(data, kernel, k, *args, **kwargs):
         seen.append(k)
-        return original(data, kernel, spec, k, *args)
+        return original(data, kernel, k, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "estimate_zeta1k", spy)
     sample = _sample("three")
@@ -210,7 +213,8 @@ def test_multiclass_zero_variance_is_a_degenerate_error(tmp_path):
 
 
 def test_multiclass_zero_variance_auto_falls_back():
-    method = MethodConfig(kernel="multi_kendall", B=99)
+    # zeta_1 vanishes at the separated class-1 points, not at the controls
+    method = MethodConfig(kernel="multi_kendall", xi_basis="cases", B=99)
     out = run_test(_separated_rarest_class(), method, SEED)
     assert out.method == "permutation"
     assert any("fell back" in w for w in out.metadata["warnings"])
