@@ -49,12 +49,32 @@ __all__ = ["ingest_csv", "main"]
 # ---------------------------------------------------------------------------
 
 
-def ingest_csv(path: str, label_col: str, feature_cols=None):
+# labels are stored as int64; a label cell must stay below this
+LABEL_LIMIT = 2.0**63
+
+
+class Ingested(tuple):
+    """``(sample, dropped)`` from :func:`ingest_csv`, unpacked as a pair;
+    ``reader`` names the body parser that ran, ``"vectorised"`` or
+    ``"row-loop"``."""
+
+    def __new__(cls, sample: LabeledSample, dropped: int, reader: str):
+        out = super().__new__(cls, (sample, dropped))
+        out.reader = reader
+        return out
+
+
+def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     """Read a header-first CSV into a labeled sample.
 
-    Rows with a missing or unparseable cell in the selected columns are
-    dropped; the second return value counts them.  Labels must parse to
-    integers >= 0.
+    A row is dropped when it is blank or shorter than the header, or when
+    a selected cell is empty, unparseable or (a feature) non-finite; the
+    second return value counts them.  A label must parse to a finite
+    integer in [0, 2**63), else :class:`ValidationError`.
+
+    A clean body (the rules drop no row and raise nothing) is parsed by
+    one ``np.loadtxt`` call; any other body is reparsed row by row,
+    which defines the rules.  Both give bitwise-equal arrays.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -74,41 +94,98 @@ def ingest_csv(path: str, label_col: str, feature_cols=None):
         if not feature_cols:
             raise ValidationError("no feature columns selected")
         feat_idx = [header.index(c) for c in feature_cols]
+        header_lines = reader.line_num
+        body = fh.read()
 
-        feats = []
-        labels = []
-        dropped = 0
-        for row in reader:
-            if len(row) < len(header):
-                dropped += 1
-                continue
-            cells = [row[i].strip() for i in feat_idx]
-            lab_cell = row[label_idx].strip()
-            if not lab_cell or any(not c for c in cells):
-                dropped += 1
-                continue
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                dropped += 1
-                continue
-            if not all(math.isfinite(v) for v in values):
-                dropped += 1
-                continue
-            try:
-                lab = float(lab_cell)
-            except ValueError:
-                dropped += 1
-                continue
-            if lab != int(lab):
-                raise ValidationError(f"non-integer label {lab_cell!r}")
-            if lab < 0:
-                raise ValidationError(f"negative label {lab_cell!r}")
-            labels.append(int(lab))
-            feats.append(values)
-    if not feats:
+    parsed = _load_clean(path, header_lines, body, feat_idx, label_idx, len(header))
+    reader_name = "vectorised"
+    if parsed is None:
+        parsed = _parse_rows(body, feat_idx, label_idx, len(header))
+        reader_name = "row-loop"
+    feats, labels, dropped = parsed
+    if not len(labels):
         raise DegenerateDataError(f"{path}: zero usable rows")
-    return LabeledSample(np.array(feats), np.array(labels)), dropped
+    return Ingested(LabeledSample(feats, labels), dropped, reader_name)
+
+
+def _load_clean(path: str, header_lines: int, body: str, feat_idx: list,
+                label_idx: int, width: int):
+    """``(features, labels, 0)`` from one ``np.loadtxt`` pass over the
+    ``body`` that follows the first ``header_lines`` lines of ``path``,
+    or None when :func:`_parse_rows` would drop a row or raise.
+
+    ``loadtxt`` skips blank lines, so the parsed rows must number the
+    body's records (CR, LF and CRLF each end one, as in ``csv``).  It
+    rejects a row that lacks a used column, so the last header column
+    is always used (and ignored) to catch short rows.  It reads ``path``
+    itself, which is faster than reading ``body``.
+    """
+    if not body.strip("\r\n"):
+        return None  # no record, or blank ones only
+    records = body.count("\n") + body.count("\r") - body.count("\r\n")
+    if body[-1] not in "\r\n":
+        records += 1  # an unterminated last record
+    cols = feat_idx + [label_idx]
+    converters = None
+    if width - 1 not in cols:
+        cols.append(width - 1)
+        converters = {width - 1: lambda _: 0.0}
+    try:
+        table = np.loadtxt(
+            path, delimiter=",", skiprows=header_lines, usecols=cols,
+            comments=None, quotechar='"', converters=converters,
+            dtype=np.float64, ndmin=2, encoding="utf-8",
+        )
+    except ValueError:
+        return None
+    p = len(feat_idx)
+    feats, labels = table[:, :p], table[:, p]
+    if (table.shape[0] != records or not np.isfinite(feats).all()
+            or not ((labels >= 0) & (labels < LABEL_LIMIT)
+                    & (labels == np.floor(labels))).all()):
+        return None
+    return feats, labels.astype(np.int64), 0
+
+
+def _parse_rows(body: str, feat_idx: list, label_idx: int, width: int):
+    """``(features, labels, dropped)`` by the row rules of
+    :func:`ingest_csv`, one ``csv`` record at a time."""
+    feats = []
+    labels = []
+    dropped = 0
+    for row in csv.reader(io.StringIO(body, newline="")):
+        if len(row) < width:
+            dropped += 1
+            continue
+        cells = [row[i].strip() for i in feat_idx]
+        lab_cell = row[label_idx].strip()
+        if not lab_cell or any(not c for c in cells):
+            dropped += 1
+            continue
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            dropped += 1
+            continue
+        if not all(math.isfinite(v) for v in values):
+            dropped += 1
+            continue
+        try:
+            lab = float(lab_cell)
+        except ValueError:
+            dropped += 1
+            continue
+        if not math.isfinite(lab):
+            raise ValidationError(f"non-finite label {lab_cell!r}")
+        if lab != int(lab):
+            raise ValidationError(f"non-integer label {lab_cell!r}")
+        if lab < 0:
+            raise ValidationError(f"negative label {lab_cell!r}")
+        if lab >= LABEL_LIMIT:
+            raise ValidationError(f"label {lab_cell!r} exceeds 2**63 - 1")
+        labels.append(int(lab))
+        feats.append(values)
+    return np.array(feats), np.array(labels), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +198,8 @@ def _run_test_command(args) -> dict:
     result object serialized by the CLI (all fields JSON-ready)."""
     t0 = time.perf_counter()
     features = args.features.split(",") if args.features else None
-    sample, dropped = ingest_csv(args.input, args.label_col, features)
+    ingested = ingest_csv(args.input, args.label_col, features)
+    sample, dropped = ingested
     if args.standardize:
         sample = standardize(sample)
     kernel_params = {}
@@ -155,6 +233,7 @@ def _run_test_command(args) -> dict:
         "seed": int(args.seed),
         "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
         "warnings": warnings,
+        "ingest": ingested.reader,
     }
     if meta["s"] is not None:
         result["s"] = int(meta["s"])

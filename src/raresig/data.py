@@ -13,7 +13,7 @@ can be shared freely across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,13 @@ class LabeledSample:
         if y.size == 0:
             raise ValidationError("empty sample")
         if not np.issubdtype(y.dtype, np.integer):
-            yi = y.astype(np.int64)
+            # a non-finite or out-of-range label casts to garbage (float)
+            # or raises (object); either way it is not an int64 label
+            try:
+                with np.errstate(invalid="ignore"):
+                    yi = y.astype(np.int64)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError("labels must be integers") from None
             if not np.array_equal(yi, y):
                 raise ValidationError("labels must be integers")
             y = yi
@@ -94,6 +100,7 @@ class GroupedSample:
     groups: tuple
     counts: tuple
     indices: tuple
+    _sorted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -114,6 +121,13 @@ class GroupedSample:
 
     def group(self, k: int) -> np.ndarray:
         return self.groups[k]
+
+    def sorted_column(self, k: int) -> np.ndarray:
+        """Class k's first feature, sorted ascending.  Sorted once per
+        sample: the sign kernels' statistic and projections share it."""
+        if k not in self._sorted:
+            self._sorted[k] = _freeze(np.sort(self.groups[k][:, 0]))
+        return self._sorted[k]
 
 
 def group_by_label(sample: LabeledSample) -> GroupedSample:

@@ -84,10 +84,11 @@ def sign_counts(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return less - greater
 
 
-def kendall_cross_mean(cases: np.ndarray, controls: np.ndarray) -> float:
-    """Mean of sgn(case - control) over all cross pairs (ties count 0)."""
-    ctrl = np.sort(np.asarray(controls, dtype=np.float64).reshape(-1))
-    cs = np.asarray(cases, dtype=np.float64).reshape(-1)
+def kendall_cross_mean(data: GroupedSample, k: int = 1) -> float:
+    """Mean of sgn(x - control) over every class-k row x and every
+    control (ties count 0)."""
+    ctrl = data.sorted_column(0)
+    cs = data.group(k)[:, 0]
     return float(sign_counts(ctrl, cs).sum(dtype=np.int64)) / (ctrl.size * cs.size)
 
 
@@ -177,7 +178,7 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         value = float(data.group(1)[:, 0].mean() - data.group(0)[:, 0].mean())
         algorithm = "group-means"
     elif kernel.kind == "rescaled_kendall":
-        value = kendall_cross_mean(data.group(1)[:, 0], data.group(0)[:, 0])
+        value = kendall_cross_mean(data)
         algorithm = "sort-count"
     elif kernel.kind == "imbalanced_kendall":
         value, algorithm, meta = _imbalanced_kendall(data, kernel, seed)

@@ -118,11 +118,7 @@ def compute_multi_rit(data: GroupedSample, kernel: KernelSpec) -> RitStatistic:
     _check_sizes(data, kernel)
     if kernel.kind != "multi_kendall":
         return compute_multi_rit_bruteforce(data, kernel)
-    x0 = data.group(0)[:, 0]
-    value = math.fsum(
-        kendall_cross_mean(data.group(k)[:, 0], x0)
-        for k in range(1, data.n_classes)
-    )
+    value = math.fsum(kendall_cross_mean(data, k) for k in range(1, data.n_classes))
     return RitStatistic(
         value,
         kernel,
@@ -304,9 +300,9 @@ def block_projection(
     if kind in ("rescaled_kendall", "multi_kendall"):
         pts = points[:, 0]
         if k:
-            return sign_counts(np.sort(data.group(0)[:, 0]), pts) / data.counts[0]
+            return sign_counts(data.sorted_column(0), pts) / data.counts[0]
         return -sum(
-            sign_counts(np.sort(data.group(c)[:, 0]), pts) / data.counts[c]
+            sign_counts(data.sorted_column(c), pts) / data.counts[c]
             for c in range(1, data.n_classes)
         )
     if kind == "imbalanced_kendall":

@@ -1,10 +1,13 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from raresig import DegenerateDataError, ValidationError
+from raresig import DegenerateDataError, RaresigError, ValidationError, cli
 from raresig.cli import _emit, ingest_csv, main
 from raresig.pipeline import MethodConfig, run_test
 
@@ -80,6 +83,141 @@ def test_ingest_roundtrip_group_counts(tmp_path):
     sample2, _ = ingest_csv(str(back), "label")
     assert np.array_equal(sample.labels, sample2.labels)
     assert np.array_equal(sample.features, sample2.features)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e300"])
+def test_ingest_unrepresentable_label_is_a_validation_error(tmp_path, capsys, cell):
+    path = _write_csv(tmp_path / "lab.csv", ["x", "label"],
+                      [["1.0", "0"], ["2.0", "1"], ["3.0", cell]])
+    with pytest.raises(ValidationError, match="label"):
+        ingest_csv(path, "label")
+    assert main(["test", "--input", path]) == 2
+    assert repr(cell) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_ingest_clean_file_takes_the_vectorised_path(tmp_path, monkeypatch, newline):
+    def no_row_loop(*args):
+        raise AssertionError("the row loop ran on a clean file")
+
+    monkeypatch.setattr(cli, "_parse_rows", no_row_loop)
+    path = tmp_path / "clean.csv"
+    path.write_bytes(newline.join(["x,label,y", "1.5,0,a", "-2e-3,1,b", " 7 ,0,c", ""])
+                     .encode())
+    got = ingest_csv(str(path), "label", ["x"])
+    sample, dropped = got
+    assert got.reader == "vectorised" and dropped == 0
+    assert sample.features[:, 0].tolist() == [1.5, -2e-3, 7.0]
+    assert sample.labels.tolist() == [0, 1, 0]
+
+
+def test_run_test_reports_the_reader(tmp_path, capsys):
+    rows = [[f"{v:.6f}", 0] for v in np.random.default_rng(2).standard_normal(60)]
+    rows += [[f"{v + 1:.6f}", 1] for v in np.random.default_rng(3).standard_normal(8)]
+    clean = _write_csv(tmp_path / "clean.csv", ["x", "label"], rows)
+    dirty = _write_csv(tmp_path / "dirty.csv", ["x", "label"], rows + [["oops", 1]])
+    a = _test_json(capsys, "--input", clean, "--seed", "1")
+    b = _test_json(capsys, "--input", dirty, "--seed", "1")
+    assert (a["ingest"], b["ingest"]) == ("vectorised", "row-loop")
+    assert b["warnings"][0].startswith("dropped 1 rows")
+    for out in (a, b):
+        out.pop("ingest"), out.pop("wall_time_ms"), out.pop("warnings")
+    assert a == b
+
+
+# Cells for the differential test: clean numbers both readers parse,
+# and kinds of dirt that the rules drop, that raise, or that one reader
+# rejects and the other accepts.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.17g}"),
+    st.sampled_from(["0", "1.5", "-2.25", ".5", "3.", "+4", "-0.0", "1e3", "1E-3",
+                     "+1.5e+2", "2.5e-310", "1e308"]),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-320, 320)),
+)
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\x85", "\xa0"])
+_CLEAN = st.builds("{}{}{}".format, _PAD, _NUMBERS, _PAD)
+_DIRT = {
+    "cells": st.sampled_from(["", "  ", "nan", "inf", "-inf", "1e500", "NaN",
+                              "Infinity", "oops", "#", "1#", "1_0", "0x10", "1d5",
+                              "\u0661", "1 5"]),
+    "quotes": st.builds('"{}"'.format, _CLEAN) | st.sampled_from(
+        ['"1"5', ' "1"', '"1" ', '1"5"', '""', '"1,5"', '"1.5"e3']),
+    "labels": st.sampled_from(["", "oops", "-1", "0.5", "nan", "inf", "1e300", "2e19",
+                               "#"]),
+}
+_LABELS = st.sampled_from(["0", "0", "1", "1", "2", " 1 ", "1.0", "+1", "-0", "1e0"])
+
+
+@st.composite
+def _csv_files(draw):
+    """``(text, label column, feature columns or None)``: a header of 2-4
+    columns and up to 12 rows.  Each file enables its own kinds of dirt
+    (none for a clean file), so one kind at a time can meet the fast
+    path."""
+    width = draw(st.integers(2, 4))
+    names = [f"c{j}" for j in range(width)]
+    label = draw(st.sampled_from(names))
+    others = [c for c in names if c != label]
+    features = draw(st.none() | st.lists(st.sampled_from(others), min_size=1,
+                                         max_size=len(others), unique=True))
+    dirt = draw(st.sets(st.sampled_from(["cells", "quotes", "labels", "blank", "short",
+                                         "long"]), max_size=2))
+
+    def cell(clean, dirt_kinds):
+        kinds = [k for k in dirt_kinds if k in dirt]
+        if kinds and draw(st.integers(0, 3)) == 0:
+            return draw(_DIRT[draw(st.sampled_from(kinds))])
+        return draw(clean)
+
+    cell_dirt = ["cells", "quotes"]
+    shapes = ["full", "full", *sorted(dirt & {"blank", "short", "long"})]
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [cell(_LABELS, ["labels"]) if c == label else cell(_CLEAN, cell_dirt)
+               for c in names]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[: draw(st.integers(1, width - 1))]
+        elif shape == "long":
+            row += [cell(_CLEAN, cell_dirt) for _ in range(draw(st.integers(1, 2)))]
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + end, label, features
+
+
+def _ingest_outcome(path, label, features):
+    try:
+        return ingest_csv(path, label, features)
+    except RaresigError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_csv_files())
+# loadtxt skips blank lines and accepts a short row that holds every
+# used column; the row loop drops both
+@example(("c0,c1\r\n1,0\r\r\n2,1\r\n", "c1", None))
+@example(("c0,c1,c2\n0,1.5,9\n1,2.5\n", "c0", ["c1"]))
+def test_ingest_vectorised_path_equals_row_loop(tmp_path_factory, case):
+    text, label, features = case
+    path = tmp_path_factory.mktemp("diff") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _ingest_outcome(str(path), label, features)
+    with mock.patch.object(cli, "_load_clean", return_value=None):
+        loop = _ingest_outcome(str(path), label, features)
+    if isinstance(fast, cli.Ingested):
+        assert loop.reader == "row-loop"
+        (a, a_dropped), (b, b_dropped) = fast, loop
+        assert a_dropped == b_dropped
+        assert a.features.dtype == b.features.dtype and a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+    else:
+        assert fast == loop
 
 
 # ---------------------------------------------------------------------------

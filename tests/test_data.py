@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -58,6 +60,16 @@ def test_validation_rejects_bad_inputs():
         LabeledSample(np.zeros((3, 1)), np.array([0, 1]))
     with pytest.raises(ValidationError):
         LabeledSample(np.zeros((2, 1)), np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, 10**300],
+                         ids=["nan", "inf", "1e300", "int-1e300"])
+def test_labels_outside_int64_are_validation_errors(bad):
+    labels = np.array([0, 1, bad], dtype=object if isinstance(bad, int) else float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning either
+        with pytest.raises(ValidationError, match="integers"):
+            LabeledSample(np.zeros((3, 1)), labels)
 
 
 def test_standardize_three_point_column():

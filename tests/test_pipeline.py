@@ -302,3 +302,28 @@ def test_bit_thins_the_controls_once(kernel, inference, monkeypatch):
     method = MethodConfig(kernel=kernel, mode="bit", s=3, inference=inference)
     run_test(sample, method, SEED)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kernel,mode,sorts", [
+    ("kendall", "rit", 1), ("kendall", "bit", 2),
+    ("multi_kendall", "rit", 1), ("multi_kendall", "bit", 3),
+])
+def test_sign_tests_sort_each_column_once(kernel, mode, sorts, monkeypatch):
+    # the statistic and every zeta_k share one sorted copy per class:
+    # the (kept) controls, plus under bit each rare class for zeta_0
+    sizes = []
+    original = np.sort
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting)
+    sample = _sample("scalar" if kernel == "kendall" else "three")
+    s = 3 if mode == "bit" else None
+    for basis in ("cases", "controls"):
+        sizes.clear()
+        method = MethodConfig(kernel=kernel, mode=mode, s=s, inference="asymptotic",
+                              xi_basis=basis)
+        run_test(sample, method, SEED)
+        assert len(sizes) == sorts
