@@ -100,25 +100,25 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     parsed = _load_clean(path, header_lines, body, feat_idx, label_idx, len(header))
     reader_name = "vectorised"
     if parsed is None:
-        parsed = _parse_rows(body, feat_idx, label_idx, len(header))
-        reader_name = "row-loop"
+        parsed, reader_name = _parse_blocks(body, feat_idx, label_idx, len(header))
     feats, labels, dropped = parsed
     if not len(labels):
         raise DegenerateDataError(f"{path}: zero usable rows")
     return Ingested(LabeledSample(feats, labels), dropped, reader_name)
 
 
-def _load_clean(path: str, header_lines: int, body: str, feat_idx: list,
+def _load_clean(source, header_lines: int, body: str, feat_idx: list,
                 label_idx: int, width: int):
     """``(features, labels, 0)`` from one ``np.loadtxt`` pass over the
-    ``body`` that follows the first ``header_lines`` lines of ``path``,
-    or None when :func:`_parse_rows` would drop a row or raise.
+    ``body`` that follows the first ``header_lines`` lines of ``source``
+    (a path, or the body's own lines), or None when :func:`_parse_rows`
+    would drop a row or raise.
 
     ``loadtxt`` skips blank lines, so the parsed rows must number the
     body's records (CR, LF and CRLF each end one, as in ``csv``).  It
     rejects a row that lacks a used column, so the last header column
-    is always used (and ignored) to catch short rows.  It reads ``path``
-    itself, which is faster than reading ``body``.
+    is always used (and ignored) to catch short rows.  Reading a path
+    is faster than reading ``body``.
     """
     if not body.strip("\r\n"):
         return None  # no record, or blank ones only
@@ -132,7 +132,7 @@ def _load_clean(path: str, header_lines: int, body: str, feat_idx: list,
         converters = {width - 1: lambda _: 0.0}
     try:
         table = np.loadtxt(
-            path, delimiter=",", skiprows=header_lines, usecols=cols,
+            source, delimiter=",", skiprows=header_lines, usecols=cols,
             comments=None, quotechar='"', converters=converters,
             dtype=np.float64, ndmin=2, encoding="utf-8",
         )
@@ -145,6 +145,38 @@ def _load_clean(path: str, header_lines: int, body: str, feat_idx: list,
                     & (labels == np.floor(labels))).all()):
         return None
     return feats, labels.astype(np.int64), 0
+
+
+# lines per block of a body that the one-pass reader rejected
+_BLOCK_LINES = 64
+
+
+def _parse_blocks(body: str, feat_idx: list, label_idx: int, width: int):
+    """``((features, labels, dropped), reader)`` for a body that one
+    :func:`_load_clean` pass rejected.  Each block of ``_BLOCK_LINES``
+    lines gets its own :func:`_load_clean` try, and only the blocks it
+    rejects go through :func:`_parse_rows`; ``reader`` is ``"row-loop"``
+    when any block did.  A quoted cell may span lines, so a body with a
+    quote goes through the row loop whole.
+    """
+    if '"' in body or not body:
+        return _parse_rows(body, feat_idx, label_idx, width), "row-loop"
+    lines = io.StringIO(body, newline="").readlines()
+    parts, reader = [], "vectorised"
+    for i in range(0, len(lines), _BLOCK_LINES):
+        block = lines[i:i + _BLOCK_LINES]
+        text = "".join(block)
+        part = _load_clean(block, 0, text, feat_idx, label_idx, width)
+        if part is None:
+            part, reader = _parse_rows(text, feat_idx, label_idx, width), "row-loop"
+        parts.append(part)
+    # the row loop's arrays are 1-d when it keeps no row
+    kept = [part for part in parts if len(part[1])] or parts[:1]
+    return (
+        np.concatenate([f for f, _, _ in kept]),
+        np.concatenate([y for _, y, _ in kept]),
+        sum(d for _, _, d in parts),
+    ), reader
 
 
 def _parse_rows(body: str, feat_idx: list, label_idx: int, width: int):

@@ -13,13 +13,15 @@ can be shared freely across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 
-__all__ = ["LabeledSample", "GroupedSample", "group_by_label", "standardize"]
+__all__ = [
+    "LabeledSample", "GroupedSample", "group_by_label", "presort", "standardize",
+]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -100,7 +102,9 @@ class GroupedSample:
     groups: tuple
     counts: tuple
     indices: tuple
-    _sorted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # every class's first feature, sorted ascending, when :func:`presort`
+    # made this sample for one test
+    sorted_first: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -123,11 +127,11 @@ class GroupedSample:
         return self.groups[k]
 
     def sorted_column(self, k: int) -> np.ndarray:
-        """Class k's first feature, sorted ascending.  Sorted once per
-        sample: the sign kernels' statistic and projections share it."""
-        if k not in self._sorted:
-            self._sorted[k] = _freeze(np.sort(self.groups[k][:, 0]))
-        return self._sorted[k]
+        """Class k's first feature, sorted ascending: the copy
+        :func:`presort` made, else a fresh sort."""
+        if self.sorted_first is not None:
+            return self.sorted_first[k]
+        return np.sort(self.groups[k][:, 0])
 
 
 def group_by_label(sample: LabeledSample) -> GroupedSample:
@@ -155,6 +159,13 @@ def group_by_label(sample: LabeledSample) -> GroupedSample:
             "degenerate partition: need at least one case class besides class 0"
         )
     return GroupedSample(tuple(groups), tuple(counts), tuple(indices))
+
+
+def presort(data: GroupedSample) -> GroupedSample:
+    """``data`` with every class's first feature sorted once, so the
+    sign kernels' statistic and projections in one test share the sorts."""
+    cols = tuple(_freeze(np.sort(g[:, 0])) for g in data.groups)
+    return replace(data, sorted_first=cols)
 
 
 def standardize(sample: LabeledSample) -> LabeledSample:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .data import LabeledSample, group_by_label
+from .data import LabeledSample, group_by_label, presort
 from .errors import DegenerateDataError, ValidationError
 from .inference import (
     TestOutcome,
@@ -127,6 +127,9 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     data, plan = group_by_label(sample), None
     if s is not None:
         plan, data = _draw_test_plan(data, kernel, s, seed)
+    if kernel.kind in ("rescaled_kendall", "multi_kendall"):
+        # the statistic and every zeta_k share one sort per class
+        data = presort(data)
     stat = (full_statistic(data, kernel) if plan is None
             else _kept_statistic(data, kernel, plan))
 

@@ -111,6 +111,25 @@ def test_ingest_clean_file_takes_the_vectorised_path(tmp_path, monkeypatch, newl
     assert sample.labels.tolist() == [0, 1, 0]
 
 
+def test_ingest_reparses_only_the_rejected_block(tmp_path, monkeypatch):
+    seen = []
+    row_loop = cli._parse_rows
+
+    def spy(body, *args):
+        seen.append(body)
+        return row_loop(body, *args)
+
+    monkeypatch.setattr(cli, "_parse_rows", spy)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 2)
+    rows = [["1.5", "0"], ["2.5", "1"], ["3.5", "0"], ["oops", "1"], ["4.5", "1"]]
+    got = ingest_csv(_write_csv(tmp_path / "d.csv", ["x", "label"], rows), "label")
+    sample, dropped = got
+    assert (got.reader, dropped) == ("row-loop", 1)
+    assert seen == ["3.5,0\r\noops,1\r\n"]
+    assert sample.features[:, 0].tolist() == [1.5, 2.5, 3.5, 4.5]
+    assert sample.labels.tolist() == [0, 1, 0, 1]
+
+
 def test_run_test_reports_the_reader(tmp_path, capsys):
     rows = [[f"{v:.6f}", 0] for v in np.random.default_rng(2).standard_normal(60)]
     rows += [[f"{v + 1:.6f}", 1] for v in np.random.default_rng(3).standard_normal(8)]
@@ -142,7 +161,7 @@ _DIRT = {
                               "Infinity", "oops", "#", "1#", "1_0", "0x10", "1d5",
                               "\u0661", "1 5"]),
     "quotes": st.builds('"{}"'.format, _CLEAN) | st.sampled_from(
-        ['"1"5', ' "1"', '"1" ', '1"5"', '""', '"1,5"', '"1.5"e3']),
+        ['"1"5', ' "1"', '"1" ', '1"5"', '""', '"1,5"', '"1.5"e3', '"2']),
     "labels": st.sampled_from(["", "oops", "-1", "0.5", "nan", "inf", "1e300", "2e19",
                                "#"]),
 }
@@ -197,16 +216,21 @@ def _ingest_outcome(path, label, features):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_csv_files())
+@given(_csv_files(), st.integers(1, 4))
 # loadtxt skips blank lines and accepts a short row that holds every
 # used column; the row loop drops both
-@example(("c0,c1\r\n1,0\r\r\n2,1\r\n", "c1", None))
-@example(("c0,c1,c2\n0,1.5,9\n1,2.5\n", "c0", ["c1"]))
-def test_ingest_vectorised_path_equals_row_loop(tmp_path_factory, case):
+@example(("c0,c1\r\n1,0\r\r\n2,1\r\n", "c1", None), 2)
+@example(("c0,c1,c2\n0,1.5,9\n1,2.5\n", "c0", ["c1"]), 1)
+# an open quote runs on over the following lines, across blocks
+@example(('c0,c1\n1,0\n"2,0\n3,1\n4,1\n5,0\n', "c1", None), 2)
+def test_ingest_vectorised_path_equals_row_loop(tmp_path_factory, case, block_lines):
+    # small blocks, so a rejected file mixes vectorised and row-loop blocks
     text, label, features = case
     path = tmp_path_factory.mktemp("diff") / "f.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast = _ingest_outcome(str(path), label, features)
+    with mock.patch.object(cli, "_BLOCK_LINES", block_lines):
+        fast = _ingest_outcome(str(path), label, features)
+    # every loadtxt try rejected: the row loop reads the body as one block
     with mock.patch.object(cli, "_load_clean", return_value=None):
         loop = _ingest_outcome(str(path), label, features)
     if isinstance(fast, cli.Ingested):
