@@ -4,12 +4,13 @@ Both second-order kernels are the six-term kernel over one pair function
 d(x, y): the Euclidean distance for ``rescaled_dcov`` and the angle
 between augmented unit rows for ``rescaled_ipcov``.  ``_pair_metric`` is
 the one place that maps a kernel to its pair function; every O(n^2 p)
-quantity is built from five primitives over it: the cross-block total,
-the within-block total, per-row cross and within sums, and the dense
-within matrix.  Each runs over blocks of at most ``_CHUNK`` rows, so
-memory is O(chunk * n) outside the dense matrix, and the totals combine
-per-row or per-block sums with ``math.fsum``, so results are
-reproducible run to run.
+quantity is built from four primitives over it: the within-block total,
+per-row cross and within sums, and the dense within matrix.  A cross
+total is ``math.fsum`` of the per-row cross sums, which the callers
+keep.  Each runs over blocks of at most ``_CHUNK`` rows, so memory is
+O(chunk * n) outside the dense matrix, and the totals combine per-row
+or per-block sums with ``math.fsum``, so results are reproducible run
+to run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import ValidationError
 from .kernels import KernelSpec
 
 __all__ = [
-    "cross_sum",
     "within_sum",
     "cross_rowsum",
     "within_rowsum",
@@ -84,11 +84,6 @@ def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     for lo in range(0, a.shape[0], _CHUNK):
         out[lo : lo + _CHUNK] = block(a[lo : lo + _CHUNK], b).sum(axis=1)
     return out
-
-
-def cross_sum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of d over all (row of a, row of b) pairs."""
-    return math.fsum(cross_rowsum(kernel, a, b))
 
 
 def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:

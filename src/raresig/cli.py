@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -70,7 +69,8 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     A row is dropped when it is blank or shorter than the header, or when
     a selected cell is empty, unparseable or (a feature) non-finite; the
     second return value counts them.  A label must parse to a finite
-    integer in [0, 2**63), else :class:`ValidationError`.
+    integer in [0, 2**63), else :class:`ValidationError`; so is a file
+    that is not UTF-8 text.
 
     A clean body (the rules drop no row and raise nothing) is parsed by
     one ``np.loadtxt`` call; any other body is reparsed row by row,
@@ -78,24 +78,27 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValidationError(f"{path}: missing header row")
-        if label_col not in header:
-            raise ValidationError(
-                f"label column {label_col!r} not found; available: {', '.join(header)}"
-            )
-        label_idx = header.index(label_col)
-        if feature_cols is None:
-            feature_cols = [c for c in header if c != label_col]
-        missing = [c for c in feature_cols if c not in header]
-        if missing:
-            raise ValidationError(f"feature columns not found: {', '.join(missing)}")
-        if not feature_cols:
-            raise ValidationError("no feature columns selected")
-        feat_idx = [header.index(c) for c in feature_cols]
+        try:
+            header = next(reader, None)
+            body = fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8 text") from None
         header_lines = reader.line_num
-        body = fh.read()
+    if not header:
+        raise ValidationError(f"{path}: missing header row")
+    if label_col not in header:
+        raise ValidationError(
+            f"label column {label_col!r} not found; available: {', '.join(header)}"
+        )
+    label_idx = header.index(label_col)
+    if feature_cols is None:
+        feature_cols = [c for c in header if c != label_col]
+    missing = [c for c in feature_cols if c not in header]
+    if missing:
+        raise ValidationError(f"feature columns not found: {', '.join(missing)}")
+    if not feature_cols:
+        raise ValidationError("no feature columns selected")
+    feat_idx = [header.index(c) for c in feature_cols]
 
     parsed = _load_clean(path, header_lines, body, feat_idx, label_idx, len(header))
     reader_name = "vectorised"
@@ -289,24 +292,18 @@ def _emit(data, fmt: str, output: str | None) -> None:
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         for r in rows:
-            writer.writerow(
-                {
-                    k: (f"{v:.12g}" if isinstance(v, float) else v)
-                    for k, v in r.items()
-                }
-            )
+            writer.writerow({k: _fmt(v) for k, v in r.items()})
         text = buf.getvalue().rstrip("\n")
     else:
         raise ValidationError(f"unknown output format {fmt!r}")
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, output)
 
 
-def _scalar_out(value, output: str | None) -> None:
-    text = f"{value:.12g}" if isinstance(value, float) else str(value)
+def _fmt(value):
+    return f"{value:.12g}" if isinstance(value, float) else value
+
+
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -441,10 +438,7 @@ def _int_list(text: str):
 def _global_flags(parser, suppress: bool) -> None:
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--seed", type=int, default=d if suppress else 0)
-    parser.add_argument(
-        "--threads", type=int,
-        default=d if suppress else int(os.environ.get("RARE_SIG_THREADS", "1")),
-    )
+    parser.add_argument("--threads", type=int, default=d if suppress else 1)
     parser.add_argument("--output", default=d,
                         help="write results to this path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"),
@@ -576,11 +570,9 @@ def _dispatch(args) -> None:
     if args.command == "test":
         _emit(_run_test_command(args), args.format, args.output)
     elif args.command == "subsample-plan":
-        from .data import LabeledSample as _LS
-
         x = np.zeros((args.n0 + args.n1, 1))
         labels = np.r_[np.zeros(args.n0, np.int64), np.ones(args.n1, np.int64)]
-        grouped = group_by_label(_LS(x, labels))
+        grouped = group_by_label(LabeledSample(x, labels))
         plan = draw_subsample(grouped, args.s, args.seed, args.min_include)
         _emit(
             {
@@ -605,7 +597,7 @@ def _dispatch(args) -> None:
         else:
             value = select_s_power_gap(args.n1, args.m0, args.m1, args.xi01,
                                        args.xi10, args.mu0, args.alpha, args.epsilon)
-        _scalar_out(value, args.output)
+        _write(str(_fmt(value)), args.output)
     elif args.command == "power":
         if args.calc == "first-order":
             value = power_first_order(args.mu0, args.n1, args.m0, args.m1,
@@ -614,7 +606,7 @@ def _dispatch(args) -> None:
             value = power_highdim(args.mu0, args.n1, args.m1, args.xi02, args.alpha)
         else:
             value = local_power_threshold(args.beta, args.alpha, args.mu_g1, args.xi)
-        _scalar_out(value, args.output)
+        _write(str(_fmt(value)), args.output)
     elif args.command == "simulate":
         _run_simulate(args)
     elif args.command == "bench":

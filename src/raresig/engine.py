@@ -168,7 +168,9 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
 
     ``seed`` only matters for the budgeted path of ``imbalanced_kendall``
     (taken when exact enumeration would exceed the combination guard);
-    that path is flagged in ``meta['budgeted']``.
+    that path is flagged in ``meta['budgeted']``.  The pairwise path keeps
+    ``meta['s00']`` and each case's sum to the controls,
+    ``meta['case_rowsums']``, for the high-dimensional null.
     """
     _check_binary(data)
     _check_sizes(data, kernel)
@@ -184,14 +186,12 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         value, algorithm, meta = _imbalanced_kendall(data, kernel, seed)
     elif kernel.kind in SECOND_ORDER_KINDS:
         x0, x1 = data.group(0), data.group(1)
-        value = _rit_from_sums(
-            n0,
-            n1,
-            2.0 * _accel.within_sum(kernel, x0),
-            _accel.cross_sum(kernel, x1, x0),
-            2.0 * _accel.within_sum(kernel, x1),
-        )
+        s00 = 2.0 * _accel.within_sum(kernel, x0)
+        r = _accel.cross_rowsum(kernel, x1, x0)
+        value = _rit_from_sums(n0, n1, s00, math.fsum(r),
+                               2.0 * _accel.within_sum(kernel, x1))
         algorithm = "pairwise-sums"
+        meta = {"s00": s00, "case_rowsums": r}
     elif kernel.kind == "custom":
         return compute_rit_bruteforce(data, kernel)
     else:

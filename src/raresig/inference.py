@@ -3,10 +3,13 @@
 First-order kernels get a normal null for sqrt(n1) * T with variance
 ``m1^2 * xi01`` (plus ``m0^2 * xi10 / s`` under subsampling);
 second-order kernels in high dimension get a normal null for
-``n1 * T / sqrt(xi02)`` with variance ``m1^2 (m1-1)^2 / 2``.  The
-permutation test covers everything else (notably second-order kernels
-at fixed dimension, whose weighted chi-square null has unknown
-weights).
+``n1 * T / sqrt(xi02)`` with variance ``m1^2 (m1-1)^2 / 2``.  xi02,
+the variance over case pairs of the projection
+h = 2 (D(x) + D(y) - d(x, y) - gamma), does not move with the constant
+gamma, so it reads no control pair; only the condition ratio applies
+gamma, from the statistic's within-control sum.  The permutation test
+covers everything else (notably second-order kernels at fixed
+dimension, whose weighted chi-square null has unknown weights).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from scipy.stats import norm
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
-from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums
+from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
 from .multiclass import estimate_zeta1k, full_statistic
@@ -47,6 +50,10 @@ _PAIR_PROJECTION_SCALE = 2.0
 
 _TINY_P = 5e-324  # keep p-values in (0, 1]
 
+# most cases the pair projection takes: its n1 x n1 arrays, through the
+# condition ratio, peak at about 25 n1^2 bytes (625 MB at the guard)
+PAIR_PROJECTION_GUARD = 5_000
+
 
 @dataclass(frozen=True, eq=False)
 class TestOutcome:
@@ -63,11 +70,6 @@ class TestOutcome:
 def _first_order_only(spec: KernelSpec, what: str) -> None:
     if spec.order != "first":
         raise ValidationError(f"{what} applies to first-order kernels only")
-
-
-def _second_order_only(spec: KernelSpec, what: str) -> None:
-    if spec.order != "second":
-        raise ValidationError(f"{what} applies to second-order kernels only")
 
 
 # ---------------------------------------------------------------------------
@@ -104,42 +106,47 @@ def estimate_xi10(
     return estimate_zeta1k(data, kernel, 0, budget, seed)
 
 
-def _pair_projection_matrix(
-    data: GroupedSample, kernel: KernelSpec, reference: str
-) -> np.ndarray:
-    """Plug-in two-case projection over all case pairs, scaled to the
-    full conditional expectation of the kernel."""
-    _second_order_only(kernel, "the pair projection")
+def _pair_projection(data: GroupedSample, kernel: KernelSpec, case_rowsums=None):
+    """h0[i, j] = 2 (D(x_i) + D(x_j) - d(x_i, x_j)) over case pairs, zero
+    diagonal: the plug-in two-case projection without its constant
+    -2 gamma, with D the mean of d to the controls from each case's sum
+    to them (``case_rowsums``, computed when None).  More than
+    ``PAIR_PROJECTION_GUARD`` cases are refused before any pair is summed.
+    """
+    if kernel.order != "second":
+        raise ValidationError("the pair projection applies to second-order kernels only")
+    n1 = data.counts[1]
+    if n1 < 3:
+        raise DegenerateDataError(
+            "need at least three cases (two give a single pair, no variance)"
+        )
+    if n1 > PAIR_PROJECTION_GUARD:
+        raise ValidationError(f"{n1} cases exceed the pair-projection guard "
+                              f"{PAIR_PROJECTION_GUARD}; use permutation inference")
     cases = data.group(1)
-    ref = data.group(0) if reference == "controls" else np.vstack(data.groups)
-    n_ref = ref.shape[0]
-    d_to_ref = _accel.cross_rowsum(kernel, cases, ref) / n_ref
-    gamma = 2.0 * _accel.within_sum(kernel, ref) / (n_ref * n_ref)
-    pair = _accel.pair_matrix(kernel, cases)
-    h = _PAIR_PROJECTION_SCALE * (d_to_ref[:, None] + d_to_ref[None, :] - pair - gamma)
+    if case_rowsums is None:
+        case_rowsums = _accel.cross_rowsum(kernel, cases, data.group(0))
+    d = case_rowsums / data.counts[0]
+    h = _accel.pair_matrix(kernel, cases)
+    np.subtract(d[:, None] + d[None, :], h, out=h)
+    h *= _PAIR_PROJECTION_SCALE
     np.fill_diagonal(h, 0.0)
     return h
 
 
-def _checked_pair_projection(
-    data: GroupedSample, kernel: KernelSpec, reference: str
-) -> np.ndarray:
-    if reference not in ("controls", "pooled"):
-        raise ValidationError("reference must be 'controls' or 'pooled'")
-    if data.counts[1] < 3:
-        raise DegenerateDataError(
-            "need at least three cases (two give a single pair, no variance)"
-        )
-    return _pair_projection_matrix(data, kernel, reference)
+def _xi02_from(h0: np.ndarray) -> float:
+    return float(h0[~np.tri(h0.shape[0], dtype=bool)].var(ddof=1))
 
 
-def _xi02_from(h: np.ndarray) -> float:
-    iu = np.triu_indices(h.shape[0], k=1)
-    return float(h[iu].var(ddof=1))
-
-
-def _condition_ratio_from(h: np.ndarray) -> float:
-    n1 = h.shape[0]
+def _condition_ratio_from(h0: np.ndarray, gamma: float) -> float:
+    """The condition ratio of the projection h = h0 - 2 gamma (off the
+    diagonal), with gamma the mean of d over all n0^2 ordered control
+    pairs.  ``h0`` is shifted in place into h, so that one n1 x n1
+    projection is live."""
+    n1 = h0.shape[0]
+    h = h0
+    h -= _PAIR_PROJECTION_SCALE * gamma
+    np.fill_diagonal(h, 0.0)
     off = ~np.eye(n1, dtype=bool)
     eh2 = float((h[off] ** 2).mean())
     eh4 = float((h[off] ** 4).mean())
@@ -150,29 +157,34 @@ def _condition_ratio_from(h: np.ndarray) -> float:
     return (eg2 + eh4 / n1) / (eh2 * eh2)
 
 
-def estimate_xi02(
-    data: GroupedSample, kernel: KernelSpec, reference: str = "controls"
-) -> float:
-    """Variance over case pairs of the plug-in two-case projection.
-
-    ``reference`` selects the rows the projection integrates over:
-    ``"controls"`` (default; they dominate the data and share the case
-    law under the null) or ``"pooled"``.
-    """
-    return _xi02_from(_checked_pair_projection(data, kernel, reference))
+def _highdim_summary(data: GroupedSample, kernel: KernelSpec, stat: RitStatistic):
+    """``(xi02, condition ratio)`` from the pair sums that ``stat``, the
+    pairwise statistic of ``data``, keeps."""
+    h0 = _pair_projection(data, kernel, stat.meta["case_rowsums"])
+    xi02 = _xi02_from(h0)
+    return xi02, _condition_ratio_from(h0, stat.meta["s00"] / data.counts[0] ** 2)
 
 
-def condition_diagnostic(
-    data: GroupedSample, kernel: KernelSpec, reference: str = "controls"
-) -> float:
+def estimate_xi02(data: GroupedSample, kernel: KernelSpec) -> float:
+    """Variance over case pairs of the plug-in two-case projection,
+    integrated over the controls (they dominate the data and share the
+    case law under the null).  It reads no control pair: O(p n0 n1 +
+    p n1^2)."""
+    return _xi02_from(_pair_projection(data, kernel))
+
+
+def condition_diagnostic(data: GroupedSample, kernel: KernelSpec) -> float:
     """Plug-in estimate of the high-dimensional CLT condition ratio.
 
     Small values support the normal null used by
     :func:`pvalue_asymptotic_highdim`; the ratio is
     ``(E[G^2] + E[h^4]/n1) / E[h^2]^2`` with
     ``G(x,y) = E[h(X,x) h(X,y)]``, all moments taken over case pairs.
+    It reads the pair sums of :func:`raresig.engine.compute_rit`.
     """
-    return _condition_ratio_from(_checked_pair_projection(data, kernel, reference))
+    if kernel.kind not in SECOND_ORDER_KINDS:
+        raise ValidationError(f"{kernel.kind} has no pair function")
+    return _highdim_summary(data, kernel, compute_rit(data, kernel))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,8 @@ from .data import LabeledSample, group_by_label, presort
 from .errors import DegenerateDataError, ValidationError
 from .inference import (
     TestOutcome,
-    _checked_pair_projection,
-    _condition_ratio_from,
+    _highdim_summary,
     _two_sided_p,
-    _xi02_from,
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
@@ -134,13 +132,12 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             else _kept_statistic(data, kernel, plan))
 
     if inference == "highdim":
-        h = _checked_pair_projection(data, kernel, "controls")
-        ratio = _condition_ratio_from(h)
+        xi02, ratio = _highdim_summary(data, kernel, stat)
         warnings.append(
             f"high-dimensional normality diagnostic ratio {ratio:.3g} "
             "(values near zero support the normal null)"
         )
-        out = pvalue_asymptotic_highdim(stat, _xi02_from(h))
+        out = pvalue_asymptotic_highdim(stat, xi02)
     else:
         # one zeta per block (the control block only enters under bit)
         zetas = [

@@ -10,6 +10,7 @@ worker count or execution order.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -296,19 +297,20 @@ def run_erp(
     """Monte Carlo rejection rate at the scenario's level.
 
     Per-replication seeding makes the count independent of ``threads``.
+    At most ``min(threads, M, os.cpu_count())`` worker processes run.
     """
     t0 = time.perf_counter()
     m = scenario.M
-    if threads <= 1:
+    workers = min(threads, m, os.cpu_count() or 1)
+    if workers <= 1:
         rejected = _erp_chunk((scenario, method, 0, m))
     else:
-        bounds = np.linspace(0, m, threads + 1).astype(int)
+        bounds = np.linspace(0, m, workers + 1).astype(int)
         chunks = [
             (scenario, method, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rejected = sum(pool.map(_erp_chunk, chunks))
     erp = rejected / m
     return ErpReport(

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raresig import DegenerateDataError, RaresigError, ValidationError, cli
+from raresig import DegenerateDataError, RaresigError, ValidationError, _accel, cli
+from raresig.inference import PAIR_PROJECTION_GUARD
 from raresig.cli import _emit, ingest_csv, main
 from raresig.pipeline import MethodConfig, run_test
 
@@ -93,6 +94,20 @@ def test_ingest_unrepresentable_label_is_a_validation_error(tmp_path, capsys, ce
         ingest_csv(path, "label")
     assert main(["test", "--input", path]) == 2
     assert repr(cell) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_ingest_non_utf8_file_is_a_validation_error(tmp_path, capsys, where):
+    # a Latin-1 byte in the header, or past the first read buffer of the body
+    body = "".join(f"{i % 2},{i}.5\n" for i in range(4000)).encode()
+    text = (b"label,caf\xe9\n" + body if where == "header"
+            else b"label,x\n" + body + b"1,caf\xe9\n")
+    path = tmp_path / "latin.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValidationError, match="latin.csv: not valid UTF-8"):
+        ingest_csv(str(path), "label")
+    assert main(["test", "--input", str(path)]) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -321,6 +336,27 @@ def test_run_test_multiclass(tmp_path, capsys):
 
 def test_cli_test_rejects_removed_alpha_flag(separated_csv, capsys):
     assert main(["test", "--input", separated_csv, "--alpha", "0.5"]) == 2
+
+
+def test_threads_environment_variable_is_not_read(separated_csv, capsys, monkeypatch):
+    # --threads is the one way to set the worker count
+    monkeypatch.setenv("RARE_SIG_THREADS", "abc")
+    result = _test_json(capsys, "--input", separated_csv, "--kernel", "kendall",
+                        "--inference", "permutation", "--B", "99")
+    assert result["statistic"] == 1.0
+
+
+def test_highdim_refuses_more_cases_than_the_guard(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(4)
+    rows = [[f"{v:.4f}", 0] for v in rng.standard_normal(10)]
+    rows += [[f"{v:.4f}", 1] for v in rng.standard_normal(PAIR_PROJECTION_GUARD + 1)]
+    path = _write_csv(tmp_path / "many.csv", ["x", "label"], rows)
+    built = []
+    monkeypatch.setattr(_accel, "pair_matrix", lambda *a: built.append(a))
+    argv = ["test", "--input", path, "--kernel", "dcov", "--inference", "highdim"]
+    assert main(argv) == 2
+    assert "pair-projection guard" in capsys.readouterr().err
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.stats import norm
 
 from raresig import (
@@ -30,7 +30,8 @@ from raresig import (
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
-from raresig import inference
+from raresig import _accel, inference
+from raresig._accel import angle_embed
 from raresig.simulate import MethodConfig, ScenarioSpec, run_erp
 
 
@@ -110,13 +111,13 @@ def test_xi02_stable_across_draws():
 
 
 def test_xi02_pooled_reference_option():
+    # the projection integrates over the controls only; there is no
+    # reference option
     rng = np.random.default_rng(6)
     g = _grouped(100, 20, rng, p=5)
-    a = estimate_xi02(g, dcov_kernel(), reference="controls")
-    b = estimate_xi02(g, dcov_kernel(), reference="pooled")
-    assert a > 0 and b > 0 and a != b
-    with pytest.raises(ValidationError):
-        estimate_xi02(g, dcov_kernel(), reference="cases")
+    assert estimate_xi02(g, dcov_kernel()) > 0
+    with pytest.raises(TypeError):
+        estimate_xi02(g, dcov_kernel(), reference="pooled")
     assert estimate_xi02(g, ipcov_kernel()) > 0
 
 
@@ -129,14 +130,93 @@ def test_condition_diagnostic_positive_and_finite():
 
 def test_condition_diagnostic_rejects_unknown_reference():
     g = _grouped(100, 20, np.random.default_rng(6), p=5)
-    with pytest.raises(ValidationError, match="reference"):
-        condition_diagnostic(g, dcov_kernel(), reference="bogus")
+    with pytest.raises(TypeError):
+        condition_diagnostic(g, dcov_kernel(), reference="controls")
 
 
 def test_condition_diagnostic_single_pair_errors():
     g = _grouped(20, 2, np.random.default_rng(5), p=2)
     with pytest.raises(DegenerateDataError, match="single pair"):
         condition_diagnostic(g, dcov_kernel())
+
+
+def test_pair_projection_guard_refuses_before_summing(monkeypatch):
+    g = _grouped(10, inference.PAIR_PROJECTION_GUARD + 1, np.random.default_rng(8))
+    calls = []
+    monkeypatch.setattr(_accel, "pair_matrix", lambda *a: calls.append("pair_matrix"))
+    monkeypatch.setattr(_accel, "cross_rowsum", lambda *a: calls.append("cross_rowsum"))
+    with pytest.raises(ValidationError, match="guard"):
+        estimate_xi02(g, dcov_kernel())
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(_accel, "pair_matrix", lambda *a: calls.append("pair_matrix"))
+    with pytest.raises(ValidationError, match="guard"):
+        condition_diagnostic(g, dcov_kernel())
+    assert calls == []
+
+
+# angle_embed rows with c_sigma2 = 0.7 for ipcov; an angle near 0 is
+# only good to ~1e-8 absolute (see test_accel.ANGLE_ATOL)
+C_SIGMA2 = 0.7
+ANGLE_ATOL = 1e-7
+
+
+def _dense_pairs(kind, a, b):
+    if kind == "dcov":
+        return cdist(a, b)
+    u, v = angle_embed(a, C_SIGMA2), angle_embed(b, C_SIGMA2)
+    return np.arccos(np.clip(u @ v.T, -1.0, 1.0))
+
+
+@st.composite
+def projection_samples(draw):
+    n0 = draw(st.sampled_from((2, 5, 40, 513)))
+    n1 = draw(st.sampled_from((3, 4, 9)))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n0 + n1, p))
+    x[n0:] *= draw(st.sampled_from((1.0, 3.0)))
+    if draw(st.booleans()):
+        x = np.round(x, 1)  # ties
+    if draw(st.booleans()):
+        src = rng.integers(0, n0 + n1, size=(n0 + n1) // 2)
+        x[rng.integers(0, n0 + n1, size=src.size)] = x[src]  # duplicate rows
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, p - 1))] = 3.0  # constant column
+    if draw(st.booleans()):
+        x[:, 0] += 1e8
+    labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
+    return group_by_label(LabeledSample(x, labels))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("dcov", "ipcov")), projection_samples())
+def test_xi02_and_condition_ratio_match_dense_reference(kind, g):
+    kernel = dcov_kernel() if kind == "dcov" else ipcov_kernel(C_SIGMA2)
+    controls, cases = g.group(0), g.group(1)
+    n1 = cases.shape[0]
+    within = _dense_pairs(kind, controls, controls)
+    np.fill_diagonal(within, 0.0)
+    big_d = _dense_pairs(kind, cases, controls).mean(axis=1)
+    h = 2.0 * (big_d[:, None] + big_d[None, :] - _dense_pairs(kind, cases, cases)
+               - within.mean())
+    np.fill_diagonal(h, 0.0)
+    off = ~np.eye(n1, dtype=bool)
+    eh2 = (h[off] ** 2).mean()
+    want_xi02 = h[np.triu_indices(n1, k=1)].var(ddof=1)
+    # error of one projection entry: rounding, plus four angles for ipcov
+    scale = np.abs(h).max()
+    dh = 1e-13 * scale + (8 * ANGLE_ATOL if kind == "ipcov" else 0.0)
+    assert_allclose(estimate_xi02(g, kernel), want_xi02, rtol=1e-12,
+                    atol=4 * scale * dh + dh * dh)
+    try:
+        ratio = condition_diagnostic(g, kernel)
+    except DegenerateDataError:
+        assert eh2 <= dh * dh
+        return
+    big_g = np.einsum("ik,kj->ij", h, h) / n1
+    want_ratio = ((big_g[off] ** 2).mean() + (h[off] ** 4).mean() / n1) / eh2**2
+    assert_allclose(ratio, want_ratio, rtol=1e-12 + 50 * scale * dh / eh2)
 
 
 # ---------------------------------------------------------------------------

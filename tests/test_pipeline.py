@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from raresig import LabeledSample, ValidationError, group_by_label
-from raresig import inference as inference_mod
-from raresig import pipeline, subsample
+from raresig import _accel, pipeline, subsample
 from raresig.cli import main
 from raresig.engine import compute_rit
 from raresig.inference import condition_diagnostic, estimate_xi02
@@ -163,25 +162,45 @@ def test_control_zeta_only_under_subsampling(monkeypatch):
 
 
 def test_highdim_builds_the_pair_projection_once(monkeypatch):
+    # the statistic, xi02 and the condition ratio share one pass over the
+    # control pairs and one over the case-to-control pairs
     sample = _sample("vector")
-    calls = []
-    original = inference_mod._pair_projection_matrix
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(inference_mod, "_pair_projection_matrix", counting)
-    out = run_test(sample, MethodConfig(kernel="dcov", inference="highdim"), SEED)
-    assert len(calls) == 1
-    monkeypatch.undo()
     grouped = group_by_label(sample)
-    assert out.variance_estimate == estimate_xi02(grouped, dcov_kernel())
-    ratio = condition_diagnostic(grouped, dcov_kernel())
-    assert out.metadata["warnings"] == [
-        f"high-dimensional normality diagnostic ratio {ratio:.3g} "
-        "(values near zero support the normal null)"
-    ]
+    within, cross = [], []
+    within_sum, cross_rowsum = _accel.within_sum, _accel.cross_rowsum
+
+    def counting_within(kernel, a):
+        within.append(a)
+        return within_sum(kernel, a)
+
+    def counting_cross(kernel, a, b):
+        cross.append(b)
+        return cross_rowsum(kernel, a, b)
+
+    monkeypatch.setattr(_accel, "within_sum", counting_within)
+    monkeypatch.setattr(_accel, "cross_rowsum", counting_cross)
+    for kind, s in itertools.product(SECOND_ORDER, (None, 3)):
+        kernel = kernel_from_name(kind)
+        data = (grouped if s is None
+                else subsample._draw_test_plan(grouped, kernel, s, SEED)[1])
+        within.clear()
+        cross.clear()
+        method = MethodConfig(kernel=kind, mode="bit" if s else "rit", s=s,
+                              inference="highdim")
+        out = run_test(sample, method, SEED)
+        assert sum(np.array_equal(a, data.group(0)) for a in within) == 1
+        assert len(within) == 2 and len(cross) == 1
+        within.clear()
+        cross.clear()
+        assert out.variance_estimate == estimate_xi02(data, kernel)
+        assert within == [] and len(cross) == 1
+        ratio = condition_diagnostic(data, kernel)
+        assert out.metadata["warnings"][-1] == (
+            f"high-dimensional normality diagnostic ratio {ratio:.3g} "
+            "(values near zero support the normal null)"
+        )
+    out = run_test(sample, MethodConfig(kernel="dcov", inference="highdim"), SEED)
+    assert len(out.metadata["warnings"]) == 1
 
 
 def test_auto_fallback_applies_to_the_harness():

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from raresig import ValidationError
+from raresig import ValidationError, simulate
 from raresig.kernels import kernel_from_name
 from raresig.simulate import (
     MethodConfig,
@@ -109,6 +110,40 @@ def test_run_erp_deterministic_and_thread_invariant():
     assert_allclose(
         serial.mc_se, math.sqrt(serial.erp * (1 - serial.erp) / 40), atol=1e-15
     )
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    ``map`` in this process, so no worker is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_run_erp_caps_the_worker_processes(monkeypatch):
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    _InlineExecutor.sizes = []
+    scenario = ScenarioSpec("first_order_eg1", n=500, n1=20, M=3, seed=11)
+    method = MethodConfig(kernel="kendall", mode="rit", xi_basis="controls")
+    serial = run_erp(scenario, method, threads=1)
+    assert _InlineExecutor.sizes == []
+    # min(threads, M, cpu_count): M = 3 bounds a huge thread count
+    assert run_erp(scenario, method, threads=5000).rejected == serial.rejected
+    assert run_erp(replace(scenario, M=9), method, threads=5000).reps == 9
+    assert run_erp(scenario, method, threads=2).rejected == serial.rejected
+    assert _InlineExecutor.sizes == [3, 4, 2]
 
 
 def test_run_erp_null_size_sane():
