@@ -46,8 +46,6 @@ from .kernels import (
 from .multiclass import (
     MultiClassSpec,
     block_projection,
-    compute_multi_rit,
-    compute_multi_rit_bruteforce,
     estimate_zeta1k,
     multi_asymptotic_variance,
     multi_second_order_variance,

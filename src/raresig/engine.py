@@ -1,32 +1,36 @@
 """Full-sample rescaled statistics and the classical pooled baselines.
 
 ``compute_rit`` evaluates the combinatorial average of a kernel over
-all control/case index combinations through the cheapest exact route:
-group means for the difference kernel (O(n)), order statistics for the
-sign kernel (O(n log n)), enumeration or a documented budgeted
+all per-class index combinations, for one control class and any number
+K of rare classes (the binary test is K = 1), through the cheapest exact
+route: group means for the difference kernel (O(n)), order statistics
+for the sign kernels (O(n log n); ``multi_kendall`` sums one sign
+statistic per rare class), enumeration or a documented budgeted
 subsample for the m-control sign kernel, and pairwise distance/angle
 sums for the second-order kernels (O(p n^2), streaming memory).
 ``compute_rit_bruteforce`` is the literal definition and serves as the
-oracle in tests.  ``compute_classical`` produces the unrescaled pooled
-statistics used as baselines; each has its own formula (the pairwise
-ones read the same pair sums as the rescaled statistic), so the two can
-be checked against each other.  ``_pair_sum_statistic`` evaluates
-either pairwise formula under relabelings of one pooled sample, which
-is what the permutation nulls iterate over.
+oracle in tests; a ``custom`` kernel always takes it.
+``compute_classical`` produces the unrescaled pooled statistics used as
+baselines; each has its own formula (the pairwise ones read the same
+pair sums as the rescaled statistic), so the two can be checked against
+each other.  ``_pair_sum_statistic`` evaluates either pairwise formula
+under relabelings of one pooled sample, which is what the permutation
+nulls iterate over.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
 from .errors import DegenerateDataError, ValidationError
-from .kernels import SECOND_ORDER_KINDS, KernelSpec, evaluate, kernel_from_name
+from .kernels import (SCALAR_KINDS, SECOND_ORDER_KINDS, KernelSpec, evaluate,
+                      kernel_from_name)
 from .rng import spawn_rng
 
 __all__ = ["RitStatistic", "compute_rit", "compute_rit_bruteforce", "compute_classical"]
@@ -53,13 +57,6 @@ class RitStatistic:
             raise ValidationError("statistic is not finite")
 
 
-def _check_binary(data: GroupedSample) -> None:
-    if data.n_classes != 2:
-        raise ValidationError(
-            "this engine handles one rare class; use the multiclass module"
-        )
-
-
 def _check_sizes(data: GroupedSample, spec: KernelSpec) -> None:
     if spec.n_blocks != data.n_classes:
         raise ValidationError(
@@ -70,8 +67,7 @@ def _check_sizes(data: GroupedSample, spec: KernelSpec) -> None:
             raise DegenerateDataError(
                 f"class {k} has {data.counts[k]} rows, kernel needs {m}"
             )
-    if spec.kind in ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall",
-                     "multi_kendall") and data.p != 1:
+    if spec.kind in SCALAR_KINDS and data.p != 1:
         raise ValidationError(f"{spec.kind} requires scalar features (p=1)")
 
 
@@ -84,7 +80,7 @@ def sign_counts(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return less - greater
 
 
-def kendall_cross_mean(data: GroupedSample, k: int = 1) -> float:
+def kendall_cross_mean(data: GroupedSample, k: int) -> float:
     """Mean of sgn(x - control) over every class-k row x and every
     control (ties count 0)."""
     ctrl = data.sorted_column(0)
@@ -164,23 +160,24 @@ def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
 
 
 def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitStatistic:
-    """Exact rescaled statistic via the fastest path for the kernel.
+    """Exact rescaled statistic of any kernel, at any number of rare
+    classes, via the fastest path for the kernel.
 
     ``seed`` only matters for the budgeted path of ``imbalanced_kendall``
     (taken when exact enumeration would exceed the combination guard);
     that path is flagged in ``meta['budgeted']``.  The pairwise path keeps
     ``meta['s00']`` and each case's sum to the controls,
-    ``meta['case_rowsums']``, for the high-dimensional null.
+    ``meta['case_rowsums']``, for the high-dimensional null.  A
+    ``custom`` kernel is enumerated (:func:`compute_rit_bruteforce`).
     """
-    _check_binary(data)
     _check_sizes(data, kernel)
     n0, n1 = data.counts[0], data.counts[1]
     meta: dict = {}
     if kernel.kind == "rescaled_pearson":
         value = float(data.group(1)[:, 0].mean() - data.group(0)[:, 0].mean())
         algorithm = "group-means"
-    elif kernel.kind == "rescaled_kendall":
-        value = kendall_cross_mean(data)
+    elif kernel.kind in ("rescaled_kendall", "multi_kendall"):
+        value = math.fsum(kendall_cross_mean(data, k) for k in range(1, data.n_classes))
         algorithm = "sort-count"
     elif kernel.kind == "imbalanced_kendall":
         value, algorithm, meta = _imbalanced_kendall(data, kernel, seed)
@@ -200,28 +197,23 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
 
 
 def compute_rit_bruteforce(data: GroupedSample, kernel: KernelSpec) -> RitStatistic:
-    """Literal sum over all index combinations (test oracle).
+    """Literal sum over every per-class index combination (test oracle).
 
     Refuses instances with more than ``BRUTE_FORCE_GUARD`` combinations.
     """
-    _check_binary(data)
     _check_sizes(data, kernel)
-    n0, n1 = data.counts
-    m0, m1 = kernel.m0, kernel.m1
-    count = math.comb(n0, m0) * math.comb(n1, m1)
+    blocks = list(zip(data.counts, kernel.block_orders))
+    count = math.prod(math.comb(n, m) for n, m in blocks)
     if count > BRUTE_FORCE_GUARD:
         raise ValidationError(
             f"{count} combinations exceed the brute-force guard {BRUTE_FORCE_GUARD}"
         )
-    x0, x1 = data.group(0), data.group(1)
-    vals = [
-        evaluate(kernel, [x0[list(i0)], x1[list(i1)]])
-        for i0 in combinations(range(n0), m0)
-        for i1 in combinations(range(n1), m1)
-    ]
-    return RitStatistic(
-        math.fsum(vals) / count, kernel, kernel.order, n0, n1, "bruteforce"
+    total = math.fsum(
+        evaluate(kernel, [data.group(k)[list(idx)] for k, idx in enumerate(combo)])
+        for combo in product(*(combinations(range(n), m) for n, m in blocks))
     )
+    return RitStatistic(total / count, kernel, kernel.order, data.counts[0],
+                        data.counts[1], "bruteforce")
 
 
 # ---------------------------------------------------------------------------

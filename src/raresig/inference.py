@@ -1,8 +1,10 @@
 """Variance estimation, null distributions, and power calculators.
 
-First-order kernels get a normal null for sqrt(n1) * T with variance
-``m1^2 * xi01`` (plus ``m0^2 * xi10 / s`` under subsampling);
-second-order kernels in high dimension get a normal null for
+First-order kernels get a normal null for sqrt(n1) * T; its variance,
+sum_k m_k^2 zeta_k / r_k over the rare classes (plus m_0^2 zeta_0 / s
+under subsampling), is :func:`raresig.multiclass.multi_asymptotic_variance`,
+which reduces to m1^2 xi01 (plus m0^2 xi10 / s) for one rare class.
+Second-order kernels in high dimension get a normal null for
 ``n1 * T / sqrt(xi02)`` with variance ``m1^2 (m1-1)^2 / 2``.  xi02,
 the variance over case pairs of the projection
 h = 2 (D(x) + D(y) - d(x, y) - gamma), does not move with the constant
@@ -25,7 +27,7 @@ from .data import GroupedSample, LabeledSample, group_by_label
 from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
-from .multiclass import estimate_zeta1k, full_statistic
+from .multiclass import estimate_zeta1k
 from .rng import spawn_rng
 from .subsample import _draw_test_plan
 
@@ -106,6 +108,14 @@ def estimate_xi10(
     return estimate_zeta1k(data, kernel, 0, budget, seed)
 
 
+def _check_pair_guard(n1: int) -> None:
+    """Refuse more than ``PAIR_PROJECTION_GUARD`` cases, before any pair
+    sum of a high-dimensional null is taken."""
+    if n1 > PAIR_PROJECTION_GUARD:
+        raise ValidationError(f"{n1} cases exceed the pair-projection guard "
+                              f"{PAIR_PROJECTION_GUARD}; use permutation inference")
+
+
 def _pair_projection(data: GroupedSample, kernel: KernelSpec, case_rowsums=None):
     """h0[i, j] = 2 (D(x_i) + D(x_j) - d(x_i, x_j)) over case pairs, zero
     diagonal: the plug-in two-case projection without its constant
@@ -120,9 +130,7 @@ def _pair_projection(data: GroupedSample, kernel: KernelSpec, case_rowsums=None)
         raise DegenerateDataError(
             "need at least three cases (two give a single pair, no variance)"
         )
-    if n1 > PAIR_PROJECTION_GUARD:
-        raise ValidationError(f"{n1} cases exceed the pair-projection guard "
-                              f"{PAIR_PROJECTION_GUARD}; use permutation inference")
+    _check_pair_guard(n1)
     cases = data.group(1)
     if case_rowsums is None:
         case_rowsums = _accel.cross_rowsum(kernel, cases, data.group(0))
@@ -184,6 +192,7 @@ def condition_diagnostic(data: GroupedSample, kernel: KernelSpec) -> float:
     """
     if kernel.kind not in SECOND_ORDER_KINDS:
         raise ValidationError(f"{kernel.kind} has no pair function")
+    _check_pair_guard(data.counts[1])
     return _highdim_summary(data, kernel, compute_rit(data, kernel))[1]
 
 
@@ -196,40 +205,20 @@ def _two_sided_p(z_abs: float) -> float:
     return max(2.0 * float(norm.sf(z_abs)), _TINY_P)
 
 
-def pvalue_asymptotic_first(
-    stat: RitStatistic,
-    xi01: float,
-    s: int | None = None,
-    xi10: float | None = None,
-) -> TestOutcome:
-    """Two-sided normal p-value for sqrt(n1) * T.
-
-    Variance is ``m1^2 * xi01`` for the full-sample statistic; pass the
-    sampling ratio ``s`` and ``xi10`` for the subsampled one.
-    """
+def pvalue_asymptotic_first(stat: RitStatistic, variance: float) -> TestOutcome:
+    """Two-sided normal p-value for sqrt(n1) * T with asymptotic variance
+    ``variance``, for one rare class or several
+    (:func:`raresig.multiclass.multi_asymptotic_variance`)."""
     if stat.order != "first":
         raise ValidationError("asymptotic_first applies to first-order kernels only")
-    if xi01 <= 0:
+    if variance <= 0:
         raise DegenerateDataError(
-            "degenerate: xi01 <= 0; use permutation or the second-order path"
+            "degenerate: variance <= 0; use permutation or the second-order path"
         )
-    m0, m1 = stat.kernel.m0, stat.kernel.m1
-    var = m1 * m1 * xi01
-    if s is not None:
-        if xi10 is None:
-            raise ValidationError("subsampled inference needs xi10")
-        var += m0 * m0 * xi10 / s
     scaled = math.sqrt(stat.n1) * stat.value
-    p = _two_sided_p(abs(scaled) / math.sqrt(var))
-    return TestOutcome(
-        stat.value,
-        scaled,
-        var,
-        p,
-        "asymptotic_first",
-        {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1, "s": s,
-         "xi01": xi01, "xi10": xi10},
-    )
+    p = _two_sided_p(abs(scaled) / math.sqrt(variance))
+    return TestOutcome(stat.value, scaled, variance, p, "asymptotic_first",
+                       {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1})
 
 
 def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
@@ -272,7 +261,7 @@ def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.n
 def _regroup_statistic(pool: LabeledSample, kernel: KernelSpec):
     """``labels -> statistic`` that regroups the rows of ``pool`` and
     recomputes the full-sample statistic on them."""
-    return lambda y: full_statistic(group_by_label(pool.with_labels(y)), kernel).value
+    return lambda y: compute_rit(group_by_label(pool.with_labels(y)), kernel).value
 
 
 def _thinned_pool(

@@ -39,9 +39,9 @@ __all__ = [
     "evaluate",
 ]
 
-FIRST_ORDER_KINDS = ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall")
 SECOND_ORDER_KINDS = ("rescaled_dcov", "rescaled_ipcov")
-SCALAR_KINDS = FIRST_ORDER_KINDS  # these require p == 1
+# these require p == 1
+SCALAR_KINDS = ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall", "multi_kendall")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,39 +1,32 @@
-"""Statistics for several rare classes against one control class.
+"""The asymptotic theory of the statistic with several rare classes
+against one control class; the binary test is its K = 1 case.
 
-The statistic averages a (K+1)-block kernel over per-class index
-combinations; with one rare class it reduces exactly to the binary
-engine.  The built-in ``multi_kendall`` kernel sums the pairwise sign
-comparisons of each rare class against the controls, which makes the
-generic machinery concretely testable; arbitrary kernels go through
-enumeration.
+:class:`MultiClassSpec` holds the class structure (block orders, size
+ratios and the asymptotic regime).  :func:`multi_asymptotic_variance` is
+the one first-order variance formula, for any K and with or without
+control subsampling, and :func:`multi_second_order_variance` the report
+for a degenerate kernel.  :func:`block_projection` is the kernel's
+projection onto one observation of any block, and
+:func:`estimate_zeta1k` its variance.  The statistic itself, at any K,
+is :func:`raresig.engine.compute_rit`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .data import GroupedSample
-from .engine import (
-    BRUTE_FORCE_GUARD,
-    RitStatistic,
-    _check_sizes,
-    _distinct_tuples,
-    compute_rit,
-    kendall_cross_mean,
-    sign_counts,
-)
+from .engine import _check_sizes, _distinct_tuples, sign_counts
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec, evaluate
 from .rng import spawn_rng
 
 __all__ = [
     "MultiClassSpec",
-    "compute_multi_rit",
-    "compute_multi_rit_bruteforce",
     "multi_asymptotic_variance",
     "multi_second_order_variance",
     "block_projection",
@@ -89,76 +82,6 @@ class MultiClassSpec:
             else "comparable_rare"
         )
         return cls(k, orders, ratios, regime)
-
-
-def is_multiclass(kernel: KernelSpec) -> bool:
-    """Whether ``kernel`` takes the multi-class statistic and variances
-    (more than two blocks, or ``multi_kendall`` at any K)."""
-    return kernel.n_blocks > 2 or kernel.kind == "multi_kendall"
-
-
-def full_statistic(
-    data: GroupedSample, kernel: KernelSpec, seed: int = 0
-) -> RitStatistic:
-    """The full-sample statistic of any kernel: :func:`compute_multi_rit`
-    for a multi-class kernel, else :func:`raresig.engine.compute_rit`
-    (``seed`` only reaches its budgeted path)."""
-    if is_multiclass(kernel):
-        return compute_multi_rit(data, kernel)
-    return compute_rit(data, kernel, seed=seed)
-
-
-def compute_multi_rit(data: GroupedSample, kernel: KernelSpec) -> RitStatistic:
-    """Combinatorial kernel average over all per-class combinations.
-
-    ``multi_kendall`` runs in O(n log n) as a sum of per-class sign
-    statistics; other kernels enumerate (guarded).  With one rare class
-    the result matches the binary engine exactly.
-    """
-    _check_sizes(data, kernel)
-    if kernel.kind != "multi_kendall":
-        return compute_multi_rit_bruteforce(data, kernel)
-    value = math.fsum(kendall_cross_mean(data, k) for k in range(1, data.n_classes))
-    return RitStatistic(
-        value,
-        kernel,
-        kernel.order,
-        data.counts[0],
-        data.counts[1],
-        "sort-count",
-        {"counts": data.counts},
-    )
-
-
-def compute_multi_rit_bruteforce(
-    data: GroupedSample, kernel: KernelSpec
-) -> RitStatistic:
-    """Literal enumeration over every per-class index combination."""
-    _check_sizes(data, kernel)
-    count = 1
-    for k, m in enumerate(kernel.block_orders):
-        count *= math.comb(data.counts[k], m)
-    if count > BRUTE_FORCE_GUARD:
-        raise ValidationError(
-            f"{count} combinations exceed the brute-force guard {BRUTE_FORCE_GUARD}"
-        )
-    per_class = [
-        list(combinations(range(data.counts[k]), kernel.block_orders[k]))
-        for k in range(data.n_classes)
-    ]
-    vals = [
-        evaluate(kernel, [data.group(k)[list(idx)] for k, idx in enumerate(combo)])
-        for combo in product(*per_class)
-    ]
-    return RitStatistic(
-        math.fsum(vals) / count,
-        kernel,
-        kernel.order,
-        data.counts[0],
-        data.counts[1],
-        "bruteforce",
-        {"counts": data.counts},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,25 +18,21 @@ harness call it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .data import LabeledSample, group_by_label, presort
+from .engine import compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .inference import (
     TestOutcome,
+    _check_pair_guard,
     _highdim_summary,
-    _two_sided_p,
+    pvalue_asymptotic_first,
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
 from .kernels import kernel_from_name
-from .multiclass import (
-    MultiClassSpec,
-    estimate_zeta1k,
-    full_statistic,
-    multi_asymptotic_variance,
-)
+from .multiclass import MultiClassSpec, estimate_zeta1k, multi_asymptotic_variance
 from .rng import spawn_seed
 from .subsample import _draw_test_plan, _kept_statistic
 
@@ -128,8 +124,9 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     if kernel.kind in ("rescaled_kendall", "multi_kendall"):
         # the statistic and every zeta_k share one sort per class
         data = presort(data)
-    stat = (full_statistic(data, kernel) if plan is None
-            else _kept_statistic(data, kernel, plan))
+    if inference == "highdim":
+        _check_pair_guard(data.counts[1])
+    stat = compute_rit(data, kernel) if plan is None else _kept_statistic(data, kernel, plan)
 
     if inference == "highdim":
         xi02, ratio = _highdim_summary(data, kernel, stat)
@@ -165,10 +162,8 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             )
             out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
             return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
-        scaled = math.sqrt(stat.n1) * stat.value
-        p = _two_sided_p(abs(scaled) / math.sqrt(var))
-        meta = {"kernel": kernel.kind, "n0": stat.n0, "n1": stat.n1, "zetas": zetas}
-        out = TestOutcome(stat.value, scaled, var, p, "asymptotic_first", meta)
+        out = pvalue_asymptotic_first(stat, var)
+        out = replace(out, metadata={**out.metadata, "zetas": zetas})
 
     if stat.meta.get("budgeted"):
         warnings.append(

@@ -21,10 +21,10 @@ import numpy as np
 from scipy.stats import norm
 
 from .data import GroupedSample
-from .engine import RitStatistic
+from .engine import RitStatistic, _check_sizes, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
-from .multiclass import MultiClassSpec, full_statistic, is_multiclass
+from .multiclass import MultiClassSpec
 from .rng import spawn_rng, spawn_seed
 
 __all__ = [
@@ -114,10 +114,13 @@ def _kept_sample(
     data: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan
 ) -> GroupedSample:
     """The cases and the controls ``plan`` keeps: the rows every
-    subsampled quantity reads.  Refuses a plan that keeps fewer than m0
-    controls, and for a multi-class kernel rare-class sizes outside the
-    comparable regime, the only one the subsampled variance covers."""
-    if is_multiclass(kernel):
+    subsampled quantity reads.  Refuses a kernel that does not fit the
+    data (see :func:`raresig.engine.compute_rit`), a plan that keeps
+    fewer than m0 controls, and with several rare classes sizes outside
+    the comparable regime, the only one the subsampled variance covers
+    (one rare class is always comparable)."""
+    _check_sizes(data, kernel)
+    if data.n_classes > 2:
         spec = MultiClassSpec.from_grouped(data, kernel.block_orders)
         if spec.regime != "comparable_rare":
             raise ValidationError(
@@ -135,7 +138,7 @@ def _kept_statistic(
     kept: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan, seed: int = 0
 ) -> RitStatistic:
     """The subsampled statistic from the rows of :func:`_kept_sample`."""
-    base = full_statistic(kept, kernel, seed=seed)
+    base = compute_rit(kept, kernel, seed=seed)
     n1 = kept.counts[1]
     meta = {**base.meta, "s": plan.s, "realized_count": plan.realized_count,
             "expected_count": plan.s * n1}

@@ -19,7 +19,6 @@ from raresig import (
     LabeledSample,
     compute_bit,
     compute_classical,
-    compute_multi_rit,
     compute_rit,
     compute_rit_bruteforce,
     dcov_kernel,
@@ -343,7 +342,7 @@ def test_criterion_9_multiclass_reduction_and_size():
     labels = np.r_[np.zeros(300, np.int64), np.ones(40, np.int64)]
     g = _grouped(rng.standard_normal((340, 1)), labels)
     assert (
-        compute_multi_rit(g, multi_kendall_kernel(1)).value
+        compute_rit(g, multi_kendall_kernel(1)).value
         == compute_rit(g, kendall_kernel()).value
     )
     plan = draw_subsample(g, 3, seed=55)
@@ -366,7 +365,7 @@ def test_criterion_9_multiclass_reduction_and_size():
     for rep in range(m):
         rng = spawn_rng(910, rep)
         g = _grouped(rng.standard_normal((labels.size, 1)), labels)
-        stat = compute_multi_rit(g, kernel)
+        stat = compute_rit(g, kernel)
         mspec = MultiClassSpec.from_grouped(g, kernel.block_orders)
         zetas = [None] + [estimate_zeta1k(g, kernel, k) for k in (1, 2)]
         var = multi_asymptotic_variance(mspec, zetas)

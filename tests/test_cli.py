@@ -353,10 +353,16 @@ def test_highdim_refuses_more_cases_than_the_guard(tmp_path, capsys, monkeypatch
     path = _write_csv(tmp_path / "many.csv", ["x", "label"], rows)
     built = []
     monkeypatch.setattr(_accel, "pair_matrix", lambda *a: built.append(a))
+    summed = []  # the guard refuses before the statistic sums any pair
+    for name in ("within_sum", "cross_rowsum"):
+        f = getattr(_accel, name)
+        monkeypatch.setattr(_accel, name,
+                            lambda *a, name=name, f=f: summed.append(name) or f(*a))
     argv = ["test", "--input", path, "--kernel", "dcov", "--inference", "highdim"]
     assert main(argv) == 2
     assert "pair-projection guard" in capsys.readouterr().err
     assert built == []
+    assert summed == []
 
 
 # ---------------------------------------------------------------------------

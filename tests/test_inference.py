@@ -11,6 +11,7 @@ from scipy.stats import norm
 from raresig import (
     DegenerateDataError,
     LabeledSample,
+    MultiClassSpec,
     RitStatistic,
     ValidationError,
     compute_rit,
@@ -23,6 +24,7 @@ from raresig import (
     ipcov_kernel,
     kendall_kernel,
     local_power_threshold,
+    multi_asymptotic_variance,
     pearson_kernel,
     power_first_order,
     power_highdim,
@@ -149,7 +151,11 @@ def test_pair_projection_guard_refuses_before_summing(monkeypatch):
         estimate_xi02(g, dcov_kernel())
     assert calls == []
     monkeypatch.undo()
-    monkeypatch.setattr(_accel, "pair_matrix", lambda *a: calls.append("pair_matrix"))
+    # condition_diagnostic refuses before its statistic sums any pair
+    for name in ("pair_matrix", "within_sum", "cross_rowsum"):
+        f = getattr(_accel, name)
+        monkeypatch.setattr(_accel, name,
+                            lambda *a, name=name, f=f: calls.append(name) or f(*a))
     with pytest.raises(ValidationError, match="guard"):
         condition_diagnostic(g, dcov_kernel())
     assert calls == []
@@ -248,9 +254,13 @@ def test_first_order_pvalue_kendall_example():
 
 def test_first_order_pvalue_with_subsampling_variance():
     stat = _stat(0.1, kendall_kernel(), 10_000, 100)
-    out = pvalue_asymptotic_first(stat, 1 / 3, s=5, xi10=1 / 3)
-    assert_allclose(out.variance_estimate, 1 / 3 + 1 / 15, atol=1e-12)
-    with pytest.raises(ValidationError):
+    spec = MultiClassSpec(1, (1, 1), (1.0,), "comparable_rare")
+    var = multi_asymptotic_variance(spec, [1 / 3, 1 / 3], s=5)
+    out = pvalue_asymptotic_first(stat, var)
+    assert out.variance_estimate == var
+    assert_allclose(out.p_value, 2 * norm.sf(1.0 / math.sqrt(1 / 3 + 1 / 15)), rtol=1e-12)
+    # the variance is the caller's: the xi01/xi10/s parameters are gone
+    with pytest.raises(TypeError):
         pvalue_asymptotic_first(stat, 1 / 3, s=5)
 
 

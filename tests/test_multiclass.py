@@ -12,9 +12,8 @@ from raresig import (
     MultiClassSpec,
     ValidationError,
     compute_bit,
-    compute_multi_rit,
-    compute_multi_rit_bruteforce,
     compute_rit,
+    compute_rit_bruteforce,
     custom_kernel,
     draw_subsample,
     estimate_xi01,
@@ -42,18 +41,34 @@ def test_single_tuple_example():
     g = group_by_label(
         LabeledSample(np.array([[1.0], [2.0], [0.0]]), np.array([0, 1, 2]))
     )
-    stat = compute_multi_rit(g, multi_kendall_kernel(2))
+    stat = compute_rit(g, multi_kendall_kernel(2))
     assert stat.value == 0.0  # sgn(2-1) + sgn(0-1)
 
 
-def test_fast_path_matches_bruteforce():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        g = _grouped((8, 4, 3), rng)
-        kernel = multi_kendall_kernel(2)
-        fast = compute_multi_rit(g, kernel).value
-        brute = compute_multi_rit_bruteforce(g, kernel).value
-        assert_allclose(fast, brute, atol=1e-12)
+@st.composite
+def tied_multiclass_samples(draw):
+    """K in {1, 2, 3} rare classes of 1-3 rows against 1-12 controls,
+    values on a coarse grid (ties) with some rows duplicated."""
+    counts = [draw(st.integers(1, 12))] + draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.full(c, k, np.int64) for k, c in enumerate(counts)])
+    x = rng.integers(-2, 3, labels.size) * draw(st.sampled_from((0.5, 1.0, 1e8)))
+    if draw(st.booleans()):
+        dup = rng.integers(0, labels.size, labels.size)
+        x = x[dup]  # duplicate rows, across classes too
+    return group_by_label(LabeledSample(x[:, None], labels))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(tied_multiclass_samples())
+def test_fast_path_matches_bruteforce(g):
+    kernel = multi_kendall_kernel(g.n_classes - 1)
+    fast = compute_rit(g, kernel)
+    assert fast.algorithm == "sort-count"
+    assert_allclose(fast.value, compute_rit_bruteforce(g, kernel).value, atol=1e-12)
+    if g.n_classes == 2:
+        assert fast.value == compute_rit(g, kendall_kernel()).value
 
 
 def test_custom_three_block_kernel_bruteforce():
@@ -61,16 +76,17 @@ def test_custom_three_block_kernel_bruteforce():
     kernel = custom_kernel(fn, (2, 1, 1))
     rng = np.random.default_rng(1)
     g = _grouped((6, 3, 3), rng)
-    stat = compute_multi_rit_bruteforce(g, kernel)
+    stat = compute_rit_bruteforce(g, kernel)
     # linear kernel: the average telescopes to group means
     means = [g.group(k)[:, 0].mean() for k in range(3)]
     assert_allclose(stat.value, means[1] + means[2] - 2 * means[0], atol=1e-12)
+    assert compute_rit(g, kernel).value == stat.value
 
 
 def test_binary_reduction_is_bitwise():
     rng = np.random.default_rng(2)
     g = _grouped((40, 12), rng)
-    multi = compute_multi_rit(g, multi_kendall_kernel(1))
+    multi = compute_rit(g, multi_kendall_kernel(1))
     binary = compute_rit(g, kendall_kernel())
     assert multi.value == binary.value
     plan = draw_subsample(g, 2, seed=7)
@@ -87,7 +103,7 @@ def test_multi_bit_full_inclusion_identity():
     g = _grouped((20, 5, 5), rng)
     plan = draw_subsample(g, 4, seed=0)  # 4 * 5 = 20 -> probability one
     kernel = multi_kendall_kernel(2)
-    assert compute_bit(g, kernel, plan).value == compute_multi_rit(g, kernel).value
+    assert compute_bit(g, kernel, plan).value == compute_rit(g, kernel).value
 
 
 def test_multi_bit_zero_mean_under_null():
@@ -138,6 +154,9 @@ def test_variance_formula_reference_values():
 def test_variance_formula_binary_reduction():
     spec = MultiClassSpec(1, (1, 1), (1.0,), "comparable_rare")
     assert multi_asymptotic_variance(spec, [None, 0.25]) == 0.25
+    # m1^2 xi01 + m0^2 xi10 / s under subsampling
+    assert_allclose(multi_asymptotic_variance(spec, [1 / 3, 1 / 3], s=5),
+                    1 / 3 + 1 / 15, atol=1e-12)
 
 
 def test_variance_degenerate_error_and_second_order_report():
@@ -175,9 +194,9 @@ def test_multi_kernel_arity_checks():
     rng = np.random.default_rng(7)
     g = _grouped((20, 5, 5), rng)
     with pytest.raises(ValidationError):
-        compute_multi_rit(g, multi_kendall_kernel(1))
+        compute_rit(g, multi_kendall_kernel(1))
     with pytest.raises(ValidationError):
-        compute_multi_rit(
+        compute_rit(
             group_by_label(
                 LabeledSample(rng.standard_normal((30, 2)),
                               np.r_[np.zeros(20, np.int64), np.ones(5, np.int64),
@@ -185,6 +204,13 @@ def test_multi_kernel_arity_checks():
             ),
             multi_kendall_kernel(2),
         )
+    # a 3-block kernel on binary data: compute_bit checks the block count
+    # before the plan's regime, with compute_rit's typed error
+    g2 = _grouped((12, 4), rng)
+    plan = draw_subsample(g2, 2, seed=0)
+    for stat in (lambda k: compute_rit(g2, k), lambda k: compute_bit(g2, k, plan)):
+        with pytest.raises(ValidationError, match="kernel declares 3 blocks for 2 classes"):
+            stat(multi_kendall_kernel(2))
 
 
 # ---------------------------------------------------------------------------
