@@ -24,6 +24,7 @@ from .errors import ValidationError
 from .kernels import KernelSpec
 
 __all__ = [
+    "pair_rows",
     "within_sum",
     "cross_rowsum",
     "within_rowsum",
@@ -76,6 +77,13 @@ def _pair_metric(kernel: KernelSpec):
     raise ValidationError(f"{kernel.kind} has no pair function")
 
 
+def pair_rows(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
+    """``a`` mapped to the rows the pair function reads (the augmented
+    unit rows for ipcov): map a pool once, then sum over subsets of it
+    with ``within_sum(..., mapped=True)``."""
+    return _pair_metric(kernel)[0](a)
+
+
 def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row-of-``a`` sums of d to every row of ``b``."""
     rows, block, _ = _pair_metric(kernel)
@@ -86,11 +94,13 @@ def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
-def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:
-    """Sum of d over unordered row pairs of ``a``: the pairs within each
-    chunk plus the whole block from the chunk to later rows."""
+def within_sum(kernel: KernelSpec, a: np.ndarray, mapped: bool = False) -> float:
+    """Sum of d over unordered row pairs of ``a`` (rows of
+    :func:`pair_rows` when ``mapped``): the pairs within each chunk plus
+    the whole block from the chunk to later rows."""
     rows, block, upper = _pair_metric(kernel)
-    a = rows(a)
+    if not mapped:
+        a = rows(a)
     n = a.shape[0]
     parts = []
     for lo in range(0, n, _CHUNK):

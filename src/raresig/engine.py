@@ -13,9 +13,11 @@ oracle in tests; a ``custom`` kernel always takes it.
 ``compute_classical`` produces the unrescaled pooled statistics used as
 baselines; each has its own formula (the pairwise ones read the same
 pair sums as the rescaled statistic), so the two can be checked against
-each other.  ``_pair_sum_statistic`` evaluates either pairwise formula
-under relabelings of one pooled sample, which is what the permutation
-nulls iterate over.
+each other.  ``_pooled_statistic`` evaluates a kernel's statistic on
+the case sets of one pooled sample from a summary computed once (sign
+counts, a centred total, or the pairwise row sums of
+``_pair_sum_statistic``, which also serve the classical pairwise
+formula), which is what the permutation nulls iterate over.
 """
 
 from __future__ import annotations
@@ -137,26 +139,86 @@ def _rit_from_sums(n0: int, n1: int, s00: float, s01: float, s11: float) -> floa
 
 
 def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
-    """``labels -> formula(n0, n1, s00, s01, s11)`` over the rows ``x``
-    for binary labels.
+    """``cases -> formula(n0, n1, s00, s01, s11)`` over the rows ``x``,
+    for one rare class whose rows are ``cases``, a one-tuple of sorted
+    positions.
 
     The pooled row sums r_i = sum_{j != i} d(x_i, x_j) and their total T
     do not depend on the labels, so they are computed once (O(p n^2),
-    O(chunk * n) memory).  Each call then sums d over the case pairs
-    only: s11 is twice their within total, s01 = sum of r over the
-    cases - s11 and s00 = T - s11 - 2 s01.
+    O(chunk * n) memory), and so are the rows the pair function reads.
+    Each call then sums d over the case pairs only (O(p n1^2)): s11 is
+    twice their within total, s01 = sum of r over the cases - s11 and
+    s00 = T - s11 - 2 s01.
     """
     r = _accel.within_rowsum(kernel, x)
     total = math.fsum(r)
+    u = _accel.pair_rows(kernel, x)
 
-    def statistic(labels: np.ndarray) -> float:
-        cases = labels == 1
-        n1 = int(cases.sum())
-        s11 = 2.0 * _accel.within_sum(kernel, x[cases])
-        s01 = math.fsum(r[cases]) - s11
+    def statistic(cases: tuple) -> float:
+        (idx,) = cases
+        n1 = idx.size
+        s11 = 2.0 * _accel.within_sum(kernel, u[idx], mapped=True)
+        s01 = math.fsum(r[idx].tolist()) - s11
         return formula(x.shape[0] - n1, n1, total - s11 - 2.0 * s01, s01, s11)
 
     return statistic
+
+
+def _sign_statistic(x: np.ndarray):
+    """``cases -> sign statistic`` of ``rescaled_kendall`` or
+    ``multi_kendall`` over the scalar rows ``x``, for rare classes whose
+    rows are ``cases`` (one array of positions per class).
+
+    The pooled sign counts c_i = #{x_j < x_i} - #{x_j > x_i} come from
+    one sort.  Rare class k's sum of sgn against the controls is the sum
+    of c over its rows minus their sign counts among all rare rows
+    (O(n_r log n_r)); with one rare class that term is 0, as the
+    within-class pairs cancel.  The sums are integers, so the value is
+    bitwise that of :func:`compute_rit` on the same classes.
+    """
+    c = sign_counts(np.sort(x), x)
+
+    def statistic(cases: tuple) -> float:
+        n0 = x.size - sum(idx.size for idx in cases)
+        rare = np.sort(x[np.concatenate(cases)]) if len(cases) > 1 else None
+        parts = []
+        for idx in cases:
+            cross = int(c[idx].sum(dtype=np.int64))
+            if rare is not None:
+                cross -= int(sign_counts(rare, x[idx]).sum(dtype=np.int64))
+            parts.append(float(cross) / (n0 * idx.size))
+        return math.fsum(parts)
+
+    return statistic
+
+
+def _mean_statistic(x: np.ndarray):
+    """``cases -> case mean - control mean`` over the scalar rows ``x``
+    for one rare class: the rows are centred once, and each call sums
+    the centred case rows with ``math.fsum`` and takes the controls'
+    sum from the pooled total (O(n1))."""
+    xc = x - x.mean()
+    total = math.fsum(xc)
+
+    def statistic(cases: tuple) -> float:
+        (idx,) = cases
+        s1 = math.fsum(xc[idx].tolist())
+        return s1 / idx.size - (total - s1) / (x.size - idx.size)
+
+    return statistic
+
+
+def _pooled_statistic(x: np.ndarray, kernel: KernelSpec):
+    """``cases -> statistic`` of ``kernel`` over the rows ``x`` from one
+    pooled summary, or None for a kernel without one
+    (``imbalanced_kendall``, ``custom``)."""
+    if kernel.kind in ("rescaled_kendall", "multi_kendall"):
+        return _sign_statistic(x[:, 0])
+    if kernel.kind == "rescaled_pearson":
+        return _mean_statistic(x[:, 0])
+    if kernel.kind in SECOND_ORDER_KINDS:
+        return _pair_sum_statistic(x, kernel, _rit_from_sums)
+    return None
 
 
 def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitStatistic:
@@ -174,7 +236,11 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
     n0, n1 = data.counts[0], data.counts[1]
     meta: dict = {}
     if kernel.kind == "rescaled_pearson":
-        value = float(data.group(1)[:, 0].mean() - data.group(0)[:, 0].mean())
+        # centred at the control mean, so a large common offset does not
+        # swamp the difference in rounding
+        x0, x1 = data.group(0)[:, 0], data.group(1)[:, 0]
+        centre = x0.mean()
+        value = float((x1 - centre).mean() - (x0 - centre).mean())
         algorithm = "group-means"
     elif kernel.kind in ("rescaled_kendall", "multi_kendall"):
         value = math.fsum(kendall_cross_mean(data, k) for k in range(1, data.n_classes))
@@ -221,12 +287,14 @@ def compute_rit_bruteforce(data: GroupedSample, kernel: KernelSpec) -> RitStatis
 # ---------------------------------------------------------------------------
 
 
-def _classical_kendall(x: np.ndarray, labels: np.ndarray) -> float:
+def _classical_kendall(x: np.ndarray, cases: np.ndarray) -> float:
     """Pooled sign statistic 2/n^2 * sum over case/control pairs of
     sgn(x_case - x_ctrl), computed by a sorted sweep over tie groups."""
     n = x.size
     order = np.argsort(x, kind="mergesort")
     xs = x[order]
+    labels = np.zeros(n)
+    labels[cases] = 1.0
     ys = labels[order]
     new_group = np.r_[True, xs[1:] != xs[:-1]]
     gid = np.cumsum(new_group) - 1
@@ -238,15 +306,13 @@ def _classical_kendall(x: np.ndarray, labels: np.ndarray) -> float:
     return 2.0 * s / (n * n)
 
 
-def _classical_pearson(x: np.ndarray, labels: np.ndarray) -> float:
+def _classical_pearson(x: np.ndarray, cases: np.ndarray) -> float:
     """Pooled correlation of x against the binary label."""
-    n = x.size
-    n1 = int(labels.sum())
-    p1 = n1 / n
+    p1 = cases.size / x.size
     sd = x.std()  # population moments in the pooled form
     if sd <= 0:
         raise DegenerateDataError("zero-variance feature")
-    return math.sqrt(p1) * (x[labels == 1].mean() - x.mean()) / (sd * math.sqrt(1 - p1))
+    return math.sqrt(p1) * (x[cases].mean() - x.mean()) / (sd * math.sqrt(1 - p1))
 
 
 def _classical_from_sums(
@@ -266,8 +332,9 @@ def _classical_from_sums(
 
 
 def _classical_statistic(sample: LabeledSample, kind: str):
-    """``labels -> classical statistic`` on the features of ``sample``
-    (see :func:`compute_classical`)."""
+    """``cases -> classical statistic`` on the features of ``sample``
+    (see :func:`compute_classical`), ``cases`` a one-tuple of the sorted
+    case positions."""
     if sample.n_classes != 2:
         raise ValidationError("classical baselines require binary labels")
     group_by_label(sample)  # both classes must be populated
@@ -276,7 +343,7 @@ def _classical_statistic(sample: LabeledSample, kind: str):
             raise ValidationError(f"classical {kind} requires scalar features")
         x = sample.features[:, 0]
         f = _classical_pearson if kind == "pearson" else _classical_kendall
-        return lambda labels: f(x, labels)
+        return lambda cases: f(x, cases[0])
     if kind in ("dcov", "ipcov"):
         return _pair_sum_statistic(
             sample.features, kernel_from_name(kind), _classical_from_sums
@@ -290,4 +357,4 @@ def compute_classical(sample: LabeledSample, kind: str) -> float:
 
     Labels must be binary.
     """
-    return _classical_statistic(sample, kind)(sample.labels)
+    return _classical_statistic(sample, kind)((np.flatnonzero(sample.labels),))

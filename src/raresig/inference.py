@@ -24,10 +24,10 @@ from scipy.stats import norm
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
-from .engine import RitStatistic, _pair_sum_statistic, _rit_from_sums, compute_rit
+from .engine import RitStatistic, _check_sizes, _pooled_statistic, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
-from .multiclass import estimate_zeta1k
+from .multiclass import MultiClassSpec, estimate_zeta1k, multi_asymptotic_variance
 from .rng import spawn_rng
 from .subsample import _draw_test_plan
 
@@ -249,19 +249,39 @@ def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
 
 
 def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.ndarray:
-    """``statistic`` at the observed ``labels``, then at B uniform
-    permutations of them, permutation b drawn from ``spawn_rng(seed, 2, b)``."""
+    """``statistic`` at the case sets of ``labels``, then at B uniform
+    relabelings that keep every class count.
+
+    ``statistic`` takes one sorted array of row positions per rare class.
+    Relabeling b draws the rare rows' positions,
+    ``spawn_rng(seed, 2, b).choice(n, n_rare, replace=False)``: the i-th
+    drawn position takes the i-th rare label in row order, so every
+    count-preserving labeling is equally likely and the null is exact.
+    Each class's positions are then sorted, so the statistic sees sets,
+    not the draw order.  A relabeling costs O(n_rare) before the
+    statistic; one set of arrays is live at a time.
+    """
+    rare = np.flatnonzero(labels)
+    slots = [np.flatnonzero(labels[rare] == k) for k in range(1, int(labels.max()) + 1)]
     stats = np.empty(B + 1)
-    stats[0] = statistic(labels)
+    stats[0] = statistic(tuple(rare[i] for i in slots))
     for b in range(1, B + 1):
-        stats[b] = statistic(labels[spawn_rng(seed, 2, b).permutation(labels.size)])
+        drawn = spawn_rng(seed, 2, b).choice(labels.size, rare.size, replace=False)
+        stats[b] = statistic(tuple(np.sort(drawn[i]) for i in slots))
     return stats
 
 
 def _regroup_statistic(pool: LabeledSample, kernel: KernelSpec):
-    """``labels -> statistic`` that regroups the rows of ``pool`` and
-    recomputes the full-sample statistic on them."""
-    return lambda y: compute_rit(group_by_label(pool.with_labels(y)), kernel).value
+    """``cases -> statistic`` that relabels the rows of ``pool``, regroups
+    them and recomputes the full-sample statistic: O(n) or more per call."""
+
+    def statistic(cases: tuple) -> float:
+        labels = np.zeros(pool.n, dtype=np.int64)
+        for k, idx in enumerate(cases, 1):
+            labels[idx] = k
+        return compute_rit(group_by_label(pool.with_labels(labels)), kernel).value
+
+    return statistic
 
 
 def _thinned_pool(
@@ -285,9 +305,9 @@ def pvalue_permutation(
 ) -> TestOutcome:
     """Label-permutation p-value with the add-one estimator.
 
-    Each permutation reshuffles the labels uniformly (class counts
-    preserved); permuted values tying the observed one count toward
-    rejection.
+    Each permutation draws the rare rows' positions uniformly, class
+    counts preserved (see :func:`_permutation_stats`); permuted values
+    tying the observed one count toward rejection.
 
     Under subsampling the test conditions on one thinning plan: the plan
     ``run_test`` uses under every null (``draw_subsample`` with seed
@@ -297,29 +317,36 @@ def pvalue_permutation(
     C(realized, m0) / C(s n1, m0).  The plan depends on the class counts
     and the seed only, not on the features, so under the null the cases
     and the kept controls are i.i.d. given the plan and their labels are
-    exchangeable: the conditional null is exact.  It costs
-    O(p (s n1)^2) once, not a regrouping of all n rows per permutation.
-    ``metadata["plan_attempts"]`` is the plan's draw count (None
-    without ``s``).
+    exchangeable: the conditional null is exact.  ``metadata
+    ["plan_attempts"]`` is the plan's draw count (None without ``s``).
 
-    For the binary pairwise kernels the pooled row sums are computed
-    once and each permutation sums only the case pairs
-    (``metadata["batched"]``, see :func:`engine._pair_sum_statistic`);
-    other kernels regroup and recompute the statistic per permutation.
+    Most kernels compute one pooled summary of the pool before the loop
+    and each permutation reads only the drawn rows
+    (``metadata["batched"]``: the statistic read a pooled summary, see
+    :func:`engine._pooled_statistic`):
+
+    * ``kendall``: one sort for the pooled sign counts, then O(n1);
+    * ``multi-kendall``: the same, plus O(n_r log n_r) for the sign
+      counts among the n_r rare rows;
+    * ``pearson``: one centred total, then an O(n1) ``fsum``;
+    * ``dcov``/``ipcov``: the pooled row sums (O(p n^2) once), then the
+      case pairs, O(p n1^2).
+
+    ``imbalanced-kendall`` and ``custom`` kernels relabel, regroup and
+    recompute the statistic per permutation.
     """
     if B < 19:
         raise ValidationError("need at least 19 permutations")
     grouped = group_by_label(sample)
+    _check_sizes(grouped, kernel)
     pool, ratio, attempts = sample, 1.0, None
     if s is not None:
         pool, plan = _thinned_pool(sample, grouped, kernel, s, seed)
         ratio, attempts = plan.ratio(grouped.counts[1], kernel.m0), plan.attempts
-    batched = kernel.kind in SECOND_ORDER_KINDS and sample.n_classes == 2
-    statistic = (
-        _pair_sum_statistic(pool.features, kernel, _rit_from_sums)
-        if batched
-        else _regroup_statistic(pool, kernel)
-    )
+    statistic = _pooled_statistic(pool.features, kernel)
+    batched = statistic is not None
+    if not batched:
+        statistic = _regroup_statistic(pool, kernel)
     stats = ratio * _permutation_stats(statistic, pool.labels, B, seed)
     t_obs = stats[0]
     count = int((np.abs(stats[1:]) >= abs(t_obs)).sum())
@@ -363,16 +390,17 @@ def power_first_order(
 ) -> float:
     """Two-sided power of the first-order test against mean shift ``mu0``.
 
-    With ``s`` (and ``xi10``) the subsampled variance applies; at
+    The variance of the statistic is the K = 1 case of
+    :func:`raresig.multiclass.multi_asymptotic_variance` over n1; with
+    ``s`` (and ``xi10``) the subsampled variance applies.  At
     ``mu0 = 0`` the value is exactly ``alpha``.
     """
     if xi01 <= 0 or n1 < 1:
         raise ValidationError("need xi01 > 0 and n1 >= 1")
-    var = m1 * m1 * xi01 / n1
-    if s is not None:
-        if xi10 is None:
-            raise ValidationError("subsampled power needs xi10")
-        var += m0 * m0 * xi10 / (s * n1)
+    if s is not None and xi10 is None:
+        raise ValidationError("subsampled power needs xi10")
+    spec = MultiClassSpec(1, (m0, m1), (1.0,), "comparable_rare")
+    var = multi_asymptotic_variance(spec, [xi10, xi01], s=s) / n1
     ncp = mu0 / math.sqrt(var)
     lo = norm.ppf(alpha / 2)
     hi = norm.ppf(1 - alpha / 2)

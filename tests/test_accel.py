@@ -26,7 +26,7 @@ SIZES = (1, 2, 511, 512, 513, 1025)
 # an angle by up to ~1e-8 in absolute terms
 ANGLE_ATOL = 1e-7
 
-fast = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+fast = settings(max_examples=25)
 
 
 @st.composite

@@ -230,7 +230,7 @@ def _ingest_outcome(path, label, features):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_csv_files(), st.integers(1, 4))
 # loadtxt skips blank lines and accepts a short row that holds every
 # used column; the row loop drops both

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
@@ -73,23 +75,77 @@ def test_bruteforce_guard():
 
 
 @pytest.mark.parametrize(
-    "kernel,p",
+    "kernel,p,seed",
     [
-        (pearson_kernel(), 1),
-        (kendall_kernel(), 1),
-        (imbalanced_kendall_kernel(2), 1),
-        (imbalanced_kendall_kernel(3), 1),
-        (dcov_kernel(), 3),
-        (ipcov_kernel(0.8), 2),
+        pytest.param(pearson_kernel(), 1, 101, id="kernel0-1"),
+        pytest.param(kendall_kernel(), 1, 102, id="kernel1-1"),
+        pytest.param(imbalanced_kendall_kernel(2), 1, 103, id="kernel2-1"),
+        pytest.param(imbalanced_kendall_kernel(3), 1, 104, id="kernel3-1"),
+        pytest.param(dcov_kernel(), 3, 105, id="kernel4-3"),
+        pytest.param(ipcov_kernel(0.8), 2, 106, id="kernel5-2"),
     ],
 )
-def test_fast_paths_match_bruteforce(kernel, p):
-    rng = np.random.default_rng(hash(kernel.kind) % 2**32)
+def test_fast_paths_match_bruteforce(kernel, p, seed):
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         g = _random_instance(rng, kernel, p=p)
         fast = compute_rit(g, kernel).value
         brute = compute_rit_bruteforce(g, kernel).value
         assert_allclose(fast, brute, rtol=1e-12, atol=1e-12)
+
+
+# kernel and feature count (None: drawn) of every binary built-in kernel
+BINARY_KERNELS = {
+    "pearson": (pearson_kernel(), 1),
+    "kendall": (kendall_kernel(), 1),
+    "imbalanced-kendall-2": (imbalanced_kendall_kernel(2), 1),
+    "imbalanced-kendall-3": (imbalanced_kendall_kernel(3), 1),
+    "dcov": (dcov_kernel(), None),
+    "ipcov": (ipcov_kernel(0.8), None),
+}
+# an angle near 0 is arccos of a dot product near 1, good to ~1e-8
+# absolute (see test_accel.ANGLE_ATOL); identical rows have such an
+# angle, and a 1e8 offset makes every angle one
+ANGLE_ATOL = 1e-7
+
+
+@st.composite
+def adversarial_instances(draw, kernel, p=None):
+    """Small binary samples with ties, duplicate rows, constant columns,
+    1e8 offsets and two or three cases: ``(grouped, parallel)``, with
+    ``parallel`` true when some rows are identical or offset by 1e8."""
+    n1 = draw(st.sampled_from((2, 3)))
+    n0 = draw(st.integers(max(kernel.m0, 2), 12))
+    if p is None:
+        p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n0 + n1, p))
+    x[n0:] *= draw(st.sampled_from((1.0, 3.0)))
+    if draw(st.booleans()):
+        x = np.round(x, 1)  # ties
+    if draw(st.booleans()):
+        src = rng.integers(0, n0 + n1, size=(n0 + n1) // 2)
+        x[rng.integers(0, n0 + n1, size=src.size)] = x[src]  # duplicate rows
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, p - 1))] = 3.0  # constant column
+    offset = draw(st.booleans())
+    if offset:
+        x[:, 0] += 1e8
+    labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
+    parallel = offset or np.unique(x, axis=0).shape[0] < x.shape[0]
+    return _grouped(x, labels), parallel
+
+
+@pytest.mark.parametrize("name", list(BINARY_KERNELS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fast_paths_match_bruteforce_on_adversarial_inputs(name, data):
+    kernel, p = BINARY_KERNELS[name]
+    g, parallel = data.draw(adversarial_instances(kernel, p))
+    fast = compute_rit(g, kernel).value
+    brute = compute_rit_bruteforce(g, kernel).value
+    atol = ANGLE_ATOL if name == "ipcov" and parallel else 1e-12
+    assert_allclose(fast, brute, rtol=1e-12, atol=atol)
 
 
 def test_custom_kernel_goes_through_enumeration():

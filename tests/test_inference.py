@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from raresig import (
     ipcov_kernel,
     kendall_kernel,
     local_power_threshold,
+    multi_kendall_kernel,
     multi_asymptotic_variance,
     pearson_kernel,
     power_first_order,
@@ -32,7 +34,7 @@ from raresig import (
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
-from raresig import _accel, inference
+from raresig import _accel, engine, inference
 from raresig._accel import angle_embed
 from raresig.simulate import MethodConfig, ScenarioSpec, run_erp
 
@@ -195,7 +197,7 @@ def projection_samples(draw):
     return group_by_label(LabeledSample(x, labels))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.sampled_from(("dcov", "ipcov")), projection_samples())
 def test_xi02_and_condition_ratio_match_dense_reference(kind, g):
     kernel = dcov_kernel() if kind == "dcov" else ipcov_kernel(C_SIGMA2)
@@ -328,14 +330,16 @@ def test_permutation_invariant_to_monotone_transforms():
 
 
 @st.composite
-def permutation_samples(draw):
-    """Small binary samples with ties, duplicate rows, constant columns,
-    1e8 offsets and as few as two cases."""
-    n1 = draw(st.sampled_from((2, 3, 8)))
+def permutation_samples(draw, p=None, n_rare=1):
+    """Small samples with ties, duplicate rows, constant columns, 1e8
+    offsets and as few as two rows in a rare class; ``p`` features
+    (drawn from 1-8 when None) and ``n_rare`` rare classes."""
+    sizes = [draw(st.sampled_from((2, 3, 8))) for _ in range(n_rare)]
     n0 = draw(st.integers(24, 60))
-    p = draw(st.integers(1, 8))
+    if p is None:
+        p = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n0 + n1, p))
+    x = rng.standard_normal((n0 + sum(sizes), p))
     if draw(st.booleans()):
         x = np.round(x, 1)  # ties
     if draw(st.booleans()):
@@ -345,36 +349,81 @@ def permutation_samples(draw):
         x[:, draw(st.integers(0, p - 1))] = 3.0  # constant column
     if draw(st.booleans()):
         x[:, 0] += 1e8
-    labels = rng.permutation(np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)])
+    labels = rng.permutation(np.repeat(np.arange(n_rare + 1), [n0, *sizes]))
     return LabeledSample(x, labels)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    st.sampled_from(("dcov", "ipcov")),
-    st.sampled_from((None, 3)),
-    permutation_samples(),
-    st.integers(0, 2**16),
-)
-def test_permutation_row_sum_engine_matches_regrouping(kind, s, sample, seed):
-    # the pooled row-sum statistics equal compute_rit on each regrouped
-    # pool, over the same pool and the same permutation streams
-    kernel = dcov_kernel() if kind == "dcov" else ipcov_kernel()
+# kernel, feature count (None: drawn) and rare-class count of every
+# kernel whose permutations read a pooled summary
+SUMMARY_KERNELS = {
+    "kendall": (kendall_kernel(), 1, 1),
+    "pearson": (pearson_kernel(), 1, 1),
+    "multi-kendall-1": (multi_kendall_kernel(1), 1, 1),
+    "multi-kendall-2": (multi_kendall_kernel(2), 1, 2),
+    "dcov": (dcov_kernel(), None, 1),
+    "ipcov": (ipcov_kernel(), None, 1),
+}
+
+
+def _pool(sample, kernel, s, seed):
+    """The permuted rows of a test and the plan's constant."""
+    if s is None:
+        return sample, 1.0
+    grouped = group_by_label(sample)
+    pool, plan = inference._thinned_pool(sample, grouped, kernel, s, seed)
+    return pool, plan.ratio(grouped.counts[1], kernel.m0)
+
+
+class _Replay:
+    """Stands in for ``spawn_rng``: every generator hands out the next of
+    ``draws`` as its ``choice``."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def __call__(self, *key):
+        return self
+
+    def choice(self, n, size, replace):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("name", list(SUMMARY_KERNELS))
+@settings(max_examples=40)
+@given(s=st.sampled_from((None, 3)), seed=st.integers(0, 2**16), data=st.data())
+def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
+    # each pooled summary equals compute_rit on the regrouped pool, over
+    # the same pool and the same drawn case sets
+    kernel, p, n_rare = SUMMARY_KERNELS[name]
+    sample = data.draw(permutation_samples(p=p, n_rare=n_rare))
     B = 39
-    pool, ratio = sample, 1.0
-    if s is not None:
-        grouped = group_by_label(sample)
-        pool, plan = inference._thinned_pool(sample, grouped, kernel, s, seed)
-        ratio = plan.ratio(grouped.counts[1], kernel.m0)
-    rows = inference._pair_sum_statistic(pool.features, kernel, inference._rit_from_sums)
-    fast = ratio * inference._permutation_stats(rows, pool.labels, B, seed)
+    pool, ratio = _pool(sample, kernel, s, seed)
+    summary = engine._pooled_statistic(pool.features, kernel)
+    seen = []
+    fast = ratio * inference._permutation_stats(
+        lambda cases: seen.append(cases) or summary(cases), pool.labels, B, seed
+    )
     slow = ratio * inference._permutation_stats(
         inference._regroup_statistic(pool, kernel), pool.labels, B, seed
     )
+    # every labeling keeps the class counts: disjoint sorted sets of the
+    # observed sizes, the observed sets first
+    counts = list(np.bincount(pool.labels)[1:])
+    assert len(seen) == B + 1
+    for cases in seen:
+        assert [idx.size for idx in cases] == counts
+        rows = np.concatenate(cases)
+        assert np.unique(rows).size == rows.size
+        assert all(np.all(np.diff(idx) > 0) for idx in cases)
+    assert all(np.array_equal(idx, np.flatnonzero(pool.labels == k))
+               for k, idx in enumerate(seen[0], 1))
+    if kernel.kind in ("rescaled_kendall", "multi_kendall"):
+        # integer sign sums: bitwise
+        assert np.array_equal(fast, slow)
     # rounding of the six-term cancellation, relative to the pair
     # distances; plus ANGLE_ATOL of test_accel, the arccos rounding near
     # angle 0 (rows made parallel by a 1e8 offset)
-    atol = 1e-12 * pdist(pool.features).mean() + (1e-7 if kind == "ipcov" else 0.0)
+    atol = 1e-12 * pdist(pool.features).mean() + (1e-7 if name == "ipcov" else 0.0)
     assert_allclose(fast, slow, rtol=1e-9, atol=atol)
     out = pvalue_permutation(sample, kernel, B=B, seed=seed, s=s)
     assert out.metadata["batched"]
@@ -389,6 +438,43 @@ def test_permutation_row_sum_engine_matches_regrouping(kind, s, sample, seed):
     assert np.array_equal(
         exceed[~near_tie], (np.abs(slow[1:]) >= abs(slow[0]))[~near_tie]
     )
+    # one case set drawn in two orders gives the same value, bit for bit
+    rng = np.random.default_rng(seed)
+    rare = np.flatnonzero(pool.labels)
+    drawn = rng.choice(pool.n, rare.size, replace=False)
+    shuffled = drawn.copy()
+    for k in range(1, n_rare + 1):
+        slot = np.flatnonzero(pool.labels[rare] == k)
+        shuffled[slot] = rng.permutation(drawn[slot])
+    with patch.object(inference, "spawn_rng", _Replay([drawn, shuffled])):
+        twice = inference._permutation_stats(summary, pool.labels, 2, seed)
+    assert twice[1] == twice[2]
+
+
+@pytest.mark.parametrize(
+    "kernel,p",
+    [(kendall_kernel(), 1), (pearson_kernel(), 1), (dcov_kernel(), 3)],
+    ids=["kendall", "pearson", "dcov"],
+)
+def test_summary_permutations_never_regroup(monkeypatch, kernel, p):
+    # a permutation reads the pooled summary: no regrouping and no full
+    # statistic per permutation, however many permutations run
+    rng = np.random.default_rng(13)
+    labels = rng.permutation(np.r_[np.zeros(200, np.int64), np.ones(20, np.int64)])
+    sample = LabeledSample(rng.standard_normal((220, p)), labels)
+    calls = {"group_by_label": 0, "compute_rit": 0}
+    for module in (inference, engine):
+        for name in calls:
+            f = getattr(module, name)
+
+            def counted(*a, name=name, f=f, **kw):
+                calls[name] += 1
+                return f(*a, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+    out = pvalue_permutation(sample, kernel, B=99, seed=3)
+    assert out.metadata["batched"]
+    assert calls == {"group_by_label": 1, "compute_rit": 0}
 
 
 def test_permutation_null_pvalues_roughly_uniform():

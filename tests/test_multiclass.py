@@ -60,7 +60,7 @@ def tied_multiclass_samples(draw):
     return group_by_label(LabeledSample(x[:, None], labels))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(tied_multiclass_samples())
 def test_fast_path_matches_bruteforce(g):
     kernel = multi_kendall_kernel(g.n_classes - 1)
@@ -233,7 +233,7 @@ def binary_scalar_samples(draw):
     return group_by_label(LabeledSample(x[:, None], labels))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(binary_scalar_samples(), st.sampled_from(("cases", "controls")))
 def test_k1_zetas_are_the_binary_xis(g, basis):
     multi = multi_kendall_kernel(1)
