@@ -417,7 +417,7 @@ def _run_bench(args) -> None:
         seed=args.seed,
     )
     xs = [r["x"] for r in rows]
-    ts = [r["median_seconds"] for r in rows]
+    ts = [r["cpu_seconds"] for r in rows]
     out = {"rows": rows, "loglog_slope": loglog_slope(xs, ts)}
     if args.format == "csv":
         _emit(rows, "csv", args.output)

@@ -145,10 +145,10 @@ def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
 
     The pooled row sums r_i = sum_{j != i} d(x_i, x_j) and their total T
     do not depend on the labels, so they are computed once (O(p n^2),
-    O(chunk * n) memory), and so are the rows the pair function reads.
-    Each call then sums d over the case pairs only (O(p n1^2)): s11 is
-    twice their within total, s01 = sum of r over the cases - s11 and
-    s00 = T - s11 - 2 s01.
+    O(chunk * n) memory), and so are the rows the pair function reads
+    (centred for dcov).  Each call then builds the n1 x n1 pair block of
+    its cases (O(p n1^2)): s11 is its sum, s01 = sum of r over the
+    cases - s11 and s00 = T - s11 - 2 s01.
     """
     r = _accel.within_rowsum(kernel, x)
     total = math.fsum(r)

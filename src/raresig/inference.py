@@ -56,6 +56,9 @@ _TINY_P = 5e-324  # keep p-values in (0, 1]
 # condition ratio, peak at about 25 n1^2 bytes (625 MB at the guard)
 PAIR_PROJECTION_GUARD = 5_000
 
+# relabelings per generator (building one costs about two draws)
+PERMUTATION_CHUNK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class TestOutcome:
@@ -253,21 +256,24 @@ def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.n
     relabelings that keep every class count.
 
     ``statistic`` takes one sorted array of row positions per rare class.
-    Relabeling b draws the rare rows' positions,
-    ``spawn_rng(seed, 2, b).choice(n, n_rare, replace=False)``: the i-th
-    drawn position takes the i-th rare label in row order, so every
-    count-preserving labeling is equally likely and the null is exact.
-    Each class's positions are then sorted, so the statistic sees sets,
-    not the draw order.  A relabeling costs O(n_rare) before the
-    statistic; one set of arrays is live at a time.
+    Relabeling b draws the rare rows' positions, ``choice(n, n_rare,
+    replace=False)``, from the generator of its chunk of relabelings,
+    ``spawn_rng(seed, 2, (b - 1) // PERMUTATION_CHUNK)``, so they do not
+    depend on B.  The i-th drawn position takes the i-th rare label in
+    row order, so every count-preserving labeling is equally likely and
+    the null is exact.  Each class's positions are then sorted, so the
+    statistic sees sets, not the draw order.  A relabeling costs
+    O(n_rare) before the statistic; one set of arrays is live at a time.
     """
     rare = np.flatnonzero(labels)
     slots = [np.flatnonzero(labels[rare] == k) for k in range(1, int(labels.max()) + 1)]
     stats = np.empty(B + 1)
     stats[0] = statistic(tuple(rare[i] for i in slots))
-    for b in range(1, B + 1):
-        drawn = spawn_rng(seed, 2, b).choice(labels.size, rare.size, replace=False)
-        stats[b] = statistic(tuple(np.sort(drawn[i]) for i in slots))
+    for b in range(B):
+        if b % PERMUTATION_CHUNK == 0:
+            rng = spawn_rng(seed, 2, b // PERMUTATION_CHUNK)
+        drawn = rng.choice(labels.size, rare.size, replace=False)
+        stats[b + 1] = statistic(tuple(np.sort(drawn[i]) for i in slots))
     return stats
 
 
@@ -306,8 +312,9 @@ def pvalue_permutation(
     """Label-permutation p-value with the add-one estimator.
 
     Each permutation draws the rare rows' positions uniformly, class
-    counts preserved (see :func:`_permutation_stats`); permuted values
-    tying the observed one count toward rejection.
+    counts preserved, from one generator per chunk of permutations (see
+    :func:`_permutation_stats`); permuted values tying the observed one
+    count toward rejection.
 
     Under subsampling the test conditions on one thinning plan: the plan
     ``run_test`` uses under every null (``draw_subsample`` with seed
@@ -330,7 +337,7 @@ def pvalue_permutation(
       counts among the n_r rare rows;
     * ``pearson``: one centred total, then an O(n1) ``fsum``;
     * ``dcov``/``ipcov``: the pooled row sums (O(p n^2) once), then the
-      case pairs, O(p n1^2).
+      n1 x n1 pair block of the cases, O(p n1^2).
 
     ``imbalanced-kendall`` and ``custom`` kernels relabel, regroup and
     recompute the statistic per permutation.

@@ -87,16 +87,16 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     ``rit``).
 
     Random streams derived from ``seed``: ``(seed, 1)`` the subsample
-    plan (under every null), ``(seed, 2, b)`` permutation b, and for
-    zeta_k ``(seed, 5)`` at k = 1, ``(seed, 6)`` at k = 0 and
+    plan (under every null), ``(seed, 2, c)`` permutation chunk c, and
+    for zeta_k ``(seed, 5)`` at k = 1, ``(seed, 6)`` at k = 0 and
     ``(seed, 7, k)`` at k >= 2.
 
     The permutation null, chosen or the auto fallback, is
     :func:`raresig.inference.pvalue_permutation`: each permutation draws
     the rare rows' positions and, for every kernel but
     ``imbalanced-kendall`` and ``custom``, reads a pooled summary at
-    O(n1) (O(p n1^2) for the pairwise kernels) instead of regrouping n
-    rows.
+    O(n1) (one n1 x n1 pair block for the pairwise kernels) instead of
+    regrouping n rows.
     """
     params = dict(method.kernel_params)
     if method.kernel.replace("-", "_") == "multi_kendall":

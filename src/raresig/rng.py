@@ -11,10 +11,10 @@ Domain indices (second key element) used by convention:
 
 * 0: data generation for a replication
 * 1: subsampling plans
-* 2: permutations (third element = permutation index): permutation b
-  draws the rare rows' positions,
-  ``spawn_rng(seed, 2, b).choice(n, n_rare, replace=False)``, O(n_rare)
-  per draw (see :func:`raresig.inference._permutation_stats`)
+* 2: permutations (third element = chunk index): permutations
+  64c + 1 to 64c + 64 each draw the rare rows' positions,
+  ``choice(n, n_rare, replace=False)``, in turn from
+  ``spawn_rng(seed, 2, c)`` (see :func:`raresig.inference._permutation_stats`)
 """
 
 from __future__ import annotations

@@ -384,14 +384,20 @@ def figure1_phenomenon(
 # ---------------------------------------------------------------------------
 
 
-def _median_time(fn, trials: int) -> float:
-    fn()  # warm-up (allocator, caches)
-    times = []
+def _cpu_times(calls, trials: int) -> list:
+    """Least CPU time of each of ``calls`` over ``trials`` rounds that run
+    every call once: other processes' time does not count, and a slow
+    spell of the host slows one round of every size, which the minimum
+    then skips, not every trial of one size."""
+    for fn in calls:
+        fn()  # warm-up (allocator, caches)
+    best = [math.inf] * len(calls)
     for _ in range(trials):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for k, fn in enumerate(calls):
+            t0 = time.process_time()
+            fn()
+            best[k] = min(best[k], time.process_time() - t0)
+    return best
 
 
 def loglog_slope(xs, ts) -> float:
@@ -409,7 +415,8 @@ def benchmark_complexity(
     p: int | None = None,
     seed: int = 0,
 ) -> list:
-    """Median wall times of the statistic across a size grid.
+    """CPU times of the statistic across a size grid (the least of
+    ``trials`` calls, see :func:`_cpu_times`).
 
     ``mode="rit"`` varies the total sample size; ``mode="bit"`` fixes
     ``n1`` and varies the sampling ratio ``s``.  Absolute times are
@@ -419,23 +426,15 @@ def benchmark_complexity(
     if p is None:
         p = 1 if kernel.order == "first" else 5
     rng = spawn_rng(seed)
-    rows = []
+    calls = []
     if mode == "rit":
+        xs = list(sizes)
         for n in sizes:
             n1_local = max(kernel.m1, n // 20)
             labels = np.r_[np.zeros(n - n1_local, np.int64), np.ones(n1_local, np.int64)]
             x = rng.standard_normal((n, p)) if p > 1 else rng.standard_normal((n, 1))
             grouped = group_by_label(LabeledSample(x, labels))
-            rows.append(
-                {
-                    "kernel": kernel_name,
-                    "mode": "rit",
-                    "x": n,
-                    "median_seconds": _median_time(
-                        lambda g=grouped: compute_rit(g, kernel), trials
-                    ),
-                }
-            )
+            calls.append(lambda g=grouped: compute_rit(g, kernel))
     elif mode == "bit":
         if n1 is None or not s_values:
             raise ValidationError("bit benchmarks need n1 and s_values")
@@ -443,18 +442,11 @@ def benchmark_complexity(
         labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
         x = rng.standard_normal((n0 + n1, p))
         grouped = group_by_label(LabeledSample(x, labels))
+        xs = list(s_values)
         for s in s_values:
             plan = draw_subsample(grouped, s, seed, kernel.m0)
-            rows.append(
-                {
-                    "kernel": kernel_name,
-                    "mode": "bit",
-                    "x": s,
-                    "median_seconds": _median_time(
-                        lambda g=grouped, pl=plan: compute_bit(g, kernel, pl), trials
-                    ),
-                }
-            )
+            calls.append(lambda pl=plan: compute_bit(grouped, kernel, pl))
     else:
         raise ValidationError("mode must be 'rit' or 'bit'")
-    return rows
+    return [{"kernel": kernel_name, "mode": mode, "x": x, "cpu_seconds": t}
+            for x, t in zip(xs, _cpu_times(calls, trials))]

@@ -4,8 +4,14 @@ The references are independent of the chunked code: ``scipy``'s
 ``pdist``/``cdist`` for the distance kernel, and ``arccos(clip(u @ v.T))``
 on ``angle_embed`` rows for the angular kernel.  Inputs cover the sizes
 on both sides of the 512-row chunk, ties, duplicate rows, constant
-columns and 1e8 offsets.
+columns and 1e8 offsets, at feature counts on both sides of
+``GEMM_MIN_P``, where the distance block turns into one GEMM.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +38,8 @@ fast = settings(max_examples=25)
 @st.composite
 def feature_rows(draw, p=None):
     n = draw(st.sampled_from(SIZES))
-    p = draw(st.integers(1, 8)) if p is None else p
+    if p is None:
+        p = draw(st.one_of(st.integers(1, 8), st.just(64)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, p))
     if draw(st.booleans()):
@@ -112,6 +119,54 @@ def test_pair_matrix_matches_dense(kind, a):
     np.fill_diagonal(want, 0.0)
     assert np.all(np.diag(got) == 0.0)
     _check(kind, got, want, 1)
+
+
+@pytest.mark.parametrize("p", [_accel.GEMM_MIN_P, 64])
+def test_gemm_block_recomputes_cancelling_distances(p):
+    # two rows 1e-6 apart at norm ~1e3 and an exact duplicate: the GEMM
+    # expansion of those entries is all cancellation, so they must come
+    # from the rows themselves
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((40, p))
+    x[0] *= 1e3 / np.linalg.norm(x[0])
+    x[1] = x[0] + 1e-6 * rng.standard_normal(p) / np.sqrt(p)
+    x[2] = x[1]
+    want = cdist(x, x)
+    got = _accel.pair_matrix(KERNELS["dcov"], x)
+    assert got[1, 2] == 0.0 and np.all(np.diag(got) == 0.0)
+    assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert_allclose(_accel.within_rowsum(KERNELS["dcov"], x), want.sum(axis=1), rtol=1e-12)
+
+
+# every primitive of both kernels on sizes that are not multiples of a
+# BLAS tile, with a 1e8 offset so that ipcov angles show last-bit changes
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from raresig import _accel
+from raresig.kernels import dcov_kernel, ipcov_kernel
+h = hashlib.sha1()
+for n, p in ((1537, 20), (700, 50), (83, 300)):
+    x = np.random.default_rng(n).standard_normal((n, p))
+    x[:, 0] += 1e8
+    for k in (dcov_kernel(), ipcov_kernel()):
+        for v in (_accel.within_rowsum(k, x), _accel.cross_rowsum(k, x[:37], x),
+                  _accel.pair_matrix(k, x[:600]), _accel.within_sum(k, x)):
+            h.update(np.asarray(v).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_blocks_are_bitwise_equal_at_any_blas_thread_count():
+    # threads split a GEMM along its tiles; the padded operands keep every
+    # entry in a full tile, so the sums do not depend on the thread count
+    src = str(Path(_accel.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1
 
 
 def test_first_order_kernels_have_no_pair_function():

@@ -391,15 +391,15 @@ def test_criterion_10_complexity_slopes():
         "kendall", sizes=(10_000, 40_000, 160_000), trials=5, seed=111
     )
     slope_kendall = loglog_slope([r["x"] for r in rows],
-                                 [r["median_seconds"] for r in rows])
+                                 [r["cpu_seconds"] for r in rows])
     rows = benchmark_complexity("dcov", sizes=(1_000, 2_000, 4_000), trials=5,
                                 p=5, seed=112)
     slope_dcov = loglog_slope([r["x"] for r in rows],
-                              [r["median_seconds"] for r in rows])
+                              [r["cpu_seconds"] for r in rows])
     rows = benchmark_complexity("dcov", sizes=(), mode="bit", n1=100,
                                 s_values=(5, 10, 20), trials=5, p=5, seed=113)
     slope_bit = loglog_slope([r["x"] for r in rows],
-                             [r["median_seconds"] for r in rows])
+                             [r["cpu_seconds"] for r in rows])
     assert 0.9 <= slope_kendall <= 1.4
     assert 1.7 <= slope_dcov <= 2.3
     assert 1.6 <= slope_bit <= 2.4

@@ -117,7 +117,8 @@ def adversarial_instances(draw, kernel, p=None):
     n1 = draw(st.sampled_from((2, 3)))
     n0 = draw(st.integers(max(kernel.m0, 2), 12))
     if p is None:
-        p = draw(st.integers(1, 8))
+        # both sides of _accel.GEMM_MIN_P (the GEMM distance block)
+        p = draw(st.one_of(st.integers(1, 8), st.just(64)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n0 + n1, p))
     x[n0:] *= draw(st.sampled_from((1.0, 3.0)))

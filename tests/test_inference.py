@@ -167,6 +167,9 @@ def test_pair_projection_guard_refuses_before_summing(monkeypatch):
 # only good to ~1e-8 absolute (see test_accel.ANGLE_ATOL)
 C_SIGMA2 = 0.7
 ANGLE_ATOL = 1e-7
+# feature counts on both sides of _accel.GEMM_MIN_P, from which the dcov
+# distance block is one GEMM
+FEATURE_COUNTS = st.one_of(st.integers(1, 8), st.just(64))
 
 
 def _dense_pairs(kind, a, b):
@@ -180,7 +183,7 @@ def _dense_pairs(kind, a, b):
 def projection_samples(draw):
     n0 = draw(st.sampled_from((2, 5, 40, 513)))
     n1 = draw(st.sampled_from((3, 4, 9)))
-    p = draw(st.integers(1, 8))
+    p = draw(FEATURE_COUNTS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n0 + n1, p))
     x[n0:] *= draw(st.sampled_from((1.0, 3.0)))
@@ -333,11 +336,12 @@ def test_permutation_invariant_to_monotone_transforms():
 def permutation_samples(draw, p=None, n_rare=1):
     """Small samples with ties, duplicate rows, constant columns, 1e8
     offsets and as few as two rows in a rare class; ``p`` features
-    (drawn from 1-8 when None) and ``n_rare`` rare classes."""
+    (drawn from ``FEATURE_COUNTS`` when None) and ``n_rare`` rare
+    classes."""
     sizes = [draw(st.sampled_from((2, 3, 8))) for _ in range(n_rare)]
     n0 = draw(st.integers(24, 60))
     if p is None:
-        p = draw(st.integers(1, 8))
+        p = draw(FEATURE_COUNTS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n0 + sum(sizes), p))
     if draw(st.booleans()):
@@ -475,6 +479,65 @@ def test_summary_permutations_never_regroup(monkeypatch, kernel, p):
     out = pvalue_permutation(sample, kernel, B=99, seed=3)
     assert out.metadata["batched"]
     assert calls == {"group_by_label": 1, "compute_rit": 0}
+
+
+def test_permutation_streams_do_not_depend_on_B():
+    # relabeling b comes from the generator of its chunk, so a shorter
+    # test is a prefix of a longer one, across the first chunk boundary
+    rng = np.random.default_rng(14)
+    labels = rng.permutation(np.r_[np.zeros(300, np.int64), np.ones(12, np.int64)])
+    statistic = engine._pooled_statistic(rng.standard_normal((312, 1)), kendall_kernel())
+    short = inference._permutation_stats(statistic, labels, 39, seed=4)
+    long = inference._permutation_stats(statistic, labels, 199, seed=4)
+    assert 199 > inference.PERMUTATION_CHUNK
+    assert np.array_equal(short, long[:40])
+
+
+def test_permutation_draws_one_generator_per_chunk(monkeypatch):
+    # B = 999 relabelings come from ceil(999 / 64) = 16 generators
+    keys = []
+    spawn = inference.spawn_rng
+    monkeypatch.setattr(inference, "spawn_rng", lambda *key: keys.append(key) or spawn(*key))
+    rng = np.random.default_rng(15)
+    labels = rng.permutation(np.r_[np.zeros(200, np.int64), np.ones(20, np.int64)])
+    pvalue_permutation(LabeledSample(rng.standard_normal((220, 1)), labels),
+                       kendall_kernel(), B=999, seed=6)
+    assert inference.PERMUTATION_CHUNK == 64
+    assert keys == [(6, 2, c) for c in range(16)]
+
+
+def _dcov_values(sample):
+    """compute_rit's dcov value and the pooled summary's at the observed
+    case set."""
+    kernel = dcov_kernel()
+    pooled = engine._pooled_statistic(sample.features, kernel)
+    return (compute_rit(group_by_label(sample), kernel).value,
+            pooled((np.flatnonzero(sample.labels),)))
+
+
+@pytest.mark.parametrize("p", [3, 64], ids=["cdist", "gemm"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_dcov_invariant_under_translation_and_rotation(p, data):
+    # a paper identity: the distances, hence the statistic, do not move
+    # under rigid motions of the features, however large the offset
+    assert (p < _accel.GEMM_MIN_P) == (p == 3)
+    sample = data.draw(permutation_samples(p=p))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # on a 2^-10 grid below 2^43 a shift by whole numbers is exact, so
+    # only the statistic's own rounding can move it
+    x = np.ldexp(np.round(np.ldexp(sample.features, 10)), -10)
+    shift = rng.integers(-10**8, 10**8, size=p).astype(float)
+    shift[rng.integers(0, p)] = data.draw(st.sampled_from((1e8, -1e8, 0.5)))
+    base = _dcov_values(LabeledSample(x, sample.labels))
+    atol = 1e-12 * pdist(x).mean()
+    moved = _dcov_values(LabeledSample(x + shift, sample.labels))
+    assert_allclose(moved, base, rtol=1e-9, atol=atol)
+    # a rotation about the mean (rotating the 1e8 offset itself would
+    # round the rows to ~1e-8)
+    q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    turned = _dcov_values(LabeledSample((x - x.mean(axis=0)) @ q, sample.labels))
+    assert_allclose(turned, base, rtol=1e-9, atol=atol)
 
 
 def test_permutation_null_pvalues_roughly_uniform():
