@@ -2,16 +2,19 @@
 
 Both second-order kernels are the six-term kernel over one pair function
 d(x, y): the Euclidean distance for ``rescaled_dcov`` and the angle
-between augmented unit rows for ``rescaled_ipcov``.  ``_pair_metric`` is
-the one place that maps a kernel to its pair function and its block of
-d, one GEMM from ``GEMM_MIN_P`` features on for dcov and always for
-ipcov; every O(n^2 p) quantity is built from four primitives over it:
-the within-block total, per-row cross and within sums, and the dense
-within matrix.  A cross total is ``math.fsum`` of the per-row cross
-sums, which the callers keep.  Each runs over blocks of at most
-``_CHUNK`` rows, so memory is O(chunk * n) outside the dense matrix,
-and the totals combine per-row or per-block sums with ``math.fsum``, so
-results are reproducible run to run.
+between augmented unit rows for ``rescaled_ipcov``.  Both read one block
+of distances, :func:`_distances`: one GEMM from ``GEMM_MIN_P`` columns
+of the mapped rows on, else ``cdist``.  ipcov's rows are its unit rows
+at radius 1/2, whose distance is sin(theta/2), and it maps each distance
+to theta = 2 arcsin(.), which keeps relative accuracy near 0.
+``_pair_metric`` maps a kernel to its rows and that map; every O(n^2 p)
+quantity is built from four primitives over the block: the
+within-block total, per-row cross and within sums, and the dense within
+matrix.  A cross total is ``math.fsum`` of the per-row cross sums, which
+the callers keep.  Each runs over blocks of at most ``_CHUNK`` rows, so
+memory is O(chunk * n) outside the dense matrix, and the totals combine
+per-row or per-block sums with ``math.fsum``, so results are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 _CHUNK = 512
-# dcov blocks are one GEMM from 8 features on (512 x 2,050 block: cdist
+# blocks are one GEMM from 8 columns on (dcov, 512 x 2,050 block: cdist
 # 2.2 ms against 9 at p = 5, 3.4 against 2.2 at p = 8, 19 against 2.9 at 50)
 GEMM_MIN_P = 8
 _TILE = 16  # see _gemm
@@ -49,9 +52,10 @@ def active_backend() -> str:
 
 
 def angle_embed(x: np.ndarray, c_sigma2: float) -> np.ndarray:
-    """Rows mapped to unit vectors whose dot products encode the angular
-    affinity: ``acos(<embed(x), embed(y)>)`` equals
-    ``acos((c + x.y) / sqrt((c + x.x)(c + y.y)))``."""
+    """Rows mapped to the unit vectors ``[x, sqrt(c)] / |[x, sqrt(c)]|``,
+    whose angle is the angular affinity
+    ``acos((c + x.y) / sqrt((c + x.x)(c + y.y)))``; at distance r apart
+    that angle is 2 arcsin(r / 2)."""
     if c_sigma2 <= 0:
         raise ValidationError("c_sigma2 must be positive")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -71,7 +75,7 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dcov_rows(x: np.ndarray) -> np.ndarray:
-    """The rows x below ``GEMM_MIN_P`` features, else ``[x, u, |u|^2, 1,
+    """The rows x below ``GEMM_MIN_P`` columns, else ``[x, u, |u|^2, 1,
     -2u, 1, |u|^2]`` with u = x centred at its mean, against an offset:
     ``[u, |u|^2, 1] . [-2v, 1, |v|^2] = |u - v|^2``."""
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -83,14 +87,17 @@ def _dcov_rows(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, u, sq, one, -2.0 * u, one, sq])
 
 
-def _distances(a: np.ndarray, b: np.ndarray, diag: int | None = None) -> np.ndarray:
-    """Distances between the rows of ``a`` and ``b`` (:func:`_dcov_rows`);
-    row i of ``a`` is row ``diag + i`` of ``b``, at distance 0, when
-    ``diag`` is given.  A squared distance from the GEMM below
-    ``_RECOMPUTE`` (|u|^2 + |v|^2) has lost digits to cancellation and
-    is taken from ``cdist`` of the rows; the rest are good to ~1e-13."""
+def _distances(a: np.ndarray, b: np.ndarray, f=None,
+               diag: int | None = None) -> np.ndarray:
+    """Distances between the rows of ``a`` and ``b`` (:func:`_dcov_rows`),
+    mapped in place by ``f`` when given; row i of ``a`` is row
+    ``diag + i`` of ``b``, at distance 0, when ``diag`` is given.  A
+    squared distance from the GEMM below ``_RECOMPUTE`` (|u|^2 + |v|^2)
+    has lost digits to cancellation and is taken from ``cdist`` of the
+    rows; the rest are good to ~1e-13."""
     if a.shape[1] < GEMM_MIN_P:
-        return cdist(a, b)
+        d = cdist(a, b)
+        return d if f is None else f(d)
     p = (a.shape[1] - 4) // 3
     d = _gemm(a[:, p : 2 * p + 2], b[:, 2 * p + 2 :])
     if diag is not None:
@@ -105,54 +112,53 @@ def _distances(a: np.ndarray, b: np.ndarray, diag: int | None = None) -> np.ndar
     np.sqrt(d, out=d)
     if diag is not None:
         np.fill_diagonal(d[:, diag:], 0.0)
+    return d if f is None else f(d)
+
+
+def _half_angles(d: np.ndarray) -> np.ndarray:
+    """2 arcsin(d) in place: the angle between unit rows 2d apart (the
+    clamp keeps a rounded-up d = 1 at pi)."""
+    np.minimum(d, 1.0, out=d)
+    np.arcsin(d, out=d)
+    d *= 2.0
     return d
 
 
-def _angles(u: np.ndarray, v: np.ndarray, diag: int | None = None) -> np.ndarray:
-    g = _gemm(u, v)
-    np.clip(g, -1.0, 1.0, out=g)
-    np.arccos(g, out=g)
-    if diag is not None:
-        np.fill_diagonal(g[:, diag:], 0.0)
-    return g
-
-
-def _dist_within(a: np.ndarray) -> float:
+def _dist_within(a: np.ndarray, f=None) -> float:
     if a.shape[1] < GEMM_MIN_P:
-        return float(pdist(a).sum())
-    return float(_distances(a, a, 0).sum()) / 2.0
+        d = pdist(a)
+        return float((d if f is None else f(d)).sum())
+    return float(_distances(a, a, f, 0).sum()) / 2.0
 
 
 def _pair_metric(kernel: KernelSpec):
-    """``(rows, block, within)`` for a second-order kernel:
-    ``block(rows(a), rows(b), diag=None)[i, j]`` is the pair function
-    d(a_i, b_j) (``diag`` as in :func:`_distances`), and
-    ``within(rows(a))`` its sum over the unordered pairs of ``a``."""
+    """``(rows, f)`` for a second-order kernel: the pair function
+    d(a_i, b_j) is ``_distances(rows(a), rows(b), f)[i, j]``; ipcov's
+    rows are its unit rows at radius 1/2, so a distance is sin(theta/2)."""
     if kernel.kind == "rescaled_dcov":
-        return _dcov_rows, _distances, _dist_within
+        return _dcov_rows, None
     if kernel.kind == "rescaled_ipcov":
         c = kernel.params.get("c_sigma2", 1.0)
-        return ((lambda x: angle_embed(x, c)), _angles,
-                lambda u: float(_angles(u, u, 0).sum()) / 2.0)
+        return (lambda x: _dcov_rows(angle_embed(x, c) / 2.0)), _half_angles
     raise ValidationError(f"{kernel.kind} has no pair function")
 
 
 def pair_rows(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
     """``a`` mapped to the rows the pair function reads (see
-    :func:`_dcov_rows`; the augmented unit rows for ipcov): map a pool
-    once, then sum over subsets with ``within_sum(..., mapped=True)``."""
+    :func:`_pair_metric`): map a pool once, then sum over subsets with
+    ``within_sum(..., mapped=True)``."""
     return _pair_metric(kernel)[0](a)
 
 
 def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row-of-``a`` sums of d to every row of ``b`` (mapped as one
     pool: one centre for dcov)."""
-    rows, block, _ = _pair_metric(kernel)
+    rows, f = _pair_metric(kernel)
     u = rows(np.concatenate([a, b]))
     a, b = u[: len(a)], u[len(a) :]
     out = np.empty(a.shape[0])
     for lo in range(0, a.shape[0], _CHUNK):
-        out[lo : lo + _CHUNK] = block(a[lo : lo + _CHUNK], b).sum(axis=1)
+        out[lo : lo + _CHUNK] = _distances(a[lo : lo + _CHUNK], b, f).sum(axis=1)
     return out
 
 
@@ -160,16 +166,16 @@ def within_sum(kernel: KernelSpec, a: np.ndarray, mapped: bool = False) -> float
     """Sum of d over unordered row pairs of ``a`` (rows of
     :func:`pair_rows` when ``mapped``): the pairs within each chunk plus
     the whole block from the chunk to later rows."""
-    rows, block, within = _pair_metric(kernel)
+    rows, f = _pair_metric(kernel)
     if not mapped:
         a = rows(a)
     n = a.shape[0]
     parts = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        parts.append(within(a[lo:hi]))
+        parts.append(_dist_within(a[lo:hi], f))
         if hi < n:
-            parts.append(float(block(a[lo:hi], a[hi:]).sum()))
+            parts.append(float(_distances(a[lo:hi], a[hi:], f).sum()))
     return math.fsum(parts)
 
 
@@ -178,15 +184,15 @@ def within_rowsum(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
     the same blocks as :func:`within_sum`: each diagonal chunk with its
     diagonal zeroed, and each chunk-to-later-rows block added to the
     rows on both of its sides."""
-    rows, block, _ = _pair_metric(kernel)
+    rows, f = _pair_metric(kernel)
     a = rows(a)
     n = a.shape[0]
     out = np.zeros(n)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        out[lo:hi] += block(a[lo:hi], a[lo:hi], 0).sum(axis=1)
+        out[lo:hi] += _distances(a[lo:hi], a[lo:hi], f, 0).sum(axis=1)
         if hi < n:
-            d = block(a[lo:hi], a[hi:])
+            d = _distances(a[lo:hi], a[hi:], f)
             out[lo:hi] += d.sum(axis=1)
             out[hi:] += d.sum(axis=0)
     return out
@@ -194,6 +200,6 @@ def within_rowsum(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
 
 def pair_matrix(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
     """Dense n x n matrix of d within ``a``, diagonal zeroed."""
-    rows, block, _ = _pair_metric(kernel)
+    rows, f = _pair_metric(kernel)
     a = rows(a)
-    return block(a, a, 0)
+    return _distances(a, a, f, 0)

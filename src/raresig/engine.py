@@ -10,14 +10,14 @@ subsample for the m-control sign kernel, and pairwise distance/angle
 sums for the second-order kernels (O(p n^2), streaming memory).
 ``compute_rit_bruteforce`` is the literal definition and serves as the
 oracle in tests; a ``custom`` kernel always takes it.
-``compute_classical`` produces the unrescaled pooled statistics used as
-baselines; each has its own formula (the pairwise ones read the same
-pair sums as the rescaled statistic), so the two can be checked against
-each other.  ``_pooled_statistic`` evaluates a kernel's statistic on
-the case sets of one pooled sample from a summary computed once (sign
-counts, a centred total, or the pairwise row sums of
-``_pair_sum_statistic``, which also serve the classical pairwise
-formula), which is what the permutation nulls iterate over.
+``_pooled_statistic`` evaluates a kernel's statistic on the case sets of
+one pooled sample from a summary computed once (sign counts, a centred
+total, or the pairwise row sums of ``_pair_sum_statistic``), which is
+what the permutation nulls iterate over.  ``compute_classical`` produces
+the unrescaled pooled statistics used as baselines from the same
+summaries: the classical kendall and pearson values are the rescaled
+ones times a factor that vanishes as n1 / n -> 0, and the classical
+dcov/ipcov formula reads the same pair sums.
 """
 
 from __future__ import annotations
@@ -287,34 +287,6 @@ def compute_rit_bruteforce(data: GroupedSample, kernel: KernelSpec) -> RitStatis
 # ---------------------------------------------------------------------------
 
 
-def _classical_kendall(x: np.ndarray, cases: np.ndarray) -> float:
-    """Pooled sign statistic 2/n^2 * sum over case/control pairs of
-    sgn(x_case - x_ctrl), computed by a sorted sweep over tie groups."""
-    n = x.size
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    labels = np.zeros(n)
-    labels[cases] = 1.0
-    ys = labels[order]
-    new_group = np.r_[True, xs[1:] != xs[:-1]]
-    gid = np.cumsum(new_group) - 1
-    cases_g = np.bincount(gid, weights=ys).astype(np.int64)
-    ctrls_g = np.bincount(gid, weights=1 - ys).astype(np.int64)
-    cases_before = np.concatenate([[0], np.cumsum(cases_g)[:-1]])
-    ctrls_before = np.concatenate([[0], np.cumsum(ctrls_g)[:-1]])
-    s = int((cases_g * ctrls_before - ctrls_g * cases_before).sum())
-    return 2.0 * s / (n * n)
-
-
-def _classical_pearson(x: np.ndarray, cases: np.ndarray) -> float:
-    """Pooled correlation of x against the binary label."""
-    p1 = cases.size / x.size
-    sd = x.std()  # population moments in the pooled form
-    if sd <= 0:
-        raise DegenerateDataError("zero-variance feature")
-    return math.sqrt(p1) * (x[cases].mean() - x.mean()) / (sd * math.sqrt(1 - p1))
-
-
 def _classical_from_sums(
     n0: int, n1: int, s00: float, s01: float, s11: float
 ) -> float:
@@ -342,8 +314,20 @@ def _classical_statistic(sample: LabeledSample, kind: str):
         if sample.p != 1:
             raise ValidationError(f"classical {kind} requires scalar features")
         x = sample.features[:, 0]
-        f = _classical_pearson if kind == "pearson" else _classical_kendall
-        return lambda cases: f(x, cases[0])
+        n = x.size
+        if kind == "kendall":
+            # the pooled sign counts summed over the cases: the
+            # case/control sign sum, the case/case pairs cancelling
+            c = sign_counts(np.sort(x), x)
+            return lambda cases: 2.0 * int(c[cases[0]].sum(dtype=np.int64)) / (n * n)
+        sd = x.std()  # population moments in the pooled form
+        if sd <= 0:
+            raise DegenerateDataError("zero-variance feature")
+        diff = _mean_statistic(x)
+        # the correlation with the label is sqrt(n0 n1) / (n sd) times the
+        # difference of the class means
+        return lambda cases: (math.sqrt((n - cases[0].size) * cases[0].size)
+                              / (n * sd) * diff(cases))
     if kind in ("dcov", "ipcov"):
         return _pair_sum_statistic(
             sample.features, kernel_from_name(kind), _classical_from_sums

@@ -197,16 +197,17 @@ def kernel_dcov(x0a, x0b, x1a, x1b) -> float:
 
 
 def _angle(x, y, c_sigma2: float) -> float:
-    num = c_sigma2 + float(np.dot(x, y))
-    den = math.sqrt((c_sigma2 + float(np.dot(x, x))) * (c_sigma2 + float(np.dot(y, y))))
-    arg = num / den
-    if abs(arg) > 1.0 + 1e-12:
-        raise ValidationError(f"angular affinity argument {arg} outside [-1, 1]")
-    return math.acos(min(1.0, max(-1.0, arg)))
+    """Angle between the augmented rows [x, sqrt(c)] and [y, sqrt(c)], as
+    2 atan2(|u - v|, |u + v|) of their unit vectors u, v: the half-angle
+    form keeps relative accuracy near 0 and pi, where acos does not."""
+    u, v = (np.append(z, math.sqrt(c_sigma2)) for z in (x, y))
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
 
 
 def kernel_ipcov(x0a, x0b, x1a, x1b, c_sigma2: float = 1.0) -> float:
-    """Angular-affinity analogue of the distance kernel."""
+    """Angular-affinity analogue of the distance kernel: the same six
+    terms over the angle between the augmented rows (see :func:`_angle`)."""
     if c_sigma2 <= 0:
         raise ValidationError("c_sigma2 must be positive")
     pts = [np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0a, x0b, x1a, x1b)]

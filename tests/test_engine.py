@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from raresig import (
     DegenerateDataError,
@@ -103,17 +104,12 @@ BINARY_KERNELS = {
     "dcov": (dcov_kernel(), None),
     "ipcov": (ipcov_kernel(0.8), None),
 }
-# an angle near 0 is arccos of a dot product near 1, good to ~1e-8
-# absolute (see test_accel.ANGLE_ATOL); identical rows have such an
-# angle, and a 1e8 offset makes every angle one
-ANGLE_ATOL = 1e-7
 
 
 @st.composite
 def adversarial_instances(draw, kernel, p=None):
     """Small binary samples with ties, duplicate rows, constant columns,
-    1e8 offsets and two or three cases: ``(grouped, parallel)``, with
-    ``parallel`` true when some rows are identical or offset by 1e8."""
+    1e8 offsets and two or three cases."""
     n1 = draw(st.sampled_from((2, 3)))
     n0 = draw(st.integers(max(kernel.m0, 2), 12))
     if p is None:
@@ -129,12 +125,10 @@ def adversarial_instances(draw, kernel, p=None):
         x[rng.integers(0, n0 + n1, size=src.size)] = x[src]  # duplicate rows
     if draw(st.booleans()):
         x[:, draw(st.integers(0, p - 1))] = 3.0  # constant column
-    offset = draw(st.booleans())
-    if offset:
+    if draw(st.booleans()):
         x[:, 0] += 1e8
     labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
-    parallel = offset or np.unique(x, axis=0).shape[0] < x.shape[0]
-    return _grouped(x, labels), parallel
+    return _grouped(x, labels)
 
 
 @pytest.mark.parametrize("name", list(BINARY_KERNELS))
@@ -142,11 +136,10 @@ def adversarial_instances(draw, kernel, p=None):
 @given(data=st.data())
 def test_fast_paths_match_bruteforce_on_adversarial_inputs(name, data):
     kernel, p = BINARY_KERNELS[name]
-    g, parallel = data.draw(adversarial_instances(kernel, p))
+    g = data.draw(adversarial_instances(kernel, p))
     fast = compute_rit(g, kernel).value
     brute = compute_rit_bruteforce(g, kernel).value
-    atol = ANGLE_ATOL if name == "ipcov" and parallel else 1e-12
-    assert_allclose(fast, brute, rtol=1e-12, atol=atol)
+    assert_allclose(fast, brute, rtol=1e-12, atol=1e-12)
 
 
 def test_custom_kernel_goes_through_enumeration():
@@ -236,6 +229,24 @@ def test_classical_pearson_matches_correlation_coefficient():
     assert_allclose(r, np.corrcoef(x, labels)[0, 1], atol=1e-12)
 
 
+def test_classical_pearson_is_exact_at_a_large_offset():
+    # against exact rationals: at a 1e8 offset uncentred class means keep
+    # only ~1e-8 of their absolute accuracy, ~1e-7 of this mean difference
+    rng = np.random.default_rng(8)
+    n, n1 = 1000, 50
+    n0 = n - n1
+    x = 1e8 + rng.standard_normal(n)
+    x[n0:] += 0.1
+    labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
+    q = [Fraction(v) for v in x]
+    diff = sum(q[n0:]) / n1 - sum(q[:n0]) / n0
+    mean = sum(q) / n
+    var = sum((v - mean) ** 2 for v in q) / n
+    want = math.copysign(math.sqrt(n0 * n1 * diff**2 / (n**2 * var)), diff)
+    got = compute_classical(LabeledSample(x[:, None], labels), "pearson")
+    assert_allclose(got, want, rtol=1e-12)
+
+
 def test_classical_kendall_rescaling_identity():
     rng = np.random.default_rng(5)
     for trial in range(10):
@@ -270,9 +281,8 @@ def test_classical_dcov_rescaling_residual_identity():
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_classical_ipcov_matches_dense_angles(offset):
-    # the row totals leave out the self angles acos(u.u), which are not
-    # zero when u.u rounds below 1; a 1e8-offset column makes every pair
-    # angle ~1e-8, the size of those self angles
+    # a 1e8-offset column makes every pair angle ~1e-8: the row totals
+    # must keep their relative accuracy there
     rng = np.random.default_rng(3)
     n, n1 = 400, 40
     x = rng.standard_normal((n, 50))
@@ -280,8 +290,7 @@ def test_classical_ipcov_matches_dense_angles(offset):
     labels = np.r_[np.zeros(n - n1, np.int64), np.ones(n1, np.int64)]
     x[labels == 1, 1] += 0.5
     u = angle_embed(x, 1.0)
-    a = np.arccos(np.clip(u @ u.T, -1.0, 1.0))
-    np.fill_diagonal(a, 0.0)
+    a = 2.0 * np.arcsin(cdist(u, u) / 2.0)
     b = np.abs(labels[:, None] - labels[None, :]).astype(float)
     want = (
         (a * b).sum() / n**2

@@ -25,6 +25,9 @@ REMOVED = (
     "MAX_POOLED",
     "_pair_projection_matrix",
     "_checked_pair_projection",
+    "_angles",
+    "_classical_kendall",
+    "_classical_pearson",
 )
 
 

@@ -163,10 +163,8 @@ def test_pair_projection_guard_refuses_before_summing(monkeypatch):
     assert calls == []
 
 
-# angle_embed rows with c_sigma2 = 0.7 for ipcov; an angle near 0 is
-# only good to ~1e-8 absolute (see test_accel.ANGLE_ATOL)
+# angle_embed rows with c_sigma2 = 0.7 for ipcov
 C_SIGMA2 = 0.7
-ANGLE_ATOL = 1e-7
 # feature counts on both sides of _accel.GEMM_MIN_P, from which the dcov
 # distance block is one GEMM
 FEATURE_COUNTS = st.one_of(st.integers(1, 8), st.just(64))
@@ -176,7 +174,7 @@ def _dense_pairs(kind, a, b):
     if kind == "dcov":
         return cdist(a, b)
     u, v = angle_embed(a, C_SIGMA2), angle_embed(b, C_SIGMA2)
-    return np.arccos(np.clip(u @ v.T, -1.0, 1.0))
+    return 2.0 * np.arcsin(cdist(u, v) / 2.0)
 
 
 @st.composite
@@ -215,9 +213,9 @@ def test_xi02_and_condition_ratio_match_dense_reference(kind, g):
     off = ~np.eye(n1, dtype=bool)
     eh2 = (h[off] ** 2).mean()
     want_xi02 = h[np.triu_indices(n1, k=1)].var(ddof=1)
-    # error of one projection entry: rounding, plus four angles for ipcov
+    # error of one projection entry: rounding
     scale = np.abs(h).max()
-    dh = 1e-13 * scale + (8 * ANGLE_ATOL if kind == "ipcov" else 0.0)
+    dh = 1e-13 * scale
     assert_allclose(estimate_xi02(g, kernel), want_xi02, rtol=1e-12,
                     atol=4 * scale * dh + dh * dh)
     try:
@@ -425,9 +423,8 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
         # integer sign sums: bitwise
         assert np.array_equal(fast, slow)
     # rounding of the six-term cancellation, relative to the pair
-    # distances; plus ANGLE_ATOL of test_accel, the arccos rounding near
-    # angle 0 (rows made parallel by a 1e8 offset)
-    atol = 1e-12 * pdist(pool.features).mean() + (1e-7 if name == "ipcov" else 0.0)
+    # distances
+    atol = 1e-12 * pdist(pool.features).mean()
     assert_allclose(fast, slow, rtol=1e-9, atol=atol)
     out = pvalue_permutation(sample, kernel, B=B, seed=seed, s=s)
     assert out.metadata["batched"]
@@ -506,10 +503,9 @@ def test_permutation_draws_one_generator_per_chunk(monkeypatch):
     assert keys == [(6, 2, c) for c in range(16)]
 
 
-def _dcov_values(sample):
-    """compute_rit's dcov value and the pooled summary's at the observed
-    case set."""
-    kernel = dcov_kernel()
+def _pair_values(kernel, sample):
+    """compute_rit's value and the pooled summary's at the observed case
+    set."""
     pooled = engine._pooled_statistic(sample.features, kernel)
     return (compute_rit(group_by_label(sample), kernel).value,
             pooled((np.flatnonzero(sample.labels),)))
@@ -520,8 +516,10 @@ def _dcov_values(sample):
 @given(data=st.data())
 def test_dcov_invariant_under_translation_and_rotation(p, data):
     # a paper identity: the distances, hence the statistic, do not move
-    # under rigid motions of the features, however large the offset
-    assert (p < _accel.GEMM_MIN_P) == (p == 3)
+    # under rigid motions of the features, however large the offset; the
+    # angles of ipcov do not move under rotations about the origin (its
+    # rows, [x, sqrt(c)], have p + 1 columns: the same side of GEMM_MIN_P)
+    assert (p < _accel.GEMM_MIN_P) == (p + 1 < _accel.GEMM_MIN_P) == (p == 3)
     sample = data.draw(permutation_samples(p=p))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # on a 2^-10 grid below 2^43 a shift by whole numbers is exact, so
@@ -529,14 +527,18 @@ def test_dcov_invariant_under_translation_and_rotation(p, data):
     x = np.ldexp(np.round(np.ldexp(sample.features, 10)), -10)
     shift = rng.integers(-10**8, 10**8, size=p).astype(float)
     shift[rng.integers(0, p)] = data.draw(st.sampled_from((1e8, -1e8, 0.5)))
-    base = _dcov_values(LabeledSample(x, sample.labels))
+    dcov, ipcov = dcov_kernel(), ipcov_kernel()
+    base = _pair_values(dcov, LabeledSample(x, sample.labels))
     atol = 1e-12 * pdist(x).mean()
-    moved = _dcov_values(LabeledSample(x + shift, sample.labels))
+    moved = _pair_values(dcov, LabeledSample(x + shift, sample.labels))
     assert_allclose(moved, base, rtol=1e-9, atol=atol)
     # a rotation about the mean (rotating the 1e8 offset itself would
     # round the rows to ~1e-8)
     q = np.linalg.qr(rng.standard_normal((p, p)))[0]
-    turned = _dcov_values(LabeledSample((x - x.mean(axis=0)) @ q, sample.labels))
+    turned = _pair_values(dcov, LabeledSample((x - x.mean(axis=0)) @ q, sample.labels))
+    assert_allclose(turned, base, rtol=1e-9, atol=atol)
+    base = _pair_values(ipcov, LabeledSample(x, sample.labels))
+    turned = _pair_values(ipcov, LabeledSample(x @ q, sample.labels))
     assert_allclose(turned, base, rtol=1e-9, atol=atol)
 
 
