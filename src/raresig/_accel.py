@@ -8,11 +8,12 @@ of the mapped rows on, else ``cdist``.  ipcov's rows are its unit rows
 at radius 1/2, whose distance is sin(theta/2), and it maps each distance
 to theta = 2 arcsin(.), which keeps relative accuracy near 0.
 ``_pair_metric`` maps a kernel to its rows and that map; every O(n^2 p)
-quantity is built from four primitives over the block: the
-within-block total, per-row cross and within sums, and the dense within
-matrix.  A cross total is ``math.fsum`` of the per-row cross sums, which
-the callers keep.  Each runs over blocks of at most ``_CHUNK`` rows, so
-memory is O(chunk * n) outside the dense matrix, and the totals combine
+quantity is built from five primitives over the block: the within-block
+total, the within totals of many subsets of one pool, per-row cross and
+within sums, and the dense within matrix.  A cross total is
+``math.fsum`` of the per-row cross sums, which the callers keep.  Each
+runs over blocks of at most ``_CHUNK`` rows, so memory is
+O(chunk * n) outside the dense matrix, and the totals combine
 per-row or per-block sums with ``math.fsum``, so results are
 reproducible run to run.
 """
@@ -28,8 +29,8 @@ from .errors import ValidationError
 from .kernels import KernelSpec
 
 __all__ = [
-    "pair_rows",
     "within_sum",
+    "subset_sums",
     "cross_rowsum",
     "within_rowsum",
     "pair_matrix",
@@ -102,17 +103,21 @@ def _distances(a: np.ndarray, b: np.ndarray, f=None,
     d = _gemm(a[:, p : 2 * p + 2], b[:, 2 * p + 2 :])
     if diag is not None:
         np.fill_diagonal(d[:, diag:], np.inf)
-    sa, sb = a[:, 2 * p], b[:, 2 * p]
-    if d.min() < _RECOMPUTE * (sa.max() + sb.max()):
-        i, j = np.nonzero(d < _RECOMPUTE * (sa[:, None] + sb))
-        # over the rows and columns concerned only: O(block) memory
-        ri, ii = np.unique(i, return_inverse=True)
-        rj, jj = np.unique(j, return_inverse=True)
-        d[i, j] = cdist(a[ri, :p], b[rj, :p])[ii, jj] ** 2
+    if d.min() < _RECOMPUTE * (a[:, 2 * p].max() + b[:, 2 * p].max()):
+        _recompute(d, a, b, p)
     np.sqrt(d, out=d)
     if diag is not None:
         np.fill_diagonal(d[:, diag:], 0.0)
     return d if f is None else f(d)
+
+
+def _recompute(d: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
+    """Squared distances of ``d`` below ``_RECOMPUTE`` (|u|^2 + |v|^2) from
+    ``cdist`` over the rows and columns concerned: O(block) memory."""
+    i, j = np.nonzero(d < _RECOMPUTE * (a[:, 2 * p, None] + b[:, 2 * p]))
+    ri, ii = np.unique(i, return_inverse=True)
+    rj, jj = np.unique(j, return_inverse=True)
+    d[i, j] = cdist(a[ri, :p], b[rj, :p])[ii, jj] ** 2
 
 
 def _half_angles(d: np.ndarray) -> np.ndarray:
@@ -122,13 +127,6 @@ def _half_angles(d: np.ndarray) -> np.ndarray:
     np.arcsin(d, out=d)
     d *= 2.0
     return d
-
-
-def _dist_within(a: np.ndarray, f=None) -> float:
-    if a.shape[1] < GEMM_MIN_P:
-        d = pdist(a)
-        return float((d if f is None else f(d)).sum())
-    return float(_distances(a, a, f, 0).sum()) / 2.0
 
 
 def _pair_metric(kernel: KernelSpec):
@@ -143,13 +141,6 @@ def _pair_metric(kernel: KernelSpec):
     raise ValidationError(f"{kernel.kind} has no pair function")
 
 
-def pair_rows(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
-    """``a`` mapped to the rows the pair function reads (see
-    :func:`_pair_metric`): map a pool once, then sum over subsets with
-    ``within_sum(..., mapped=True)``."""
-    return _pair_metric(kernel)[0](a)
-
-
 def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row-of-``a`` sums of d to every row of ``b`` (mapped as one
     pool: one centre for dcov)."""
@@ -162,21 +153,76 @@ def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
-def within_sum(kernel: KernelSpec, a: np.ndarray, mapped: bool = False) -> float:
-    """Sum of d over unordered row pairs of ``a`` (rows of
-    :func:`pair_rows` when ``mapped``): the pairs within each chunk plus
-    the whole block from the chunk to later rows."""
-    rows, f = _pair_metric(kernel)
-    if not mapped:
-        a = rows(a)
+def _within_total(a: np.ndarray, f) -> float:
+    """Sum of d over unordered pairs of the mapped rows ``a``: the pairs
+    within each chunk (``pdist``, or half its block) plus the whole block
+    from the chunk to later rows."""
     n = a.shape[0]
     parts = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        parts.append(_dist_within(a[lo:hi], f))
+        if a.shape[1] < GEMM_MIN_P:
+            d = pdist(a[lo:hi])
+            parts.append(float((d if f is None else f(d)).sum()))
+        else:
+            parts.append(float(_distances(a[lo:hi], a[lo:hi], f, 0).sum()) / 2.0)
         if hi < n:
             parts.append(float(_distances(a[lo:hi], a[hi:], f).sum()))
     return math.fsum(parts)
+
+
+def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:
+    """Sum of d over unordered row pairs of ``a``."""
+    rows, f = _pair_metric(kernel)
+    return _within_total(rows(a), f)
+
+
+def subset_sums(kernel: KernelSpec, x: np.ndarray):
+    """``idx -> sums``: for a (c, m) array of positions in ``x``, the
+    within total of each row's subset, bitwise that of its rows with
+    ``x`` mapped once (one centre for dcov).  From ``GEMM_MIN_P`` columns
+    on and up to ``_CHUNK`` rows, the blocks are one stacked GEMM, at
+    most ``_CHUNK * n`` entries a batch, each the padded :func:`_gemm` of
+    :func:`_distances` (a gathered zero row pads it) with its screen,
+    ``sqrt``, map and sum; other subsets take :func:`_within_total`."""
+    rows, f = _pair_metric(kernel)
+    u = rows(x)
+    n, w = u.shape
+    p = (w - 4) // 3
+    if w >= GEMM_MIN_P:
+        left, right = (np.vstack([u[:, cols], np.zeros(p + 2)])
+                       for cols in (slice(p, 2 * p + 2), slice(2 * p + 2, None)))
+
+    def batch(idx: np.ndarray, pad: np.ndarray) -> np.ndarray:
+        m = idx.shape[1]
+        a = np.take(left, pad, axis=0)
+        b = np.take(right, pad, axis=0).transpose(0, 2, 1)
+        full = a @ np.ascontiguousarray(b)  # contiguous: faster
+        d = full[:, :m, :m]
+        diag = np.arange(m)
+        d[:, diag, diag] = np.inf
+        top = a[:, :m, p].max(axis=1)
+        for i in np.flatnonzero(d.min(axis=(1, 2)) < _RECOMPUTE * (top + top)):
+            _recompute(d[i], u[idx[i]], u[idx[i]], p)
+        np.sqrt(full, out=full)
+        d[:, diag, diag] = 0.0
+        if f is not None:
+            f(full)
+        return d.sum(axis=(1, 2)) / 2.0
+
+    def sums(idx: np.ndarray) -> np.ndarray:
+        c, m = idx.shape
+        if w < GEMM_MIN_P or m > _CHUNK:
+            return np.array([_within_total(u[i], f) for i in idx])
+        size = m + -m % _TILE
+        pad = np.full((c, size), n)
+        pad[:, :m] = idx
+        # blocks a batch: at most _CHUNK * n entries of products and operands
+        step = max(1, _CHUNK * n // (size * (size + 2 * p + 4)))
+        return np.concatenate([batch(idx[lo : lo + step], pad[lo : lo + step])
+                               for lo in range(0, c, step)])
+
+    return sums
 
 
 def within_rowsum(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:

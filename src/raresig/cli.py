@@ -76,14 +76,19 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     one ``np.loadtxt`` call; any other body is reparsed row by row,
     which defines the rules.  Both give bitwise-equal arrays.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            body = fh.read()
-        except UnicodeDecodeError:
-            raise ValidationError(f"{path}: not valid UTF-8 text") from None
-        header_lines = reader.line_num
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    lines = []  # the header's lines, read as text from the bytes
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    try:
+        header = next(csv.reader(lines.append(v) or v for v in iter(text.readline, "")),
+                      None)
+        start = len("".join(lines).encode("utf-8"))
+        records = _records(raw, start)
+        body = str(memoryview(raw)[start:], "utf-8")  # decoded once
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not valid UTF-8 text") from None
+    del raw, text
     if not header:
         raise ValidationError(f"{path}: missing header row")
     if label_col not in header:
@@ -100,7 +105,8 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
         raise ValidationError("no feature columns selected")
     feat_idx = [header.index(c) for c in feature_cols]
 
-    parsed = _load_clean(path, header_lines, body, feat_idx, label_idx, len(header))
+    parsed = _load_clean(path, len(lines), body, records, feat_idx, label_idx,
+                         len(header))
     reader_name = "vectorised"
     if parsed is None:
         parsed, reader_name = _parse_blocks(body, feat_idx, label_idx, len(header))
@@ -110,24 +116,32 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     return Ingested(LabeledSample(feats, labels), dropped, reader_name)
 
 
-def _load_clean(source, header_lines: int, body: str, feat_idx: list,
+def _records(raw: bytes, start: int) -> int:
+    """Records in ``raw`` from byte ``start`` on: CR, LF and CRLF each end
+    one, as in ``csv`` (no UTF-8 character holds either byte), and so does
+    the end of an unterminated last one."""
+    a = np.frombuffer(raw, np.uint8)[start:]
+    count = int(np.count_nonzero(a == 10)) + int(a.size > 0 and a[-1] not in (10, 13))
+    if raw.find(b"\r", start) >= 0:
+        cr = a == 13
+        count += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & (a[1:] == 10)))
+    return count
+
+
+def _load_clean(source, header_lines: int, body: str, records: int, feat_idx: list,
                 label_idx: int, width: int):
     """``(features, labels, 0)`` from one ``np.loadtxt`` pass over the
-    ``body`` that follows the first ``header_lines`` lines of ``source``
-    (a path, or the body's own lines), or None when :func:`_parse_rows`
-    would drop a row or raise.
+    ``body`` of ``records`` records that follows the first
+    ``header_lines`` lines of ``source`` (a path, or the body's own
+    lines), or None when :func:`_parse_rows` would drop a row or raise.
 
     ``loadtxt`` skips blank lines, so the parsed rows must number the
-    body's records (CR, LF and CRLF each end one, as in ``csv``).  It
-    rejects a row that lacks a used column, so the last header column
-    is always used (and ignored) to catch short rows.  Reading a path
-    is faster than reading ``body``.
+    body's records.  It rejects a row that lacks a used column, so the
+    last header column is always used (and ignored) to catch short rows.
+    Reading a path is faster than reading ``body``.
     """
     if not body.strip("\r\n"):
         return None  # no record, or blank ones only
-    records = body.count("\n") + body.count("\r") - body.count("\r\n")
-    if body[-1] not in "\r\n":
-        records += 1  # an unterminated last record
     cols = feat_idx + [label_idx]
     converters = None
     if width - 1 not in cols:
@@ -169,7 +183,7 @@ def _parse_blocks(body: str, feat_idx: list, label_idx: int, width: int):
     for i in range(0, len(lines), _BLOCK_LINES):
         block = lines[i:i + _BLOCK_LINES]
         text = "".join(block)
-        part = _load_clean(block, 0, text, feat_idx, label_idx, width)
+        part = _load_clean(block, 0, text, len(block), feat_idx, label_idx, width)
         if part is None:
             part, reader = _parse_rows(text, feat_idx, label_idx, width), "row-loop"
         parts.append(part)

@@ -10,12 +10,12 @@ subsample for the m-control sign kernel, and pairwise distance/angle
 sums for the second-order kernels (O(p n^2), streaming memory).
 ``compute_rit_bruteforce`` is the literal definition and serves as the
 oracle in tests; a ``custom`` kernel always takes it.
-``_pooled_statistic`` evaluates a kernel's statistic on the case sets of
-one pooled sample from a summary computed once (sign counts, a centred
-total, or the pairwise row sums of ``_pair_sum_statistic``), which is
-what the permutation nulls iterate over.  ``compute_classical`` produces
-the unrescaled pooled statistics used as baselines from the same
-summaries: the classical kendall and pearson values are the rescaled
+``_pooled_statistic`` evaluates a kernel's statistic on a chunk of case
+sets of one pooled sample from a summary computed once (sign counts, a
+centred total, or the pairwise row sums of ``_pair_sum_statistic``),
+which is what the permutation nulls iterate over.  ``compute_classical``
+produces the unrescaled pooled statistics used as baselines from the
+same summaries: the classical kendall and pearson values are the rescaled
 ones times a factor that vanishes as n1 / n -> 0, and the classical
 dcov/ipcov formula reads the same pair sums.
 """
@@ -140,25 +140,26 @@ def _rit_from_sums(n0: int, n1: int, s00: float, s01: float, s11: float) -> floa
 
 def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
     """``cases -> formula(n0, n1, s00, s01, s11)`` over the rows ``x``,
-    for one rare class whose rows are ``cases``, a one-tuple of sorted
-    positions.
+    for one rare class whose rows are ``cases``, a one-tuple of a (c, n1)
+    array of sorted positions: c values.
 
     The pooled row sums r_i = sum_{j != i} d(x_i, x_j) and their total T
     do not depend on the labels, so they are computed once (O(p n^2),
     O(chunk * n) memory), and so are the rows the pair function reads
-    (centred for dcov).  Each call then builds the n1 x n1 pair block of
-    its cases (O(p n1^2)): s11 is its sum, s01 = sum of r over the
-    cases - s11 and s00 = T - s11 - 2 s01.
+    (centred for dcov).  A call then sums the n1 x n1 pair blocks of its
+    c case sets, one stacked GEMM (:func:`raresig._accel.subset_sums`,
+    O(c p n1^2)): s11 is a block's sum, s01 = sum of r over the cases -
+    s11 and s00 = T - s11 - 2 s01.
     """
     r = _accel.within_rowsum(kernel, x)
     total = math.fsum(r)
-    u = _accel.pair_rows(kernel, x)
+    within = _accel.subset_sums(kernel, x)
 
-    def statistic(cases: tuple) -> float:
+    def statistic(cases: tuple) -> np.ndarray:
         (idx,) = cases
-        n1 = idx.size
-        s11 = 2.0 * _accel.within_sum(kernel, u[idx], mapped=True)
-        s01 = math.fsum(r[idx].tolist()) - s11
+        n1 = idx.shape[1]
+        s11 = 2.0 * within(idx)
+        s01 = np.array([math.fsum(v) for v in r[idx].tolist()]) - s11
         return formula(x.shape[0] - n1, n1, total - s11 - 2.0 * s01, s01, s11)
 
     return statistic
@@ -167,51 +168,58 @@ def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
 def _sign_statistic(x: np.ndarray):
     """``cases -> sign statistic`` of ``rescaled_kendall`` or
     ``multi_kendall`` over the scalar rows ``x``, for rare classes whose
-    rows are ``cases`` (one array of positions per class).
+    rows are ``cases`` (one (c, n_k) array of positions per class): c
+    values.
 
     The pooled sign counts c_i = #{x_j < x_i} - #{x_j > x_i} come from
     one sort.  Rare class k's sum of sgn against the controls is the sum
     of c over its rows minus their sign counts among all rare rows
-    (O(n_r log n_r)); with one rare class that term is 0, as the
-    within-class pairs cancel.  The sums are integers, so the value is
-    bitwise that of :func:`compute_rit` on the same classes.
+    (O(n_r log n_r) a case set, one sort a chunk); with one rare class
+    that term is 0, as the within-class pairs cancel.  The sums are
+    integers, so each value is bitwise that of :func:`compute_rit`.
     """
     c = sign_counts(np.sort(x), x)
 
-    def statistic(cases: tuple) -> float:
-        n0 = x.size - sum(idx.size for idx in cases)
-        rare = np.sort(x[np.concatenate(cases)]) if len(cases) > 1 else None
+    def statistic(cases: tuple) -> np.ndarray:
+        n_rare = sum(idx.shape[1] for idx in cases)
+        if len(cases) > 1:
+            # c is increasing in x, ties equal, in (-n, n): a key per row
+            row = np.arange(len(cases[0]))[:, None]
+            keys = np.sort(c[np.concatenate(cases, axis=1)] + 2 * x.size * row, axis=None)
         parts = []
         for idx in cases:
-            cross = int(c[idx].sum(dtype=np.int64))
-            if rare is not None:
-                cross -= int(sign_counts(rare, x[idx]).sum(dtype=np.int64))
-            parts.append(float(cross) / (n0 * idx.size))
-        return math.fsum(parts)
+            cross = c[idx].sum(axis=1, dtype=np.int64)
+            if len(cases) > 1:
+                # each row's sign counts: left + right - (2 row + 1) n_rare
+                q = c[idx] + 2 * x.size * row
+                both = np.searchsorted(keys, q, "left") + np.searchsorted(keys, q, "right")
+                cross -= (both - (2 * row + 1) * n_rare).sum(axis=1)
+            parts.append(cross / ((x.size - n_rare) * idx.shape[1]))
+        return np.array([math.fsum(v) for v in zip(*parts)])
 
     return statistic
 
 
 def _mean_statistic(x: np.ndarray):
     """``cases -> case mean - control mean`` over the scalar rows ``x``
-    for one rare class: the rows are centred once, and each call sums
-    the centred case rows with ``math.fsum`` and takes the controls'
-    sum from the pooled total (O(n1))."""
+    for one rare class, c values for a (c, n1) array of positions: the
+    rows are centred once, and each call sums a case set's centred rows
+    with ``math.fsum`` and takes the controls' from the pooled total."""
     xc = x - x.mean()
     total = math.fsum(xc)
 
-    def statistic(cases: tuple) -> float:
+    def statistic(cases: tuple) -> np.ndarray:
         (idx,) = cases
-        s1 = math.fsum(xc[idx].tolist())
-        return s1 / idx.size - (total - s1) / (x.size - idx.size)
+        s1 = np.array([math.fsum(v) for v in xc[idx].tolist()])
+        return s1 / idx.shape[1] - (total - s1) / (x.size - idx.shape[1])
 
     return statistic
 
 
 def _pooled_statistic(x: np.ndarray, kernel: KernelSpec):
-    """``cases -> statistic`` of ``kernel`` over the rows ``x`` from one
-    pooled summary, or None for a kernel without one
-    (``imbalanced_kendall``, ``custom``)."""
+    """``cases -> statistics`` of ``kernel`` over the rows ``x``, a value
+    per case set of the chunk ``cases``, from one pooled summary, or None
+    for a kernel without one (``imbalanced_kendall``, ``custom``)."""
     if kernel.kind in ("rescaled_kendall", "multi_kendall"):
         return _sign_statistic(x[:, 0])
     if kernel.kind == "rescaled_pearson":
@@ -304,9 +312,9 @@ def _classical_from_sums(
 
 
 def _classical_statistic(sample: LabeledSample, kind: str):
-    """``cases -> classical statistic`` on the features of ``sample``
-    (see :func:`compute_classical`), ``cases`` a one-tuple of the sorted
-    case positions."""
+    """``cases -> classical statistics`` on the features of ``sample``
+    (see :func:`compute_classical`), ``cases`` a one-tuple of a (c, n1)
+    array of sorted case positions."""
     if sample.n_classes != 2:
         raise ValidationError("classical baselines require binary labels")
     group_by_label(sample)  # both classes must be populated
@@ -319,14 +327,14 @@ def _classical_statistic(sample: LabeledSample, kind: str):
             # the pooled sign counts summed over the cases: the
             # case/control sign sum, the case/case pairs cancelling
             c = sign_counts(np.sort(x), x)
-            return lambda cases: 2.0 * int(c[cases[0]].sum(dtype=np.int64)) / (n * n)
+            return lambda cases: 2.0 * c[cases[0]].sum(axis=1, dtype=np.int64) / (n * n)
         sd = x.std()  # population moments in the pooled form
         if sd <= 0:
             raise DegenerateDataError("zero-variance feature")
         diff = _mean_statistic(x)
         # the correlation with the label is sqrt(n0 n1) / (n sd) times the
         # difference of the class means
-        return lambda cases: (math.sqrt((n - cases[0].size) * cases[0].size)
+        return lambda cases: (math.sqrt((n - cases[0].shape[1]) * cases[0].shape[1])
                               / (n * sd) * diff(cases))
     if kind in ("dcov", "ipcov"):
         return _pair_sum_statistic(
@@ -341,4 +349,5 @@ def compute_classical(sample: LabeledSample, kind: str) -> float:
 
     Labels must be binary.
     """
-    return _classical_statistic(sample, kind)((np.flatnonzero(sample.labels),))
+    cases = np.flatnonzero(sample.labels)[None]
+    return float(_classical_statistic(sample, kind)((cases,))[0])

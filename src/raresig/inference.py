@@ -56,7 +56,7 @@ _TINY_P = 5e-324  # keep p-values in (0, 1]
 # condition ratio, peak at about 25 n1^2 bytes (625 MB at the guard)
 PAIR_PROJECTION_GUARD = 5_000
 
-# relabelings per generator (building one costs about two draws)
+# relabelings per generator and per call of the statistic
 PERMUTATION_CHUNK = 64
 
 
@@ -251,41 +251,69 @@ def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _ordered_draws(rng, n: int, m: int) -> np.ndarray:
+    """``PERMUTATION_CHUNK`` rows of m distinct positions in range(n), each
+    the first m distinct values of k uniform draws (the mean count that
+    takes plus 4 sd; a chunk with a shorter row is redrawn).  A row's
+    law is invariant under relabelling range(n), so every ordered m-tuple
+    is equally likely.  Past m = n/2 a row is the complement of n - m
+    such draws, in uniform order."""
+    rows = PERMUTATION_CHUNK
+    if 2 * m > n:
+        mask = np.ones((rows, n), dtype=bool)
+        mask[np.arange(rows)[:, None], _ordered_draws(rng, n, n - m)] = False
+        return rng.permuted(np.nonzero(mask)[1].reshape(rows, m), axis=1)
+    q = 1.0 - np.arange(m) / n
+    k = int(np.sum(1.0 / q) + 4.0 * math.sqrt(np.sum((1.0 - q) / q**2))) + 2
+    bits = k.bit_length()
+    while True:
+        draws = rng.integers(0, n, size=(rows, k))
+        # (value, stream index) keys, sorted: a value's first draw leads
+        keys = np.sort((draws << bits) | np.arange(k), axis=1)
+        first = np.ones((rows, k), dtype=bool)
+        np.not_equal(keys[:, 1:] >> bits, keys[:, :-1] >> bits, out=first[:, 1:])
+        # the stream indices of the first m distinct values, in order
+        take = np.sort(np.where(first, keys & ((1 << bits) - 1), k), axis=1)[:, :m]
+        if take[:, -1].max() < k:
+            return np.take_along_axis(draws, take, axis=1)
+
+
 def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.ndarray:
     """``statistic`` at the case sets of ``labels``, then at B uniform
     relabelings that keep every class count.
 
-    ``statistic`` takes one sorted array of row positions per rare class.
-    Relabeling b draws the rare rows' positions, ``choice(n, n_rare,
-    replace=False)``, from the generator of its chunk of relabelings,
-    ``spawn_rng(seed, 2, (b - 1) // PERMUTATION_CHUNK)``, so they do not
-    depend on B.  The i-th drawn position takes the i-th rare label in
-    row order, so every count-preserving labeling is equally likely and
-    the null is exact.  Each class's positions are then sorted, so the
-    statistic sees sets, not the draw order.  A relabeling costs
-    O(n_rare) before the statistic; one set of arrays is live at a time.
+    ``statistic`` takes one (c, n_k) array of sorted positions per rare
+    class and returns c values; the observed labels are a chunk of one.
+    Chunk c, relabelings 64c + 1 to 64c + 64, is one
+    :func:`_ordered_draws` from ``spawn_rng(seed, 2, c)``, its rows past
+    B dropped, so the first B relabelings do not depend on B.  The i-th
+    position of a row takes the i-th rare label in row order, so every
+    count-preserving labeling is equally likely and the null is exact;
+    each class's positions are sorted, so the statistic sees sets.
     """
     rare = np.flatnonzero(labels)
     slots = [np.flatnonzero(labels[rare] == k) for k in range(1, int(labels.max()) + 1)]
     stats = np.empty(B + 1)
-    stats[0] = statistic(tuple(rare[i] for i in slots))
-    for b in range(B):
-        if b % PERMUTATION_CHUNK == 0:
-            rng = spawn_rng(seed, 2, b // PERMUTATION_CHUNK)
-        drawn = rng.choice(labels.size, rare.size, replace=False)
-        stats[b + 1] = statistic(tuple(np.sort(drawn[i]) for i in slots))
+    stats[0] = statistic(tuple(rare[None, i] for i in slots))[0]
+    for lo in range(0, B, PERMUTATION_CHUNK):
+        drawn = _ordered_draws(spawn_rng(seed, 2, lo // PERMUTATION_CHUNK),
+                               labels.size, rare.size)[: B - lo]
+        stats[lo + 1 : lo + 1 + len(drawn)] = statistic(
+            tuple(np.sort(drawn[:, i], axis=1) for i in slots))
     return stats
 
 
 def _regroup_statistic(pool: LabeledSample, kernel: KernelSpec):
-    """``cases -> statistic`` that relabels the rows of ``pool``, regroups
-    them and recomputes the full-sample statistic: O(n) or more per call."""
+    """``cases -> statistics`` that relabels the rows of ``pool``, regroups
+    them and recomputes the full-sample statistic, one case set of the
+    chunk at a time: O(n) or more per case set."""
 
-    def statistic(cases: tuple) -> float:
-        labels = np.zeros(pool.n, dtype=np.int64)
+    def statistic(cases: tuple) -> np.ndarray:
+        labels = np.zeros((len(cases[0]), pool.n), dtype=np.int64)
         for k, idx in enumerate(cases, 1):
-            labels[idx] = k
-        return compute_rit(group_by_label(pool.with_labels(labels)), kernel).value
+            np.put_along_axis(labels, idx, k, axis=1)
+        return np.array([compute_rit(group_by_label(pool.with_labels(row)), kernel).value
+                         for row in labels])
 
     return statistic
 
@@ -312,9 +340,9 @@ def pvalue_permutation(
     """Label-permutation p-value with the add-one estimator.
 
     Each permutation draws the rare rows' positions uniformly, class
-    counts preserved, from one generator per chunk of permutations (see
-    :func:`_permutation_stats`); permuted values tying the observed one
-    count toward rejection.
+    counts preserved, a chunk of 64 permutations from one generator and
+    one vectorised draw (see :func:`_permutation_stats`); permuted
+    values tying the observed one count toward rejection.
 
     Under subsampling the test conditions on one thinning plan: the plan
     ``run_test`` uses under every null (``draw_subsample`` with seed
@@ -328,16 +356,18 @@ def pvalue_permutation(
     ["plan_attempts"]`` is the plan's draw count (None without ``s``).
 
     Most kernels compute one pooled summary of the pool before the loop
-    and each permutation reads only the drawn rows
+    and each chunk of permutations reads only the drawn rows
     (``metadata["batched"]``: the statistic read a pooled summary, see
     :func:`engine._pooled_statistic`):
 
-    * ``kendall``: one sort for the pooled sign counts, then O(n1);
+    * ``kendall``: one sort for the pooled sign counts, then O(n1) a
+      permutation;
     * ``multi-kendall``: the same, plus O(n_r log n_r) for the sign
       counts among the n_r rare rows;
     * ``pearson``: one centred total, then an O(n1) ``fsum``;
     * ``dcov``/``ipcov``: the pooled row sums (O(p n^2) once), then the
-      n1 x n1 pair block of the cases, O(p n1^2).
+      n1 x n1 pair blocks of a chunk's case sets in one stacked GEMM,
+      O(p n1^2) a permutation.
 
     ``imbalanced-kendall`` and ``custom`` kernels relabel, regroup and
     recompute the statistic per permutation.

@@ -92,10 +92,11 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     ``(seed, 7, k)`` at k >= 2.
 
     The permutation null, chosen or the auto fallback, is
-    :func:`raresig.inference.pvalue_permutation`: each permutation draws
-    the rare rows' positions and, for every kernel but
-    ``imbalanced-kendall`` and ``custom``, reads a pooled summary at
-    O(n1) (one n1 x n1 pair block for the pairwise kernels) instead of
+    :func:`raresig.inference.pvalue_permutation`: each chunk of 64
+    permutations draws the rare rows' positions in one call and, for
+    every kernel but ``imbalanced-kendall`` and ``custom``, reads a
+    pooled summary at O(n1) a permutation (n1 x n1 pair blocks, one
+    stacked GEMM a chunk, for the pairwise kernels) instead of
     regrouping n rows.
     """
     params = dict(method.kernel_params)

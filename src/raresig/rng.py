@@ -11,10 +11,11 @@ Domain indices (second key element) used by convention:
 
 * 0: data generation for a replication
 * 1: subsampling plans
-* 2: permutations (third element = chunk index): permutations
-  64c + 1 to 64c + 64 each draw the rare rows' positions,
-  ``choice(n, n_rare, replace=False)``, in turn from
-  ``spawn_rng(seed, 2, c)`` (see :func:`raresig.inference._permutation_stats`)
+* 2: permutations (third element = chunk index): ``spawn_rng(seed, 2, c)``
+  draws the rare rows' positions of permutations 64c + 1 to 64c + 64 in
+  one call, 64 rows whatever B is, each row the first n_rare distinct
+  values of a stream of uniform integers (see
+  :func:`raresig.inference._ordered_draws`)
 """
 
 from __future__ import annotations

@@ -109,6 +109,56 @@ def test_pair_matrix_matches_dense(kind, a):
     assert_allclose(got, want, rtol=1e-12)
 
 
+@st.composite
+def subset_draws(draw):
+    """Rows as in ``feature_rows`` with a (c, m) array of subsets of them,
+    distinct positions within each subset; m reaches past ``_CHUNK``."""
+    x = draw(feature_rows())
+    n = x.shape[0]
+    m = draw(st.sampled_from(sorted({min(n, v) for v in (1, 2, 7, 50, 513)})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.sampled_from((1, 3, 64)))
+    return x, np.array([np.sort(rng.permutation(n)[:m]) for _ in range(c)])
+
+
+@fast
+@given(kinds, subset_draws())
+def test_subset_sums_match_dense(kind, xi):
+    x, idx = xi
+    got = _accel.subset_sums(KERNELS[kind], x)(idx)
+    assert got.shape == (idx.shape[0],)
+    want = [_within_ref(kind, x[i]).sum() for i in idx]
+    assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+@pytest.mark.parametrize("p", [3, _accel.GEMM_MIN_P, 50])
+def test_subset_sums_equal_per_subset_sums_bitwise(monkeypatch, kind, p):
+    # the stacked blocks give each subset the bits of its own block: 39
+    # duplicate rows make the screen recompute entries, and a 1e6 offset
+    # puts the distances far below the rows' norms
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((700, p))
+    x[:39] = x[39:78]
+    x[:, 0] += 1e6
+    idx = np.array([np.sort(rng.permutation(700)[:50]) for _ in range(130)])
+    # the duplicate pair 0, 39 in the first ten subsets
+    idx[:10] = [np.sort(np.r_[0, 39, rng.permutation(np.arange(40, 700))[:48]])
+                for _ in range(10)]
+    screened = []
+    recompute = _accel._recompute
+    monkeypatch.setattr(_accel, "_recompute",
+                        lambda d, *a: screened.append(1) or recompute(d, *a))
+    rows, f = _accel._pair_metric(KERNELS[kind])
+    u = rows(x)
+    want = [_accel._within_total(u[i], f) for i in idx]
+    sums = _accel.subset_sums(KERNELS[kind], x)
+    before = len(screened)
+    assert np.array_equal(np.concatenate([sums(idx[:64]), sums(idx[64:]), sums(idx[:1])]),
+                          np.r_[want, want[:1]])
+    assert (len(screened) > before) == (p >= _accel.GEMM_MIN_P)
+
+
 @pytest.mark.parametrize("p", [_accel.GEMM_MIN_P, 64])
 def test_gemm_block_recomputes_cancelling_distances(p):
     # two rows 1e-6 apart at norm ~1e3 and an exact duplicate: the GEMM
@@ -137,8 +187,11 @@ for n, p in ((1537, 20), (700, 50), (83, 300)):
     x = np.random.default_rng(n).standard_normal((n, p))
     x[:, 0] += 1e8
     for k in (dcov_kernel(), ipcov_kernel()):
+        idx = np.random.default_rng(p).random((70, n)).argsort(axis=1)[:, :60]
+        idx.sort(axis=1)
         for v in (_accel.within_rowsum(k, x), _accel.cross_rowsum(k, x[:37], x),
-                  _accel.pair_matrix(k, x[:600]), _accel.within_sum(k, x)):
+                  _accel.pair_matrix(k, x[:600]), _accel.within_sum(k, x),
+                  _accel.subset_sums(k, x)(idx)):
             h.update(np.asarray(v).tobytes())
 print(h.hexdigest())
 """

@@ -110,7 +110,7 @@ def test_ingest_non_utf8_file_is_a_validation_error(tmp_path, capsys, where):
     assert "not valid UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_ingest_clean_file_takes_the_vectorised_path(tmp_path, monkeypatch, newline):
     def no_row_loop(*args):
         raise AssertionError("the row loop ran on a clean file")
@@ -218,7 +218,7 @@ def _csv_files(draw):
         elif shape == "long":
             row += [cell(_CLEAN, cell_dirt) for _ in range(draw(st.integers(1, 2)))]
         lines.append(",".join(row))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     end = draw(st.sampled_from([newline, ""]))
     return newline.join(lines) + end, label, features
 

@@ -28,6 +28,7 @@ REMOVED = (
     "_angles",
     "_classical_kendall",
     "_classical_pearson",
+    "pair_rows",
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist, pdist
-from scipy.stats import norm
+from scipy.stats import chisquare, norm
 
 from raresig import (
     DegenerateDataError,
@@ -36,6 +37,7 @@ from raresig import (
 )
 from raresig import _accel, engine, inference
 from raresig._accel import angle_embed
+from raresig.rng import spawn_rng
 from raresig.simulate import MethodConfig, ScenarioSpec, run_erp
 
 
@@ -377,17 +379,15 @@ def _pool(sample, kernel, s, seed):
 
 
 class _Replay:
-    """Stands in for ``spawn_rng``: every generator hands out the next of
-    ``draws`` as its ``choice``."""
+    """Stands in for ``_ordered_draws``: every chunk draws ``rows`` in
+    turn, repeated to fill its relabelings."""
 
-    def __init__(self, draws):
-        self.draws = iter(draws)
+    def __init__(self, rows):
+        self.rows = np.asarray(rows)
 
-    def __call__(self, *key):
-        return self
-
-    def choice(self, n, size, replace):
-        return next(self.draws)
+    def __call__(self, rng, n, m):
+        assert m == self.rows.shape[1]
+        return np.resize(self.rows, (inference.PERMUTATION_CHUNK, m))
 
 
 @pytest.mark.parametrize("name", list(SUMMARY_KERNELS))
@@ -401,17 +401,20 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
     B = 39
     pool, ratio = _pool(sample, kernel, s, seed)
     summary = engine._pooled_statistic(pool.features, kernel)
-    seen = []
+    chunks = []
     fast = ratio * inference._permutation_stats(
-        lambda cases: seen.append(cases) or summary(cases), pool.labels, B, seed
+        lambda cases: chunks.append(cases) or summary(cases), pool.labels, B, seed
     )
     slow = ratio * inference._permutation_stats(
         inference._regroup_statistic(pool, kernel), pool.labels, B, seed
     )
-    # every labeling keeps the class counts: disjoint sorted sets of the
+    # the observed labeling is a chunk of one, then one chunk of B; every
+    # labeling keeps the class counts: disjoint sorted sets of the
     # observed sizes, the observed sets first
+    assert [len(cases[0]) for cases in chunks] == [1, B]
+    seen = [tuple(idx[b] for idx in cases)
+            for cases in chunks for b in range(len(cases[0]))]
     counts = list(np.bincount(pool.labels)[1:])
-    assert len(seen) == B + 1
     for cases in seen:
         assert [idx.size for idx in cases] == counts
         rows = np.concatenate(cases)
@@ -439,7 +442,8 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
     assert np.array_equal(
         exceed[~near_tie], (np.abs(slow[1:]) >= abs(slow[0]))[~near_tie]
     )
-    # one case set drawn in two orders gives the same value, bit for bit
+    # one case set drawn in two orders gives the same value, bit for bit,
+    # and the i-th drawn position takes the i-th rare label
     rng = np.random.default_rng(seed)
     rare = np.flatnonzero(pool.labels)
     drawn = rng.choice(pool.n, rare.size, replace=False)
@@ -447,9 +451,13 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
     for k in range(1, n_rare + 1):
         slot = np.flatnonzero(pool.labels[rare] == k)
         shuffled[slot] = rng.permutation(drawn[slot])
-    with patch.object(inference, "spawn_rng", _Replay([drawn, shuffled])):
-        twice = inference._permutation_stats(summary, pool.labels, 2, seed)
+    replayed = []
+    with patch.object(inference, "_ordered_draws", _Replay([drawn, shuffled])):
+        twice = inference._permutation_stats(
+            lambda cases: replayed.append(cases) or summary(cases), pool.labels, 2, seed)
     assert twice[1] == twice[2]
+    for k, idx in enumerate(replayed[1], 1):
+        assert np.array_equal(idx[0], np.sort(drawn[pool.labels[rare] == k]))
 
 
 @pytest.mark.parametrize(
@@ -503,12 +511,67 @@ def test_permutation_draws_one_generator_per_chunk(monkeypatch):
     assert keys == [(6, 2, c) for c in range(16)]
 
 
+@pytest.mark.parametrize("m", [2, 3], ids=["stream", "complement"])
+def test_chunk_draw_is_uniform_over_ordered_tuples(m):
+    # every ordered m-tuple of distinct positions in range(5) is equally
+    # likely: 20 tuples from the stream of first distinct draws, 60 from
+    # the complement of 5 - m such draws in uniform order (m > 5 / 2)
+    rows = np.concatenate([inference._ordered_draws(spawn_rng(16, c), 5, m)
+                           for c in range(150)])
+    assert all(len(set(row)) == m for row in rows.tolist())
+    codes = (rows * 5 ** np.arange(m)).sum(axis=1)
+    _, counts = np.unique(codes, return_counts=True)
+    assert counts.size == math.perm(5, m)
+    assert chisquare(counts).pvalue > 1e-3
+
+
+def test_relabelings_are_uniform_over_two_class_labelings():
+    # two controls, one class-1 row and two class-2 rows: each of the
+    # 5! / (2! 1! 2!) = 30 labelings is equally likely
+    labels = np.array([2, 0, 1, 0, 2])
+    seen = []
+
+    def record(cases):
+        for b in range(len(cases[0])):
+            code = np.zeros(5, np.int64)
+            for k, idx in enumerate(cases, 1):
+                code[idx[b]] = k
+            seen.append(tuple(code))
+        return np.zeros(len(cases[0]))
+
+    inference._permutation_stats(record, labels, 6399, seed=17)
+    assert seen[0] == tuple(labels)
+    assert all(sorted(code) == [0, 0, 1, 2, 2] for code in seen)
+    _, counts = np.unique(np.array(seen[1:]), axis=0, return_counts=True)
+    assert counts.size == 30
+    assert chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n1", [500, 1000])
+def test_permutation_memory_stays_within_two_pooled_blocks(n1):
+    # the peak stays below twice the pooled pass's block of _CHUNK x n
+    # distances: at n1 = 500 the stacked case blocks of a chunk go a few
+    # at a time (19 at once would take ~45 MB), at n1 = 1,000 each case
+    # set's pairs go _CHUNK rows at a time
+    rng = np.random.default_rng(18)
+    n = 3000
+    labels = rng.permutation(np.r_[np.zeros(n - n1, np.int64), np.ones(n1, np.int64)])
+    sample = LabeledSample(rng.standard_normal((n, 16)), labels)
+    tracemalloc.start()
+    try:
+        pvalue_permutation(sample, dcov_kernel(), B=19, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * _accel._CHUNK * n
+
+
 def _pair_values(kernel, sample):
     """compute_rit's value and the pooled summary's at the observed case
     set."""
     pooled = engine._pooled_statistic(sample.features, kernel)
     return (compute_rit(group_by_label(sample), kernel).value,
-            pooled((np.flatnonzero(sample.labels),)))
+            pooled((np.flatnonzero(sample.labels)[None],))[0])
 
 
 @pytest.mark.parametrize("p", [3, 64], ids=["cdist", "gemm"])
