@@ -526,20 +526,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         parents=[common])
     pw_sub = pw.add_subparsers(dest="calc", required=True)
     fo = pw_sub.add_parser("first-order")
-    fo.add_argument("--mu0", type=float, required=True)
-    fo.add_argument("--n1", type=int, required=True)
+    note = ("power of the full-sample high-dimensional test, whose n1 T is normal "
+            "with the p-value's variance m1^2 (m1-1)^2 xi02 / 2 (2 xi02 for dcov/ipcov)")
+    hd = pw_sub.add_parser("highdim", help=note, description=note)
+    for q, m1 in ((fo, 1), (hd, 2)):
+        q.add_argument("--mu0", type=float, required=True)
+        q.add_argument("--n1", type=int, required=True)
+        q.add_argument("--m1", type=int, default=m1)
+        q.add_argument("--alpha", type=float, default=0.05)
     fo.add_argument("--m0", type=int, default=1)
-    fo.add_argument("--m1", type=int, default=1)
     fo.add_argument("--xi01", type=float, required=True)
-    fo.add_argument("--alpha", type=float, default=0.05)
     fo.add_argument("--s", type=int)
     fo.add_argument("--xi10", type=float)
-    hd = pw_sub.add_parser("highdim")
-    hd.add_argument("--mu0", type=float, required=True)
-    hd.add_argument("--n1", type=int, required=True)
-    hd.add_argument("--m1", type=int, default=2)
     hd.add_argument("--xi02", type=float, required=True)
-    hd.add_argument("--alpha", type=float, default=0.05)
     lt = pw_sub.add_parser("local-threshold")
     lt.add_argument("--beta", type=float, required=True)
     lt.add_argument("--alpha", type=float, default=0.05)

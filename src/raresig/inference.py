@@ -4,9 +4,11 @@ First-order kernels get a normal null for sqrt(n1) * T; its variance,
 sum_k m_k^2 zeta_k / r_k over the rare classes (plus m_0^2 zeta_0 / s
 under subsampling), is :func:`raresig.multiclass.multi_asymptotic_variance`,
 which reduces to m1^2 xi01 (plus m0^2 xi10 / s) for one rare class.
-Second-order kernels in high dimension get a normal null for
-``n1 * T / sqrt(xi02)`` with variance ``m1^2 (m1-1)^2 / 2``.  xi02,
-the variance over case pairs of the projection
+Second-order kernels in high dimension get a normal null for n1 * T;
+its variance, 2 xi02 (times (1 + 1/s)^2 under subsampling), is the
+K = 1 :func:`raresig.multiclass.multi_second_order_variance` through
+the H0 identities of :func:`_highdim_variance`.  xi02, the variance
+over case pairs of the projection
 h = 2 (D(x) + D(y) - d(x, y) - gamma), does not move with the constant
 gamma, so it reads no control pair; only the condition ratio applies
 gamma, from the statistic's within-control sum.  The permutation test
@@ -27,7 +29,12 @@ from .data import GroupedSample, LabeledSample, group_by_label
 from .engine import RitStatistic, _check_sizes, _pooled_statistic, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
-from .multiclass import MultiClassSpec, estimate_zeta1k, multi_asymptotic_variance
+from .multiclass import (
+    MultiClassSpec,
+    estimate_zeta1k,
+    multi_asymptotic_variance,
+    multi_second_order_variance,
+)
 from .rng import spawn_rng
 from .subsample import _draw_test_plan
 
@@ -204,8 +211,16 @@ def condition_diagnostic(data: GroupedSample, kernel: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _two_sided_p(z_abs: float) -> float:
-    return max(2.0 * float(norm.sf(z_abs)), _TINY_P)
+def _normal_outcome(stat: RitStatistic, scaled: float, variance: float, method: str,
+                    **meta) -> TestOutcome:
+    """The two-sided normal p-value of ``scaled``, a statistic with
+    asymptotic variance ``variance``: max(2 sf(|scaled| / sqrt(variance)),
+    5e-324)."""
+    if variance <= 0:
+        raise DegenerateDataError("degenerate: variance <= 0; use permutation")
+    p = max(2.0 * float(norm.sf(abs(scaled) / math.sqrt(variance))), _TINY_P)
+    return TestOutcome(stat.value, scaled, variance, p, method,
+                       {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1, **meta})
 
 
 def pvalue_asymptotic_first(stat: RitStatistic, variance: float) -> TestOutcome:
@@ -214,36 +229,32 @@ def pvalue_asymptotic_first(stat: RitStatistic, variance: float) -> TestOutcome:
     (:func:`raresig.multiclass.multi_asymptotic_variance`)."""
     if stat.order != "first":
         raise ValidationError("asymptotic_first applies to first-order kernels only")
-    if variance <= 0:
-        raise DegenerateDataError(
-            "degenerate: variance <= 0; use permutation or the second-order path"
-        )
-    scaled = math.sqrt(stat.n1) * stat.value
-    p = _two_sided_p(abs(scaled) / math.sqrt(variance))
-    return TestOutcome(stat.value, scaled, variance, p, "asymptotic_first",
-                       {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1})
+    return _normal_outcome(stat, math.sqrt(stat.n1) * stat.value, variance,
+                           "asymptotic_first")
+
+
+def _highdim_variance(orders: tuple, xi02: float, s: int | None) -> float:
+    """Var(n1 T) of a binary six-term kernel with block ``orders`` and
+    case-pair projection variance ``xi02``: the K = 1
+    :func:`raresig.multiclass.multi_second_order_variance` with the H0
+    identities (Hoeffding 1948) zeta_00 = xi02, as a control pair projects
+    like a case pair, and zeta_01 = xi02 / 4, as a case and a control
+    project to -h/2.  At m0 = m1 = 2 it is 2 xi02 (1 + 1/s)^2."""
+    spec = MultiClassSpec(1, orders, (1.0,), "comparable_rare")
+    return multi_second_order_variance(spec, [xi02], {}, s, xi02, [xi02 / 4.0])
 
 
 def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
-    """Two-sided normal p-value for n1 * T / sqrt(xi02) with variance
-    ``m1^2 (m1-1)^2 / 2``.  Valid in the high-dimensional regime; the
-    caller asserts that (see :func:`condition_diagnostic`)."""
+    """Two-sided normal p-value for n1 * T, whose variance is
+    :func:`_highdim_variance` at the statistic's sampling ratio
+    (``stat.meta["s"]``, set by the subsampled statistic; None for the
+    full sample).  Valid in the high-dimensional regime; the caller
+    asserts that (see :func:`condition_diagnostic`)."""
     if stat.order != "second":
         raise ValidationError("asymptotic_highdim applies to second-order kernels only")
-    if xi02 <= 0:
-        raise DegenerateDataError("xi02 must be positive")
-    m1 = stat.kernel.m1
-    scaled = stat.n1 * stat.value
-    sd = m1 * (m1 - 1) / math.sqrt(2.0)
-    p = _two_sided_p(abs(scaled / math.sqrt(xi02)) / sd)
-    return TestOutcome(
-        stat.value,
-        scaled,
-        xi02,
-        p,
-        "asymptotic_highdim",
-        {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1, "xi02": xi02},
-    )
+    variance = _highdim_variance(stat.kernel.block_orders, xi02, stat.meta.get("s"))
+    return _normal_outcome(stat, stat.n1 * stat.value, variance, "asymptotic_highdim",
+                           xi02=xi02)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +402,25 @@ def pvalue_permutation(
     n1 = grouped.counts[1]
     scale = math.sqrt(n1) if kernel.order == "first" else n1
     null_var = float((scale * stats[1:]).var(ddof=1))
-    return TestOutcome(
-        float(t_obs),
-        float(scale * t_obs),
-        null_var,
-        p,
-        "permutation",
-        {
-            "kernel": kernel.kind,
-            "n0": grouped.counts[0],
-            "n1": n1,
-            "B": B,
-            "s": s,
-            "seed": seed,
-            "batched": batched,
-            "plan_attempts": attempts,
-        },
-    )
+    return TestOutcome(float(t_obs), float(scale * t_obs), null_var, p, "permutation",
+                       {"kernel": kernel.kind, "n0": grouped.counts[0], "n1": n1, "B": B,
+                        "s": s, "seed": seed, "batched": batched,
+                        "plan_attempts": attempts})
 
 
 # ---------------------------------------------------------------------------
 # power calculators
 # ---------------------------------------------------------------------------
+
+
+def _two_sided_power(ncp: float, alpha: float) -> float:
+    """Power of a two-sided level-``alpha`` normal test whose standardized
+    statistic is shifted by ``ncp``."""
+    if not 0 < alpha < 1:
+        raise ValidationError("alpha must lie in (0, 1)")
+    lo = norm.ppf(alpha / 2)
+    hi = norm.ppf(1 - alpha / 2)
+    return float(1.0 + norm.cdf(lo - ncp) - norm.cdf(hi - ncp))
 
 
 def power_first_order(
@@ -438,21 +446,18 @@ def power_first_order(
         raise ValidationError("subsampled power needs xi10")
     spec = MultiClassSpec(1, (m0, m1), (1.0,), "comparable_rare")
     var = multi_asymptotic_variance(spec, [xi10, xi01], s=s) / n1
-    ncp = mu0 / math.sqrt(var)
-    lo = norm.ppf(alpha / 2)
-    hi = norm.ppf(1 - alpha / 2)
-    return float(1.0 + norm.cdf(lo - ncp) - norm.cdf(hi - ncp))
+    return _two_sided_power(mu0 / math.sqrt(var), alpha)
 
 
 def power_highdim(mu0: float, n1: int, m1: int, xi02: float, alpha: float) -> float:
-    """Two-sided power of the high-dimensional second-order test; the
-    shift enters at rate n1 (not sqrt(n1))."""
-    if xi02 <= 0:
-        raise ValidationError("need xi02 > 0")
-    ncp = mu0 * n1 / (m1 * (m1 - 1) * math.sqrt(xi02))
-    lo = norm.ppf(alpha / 2)
-    hi = norm.ppf(1 - alpha / 2)
-    return float(norm.cdf(lo - ncp) + 1.0 - norm.cdf(hi - ncp))
+    """Two-sided power of the full-sample high-dimensional second-order
+    test, whose null sd is that of :func:`pvalue_asymptotic_highdim`
+    (the control order m0 enters only under subsampling); the shift
+    enters at rate n1 (not sqrt(n1))."""
+    if xi02 <= 0 or m1 < 2 or n1 < m1:
+        raise ValidationError("need xi02 > 0, m1 >= 2 and n1 >= m1")
+    sd = math.sqrt(_highdim_variance((m1, m1), xi02, None))
+    return _two_sided_power(mu0 * n1 / sd, alpha)
 
 
 def local_power_threshold(
@@ -468,8 +473,8 @@ def local_power_threshold(
     """
     if mu_g1 == 0:
         raise ValidationError("mu_g1 must be non-zero")
-    if not 0 < beta < 1 - alpha:
-        raise ValidationError("need 0 < beta < 1 - alpha")
+    if not 0 < alpha < 1 or not 0 < beta < 1 - alpha:
+        raise ValidationError("need 0 < alpha < 1 and 0 < beta < 1 - alpha")
     if xi_eff <= 0:
         raise ValidationError("xi_eff must be positive")
     return float(

@@ -4,11 +4,12 @@ against one control class; the binary test is its K = 1 case.
 :class:`MultiClassSpec` holds the class structure (block orders, size
 ratios and the asymptotic regime).  :func:`multi_asymptotic_variance` is
 the one first-order variance formula, for any K and with or without
-control subsampling, and :func:`multi_second_order_variance` the report
-for a degenerate kernel.  :func:`block_projection` is the kernel's
-projection onto one observation of any block, and
-:func:`estimate_zeta1k` its variance.  The statistic itself, at any K,
-is :func:`raresig.engine.compute_rit`.
+control subsampling; :func:`multi_second_order_variance` is the one
+second-order formula, the variance of n1 times the statistic of a
+degenerate kernel, behind the high-dimensional null.
+:func:`block_projection` is the kernel's projection onto one
+observation of any block, and :func:`estimate_zeta1k` its variance.
+The statistic itself, at any K, is :func:`raresig.engine.compute_rit`.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def multi_asymptotic_variance(
     if all(z is not None and z == 0 for z in rare):
         raise DegenerateDataError(
             "degenerate: all first-order projection variances vanish; "
-            "use multi_second_order_variance for the variance report and "
+            "use multi_second_order_variance for the variance and "
             "permutation for testing"
         )
     orders = spec.block_orders
@@ -143,48 +144,40 @@ def multi_second_order_variance(
     zeta2_control: float | None = None,
     zeta2_control_cross=None,
 ) -> float:
-    """Variance of n1 * T when every first-order projection vanishes.
+    """Asymptotic variance of n1 times the statistic of a degenerate
+    kernel, one whose first-order projections all vanish (the binary
+    test is the K = 1 case).
 
-    ``zeta2_diag[k-1]`` is the within-class two-observation projection
-    variance for rare class k; ``zeta2_cross[(k1, k2)]`` the cross-class
-    one; the control-side terms only enter under subsampling.  No
-    distributional p-value accompanies this variance (the limit law is
-    not characterized); it is a report, with permutation as the test.
+    ``zeta2_diag[k-1]`` is the variance of the projection onto two
+    class-k observations and ``zeta2_cross[(k1, k2)]`` (k1 < k2) onto
+    one observation of each.  Under subsampling the control class joins
+    as class 0 with ratio s: ``zeta2_control`` (two controls) and
+    ``zeta2_control_cross[k-1]`` (one control, one class-k observation)
+    are then required.  The variance is the sum over classes of
+    m_k^2 (m_k-1)^2 zeta_kk / (2 r_k^2) plus the sum over pairs of
+    m_k1^2 m_k2^2 zeta_k1k2 / (r_k1 r_k2).
     """
-    orders = spec.block_orders
     kk = spec.n_rare
-    if s is None:
-        total = math.fsum(
-            orders[k] ** 2
-            * (orders[k] - 1) ** 2
-            * zeta2_diag[k - 1]
-            / (2.0 * spec.ratios[k - 1] ** 2)
-            for k in range(1, kk + 1)
-        )
-        total += math.fsum(
-            orders[k1] ** 2
-            * orders[k2] ** 2
-            * zeta2_cross[(k1, k2)]
-            / (spec.ratios[k1 - 1] * spec.ratios[k2 - 1])
-            for k1 in range(1, kk + 1)
-            for k2 in range(k1 + 1, kk + 1)
-        )
-        return float(total)
+    zeta2_diag = list(zeta2_diag)
+    if len(zeta2_diag) != kk:
+        raise ValidationError("need one zeta2_diag per rare class")
+    cross = dict(zeta2_cross)
+    if s is not None:
+        if zeta2_control is None or zeta2_control_cross is None:
+            raise ValidationError("subsampled variance needs both control zetas")
+        if len(zeta2_control_cross) != kk:
+            raise ValidationError("need one zeta2_control_cross per rare class")
+        cross.update({(0, k): z for k, z in enumerate(zeta2_control_cross, 1)})
+    m, r, diag = spec.block_orders, (s, *spec.ratios), [zeta2_control, *zeta2_diag]
+    classes = range(0 if s is not None else 1, kk + 1)
     total = math.fsum(
-        orders[k] ** 2 * (orders[k] - 1) ** 2 * zeta2_diag[k - 1] / 2.0
-        for k in range(1, kk + 1)
+        [m[k] ** 2 * (m[k] - 1) ** 2 * diag[k] / (2.0 * r[k] ** 2) for k in classes]
+        + [m[a] ** 2 * m[b] ** 2 * cross[(a, b)] / (r[a] * r[b])
+           for a, b in combinations(classes, 2)]
     )
-    total += math.fsum(
-        orders[k1] ** 2 * orders[k2] ** 2 * zeta2_cross[(k1, k2)]
-        for k1 in range(1, kk + 1)
-        for k2 in range(k1 + 1, kk + 1)
-    )
-    if zeta2_control is not None:
-        total += orders[0] ** 2 * (orders[0] - 1) ** 2 * zeta2_control / (2.0 * s * s)
-    if zeta2_control_cross is not None:
-        total += math.fsum(
-            orders[0] ** 2 * orders[k] ** 2 * zeta2_control_cross[k - 1] / s
-            for k in range(1, kk + 1)
+    if total <= 0:
+        raise DegenerateDataError(
+            "degenerate: the second-order variance vanishes; use permutation for testing"
         )
     return float(total)
 

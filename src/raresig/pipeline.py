@@ -3,13 +3,14 @@
 The function owns the procedure's decision tree.  The statistic is the
 full-sample rescaled one (``rit``) or the boosted one on Bernoulli-thinned
 controls (``bit``).  The null is the first-order normal null, the
-high-dimensional normal null with xi02, or label permutation; ``auto``
-takes the first for first-order kernels and permutation otherwise, and
-falls back to permutation when the first-order variance estimate
-vanishes.  Every first-order kernel, binary or multi-class, takes one
-variance, sum_k m_k^2 zeta_k / r_k (plus m_0^2 zeta_0 / s under ``bit``),
-from the zeta_k of :func:`raresig.multiclass.estimate_zeta1k`; for a
-binary kernel zeta_1 is xi01 and zeta_0 is xi10.  Under ``bit`` one plan
+high-dimensional normal null for n1 T (variance 2 xi02, times
+(1 + 1/s)^2 under ``bit``), or label permutation; ``auto`` takes the
+first for first-order kernels and permutation otherwise, and falls
+back to permutation when the first-order variance estimate vanishes.
+Every first-order kernel, binary or multi-class, takes one variance,
+sum_k m_k^2 zeta_k / r_k (plus m_0^2 zeta_0 / s under ``bit``), from
+the zeta_k of :func:`raresig.multiclass.estimate_zeta1k`; for a binary
+kernel zeta_1 is xi01 and zeta_0 is xi10.  Under ``bit`` one plan
 is drawn and the controls are thinned once: the statistic and every
 variance estimate read that one thinned sample, and the permutation
 null permutes within it.  Both the command line and the Monte Carlo

@@ -233,8 +233,8 @@ def select_s_power_gap(
         raise ValidationError(
             "power-gap rule needs xi01 > 0 (not applicable to degenerate kernels)"
         )
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if epsilon <= 0 or not 0 < alpha < 1:
+        raise ValidationError("need epsilon > 0 and 0 < alpha < 1")
     mu = abs(mu0)
     phi_term = norm.pdf(norm.ppf(1 - alpha / 2) - mu * math.sqrt(n1 / (m1 * m1 * xi01)))
     bound = (

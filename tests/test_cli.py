@@ -415,6 +415,32 @@ def test_cli_power_first_order_null_is_alpha(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(0.05, abs=1e-12)
 
 
+HIGHDIM = ["power", "highdim", "--mu0", "0.1", "--n1", "100", "--xi02", "1"]
+FIRST = ["power", "first-order", "--mu0", "0.1", "--n1", "100", "--xi01", "0.3"]
+LOCAL = ["power", "local-threshold", "--beta", "0.2", "--mu-g1", "1", "--xi", "0.3"]
+GAP = ["select-s", "power-gap", "--n1", "100", "--xi01", "0.3", "--xi10", "0.3",
+       "--mu0", "0.3", "--epsilon", "0.01"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*HIGHDIM, "--m1", "1"],
+    [*HIGHDIM[:5], "0", *HIGHDIM[6:]],
+    [*HIGHDIM[:5], "1", *HIGHDIM[6:]],
+    [*HIGHDIM, "--alpha", "2"],
+    [*HIGHDIM, "--alpha", "-1"],
+    [*FIRST, "--alpha", "-1"],
+    [*LOCAL, "--alpha", "-1"],
+    [*GAP, "--alpha", "-1"],
+    [*GAP, "--alpha", "2"],
+], ids=["highdim-m1", "highdim-n1-0", "highdim-n1-1", "highdim-alpha-2",
+        "highdim-alpha-neg", "first-order-alpha-neg", "local-threshold-alpha-neg",
+        "power-gap-alpha-neg", "power-gap-alpha-2"])
+def test_cli_power_refuses_bad_input(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_cli_power_local_threshold(capsys):
     code = main(
         ["power", "local-threshold", "--beta", "0.2", "--alpha", "0.05",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +15,7 @@ from raresig import (
     DegenerateDataError,
     LabeledSample,
     MultiClassSpec,
+    RaresigError,
     RitStatistic,
     ValidationError,
     compute_rit,
@@ -37,6 +39,7 @@ from raresig import (
 )
 from raresig import _accel, engine, inference
 from raresig._accel import angle_embed
+from raresig.pipeline import run_test
 from raresig.rng import spawn_rng
 from raresig.simulate import MethodConfig, ScenarioSpec, run_erp
 
@@ -280,7 +283,7 @@ def test_first_order_pvalue_degenerate_xi_errors():
 def test_highdim_pvalue_values():
     stat = _stat(0.0, dcov_kernel(), 1000, 100)
     assert pvalue_asymptotic_highdim(stat, 2.0).p_value == 1.0
-    # n1 T / sqrt(xi02) = sqrt(2) * 1.96 with variance 2 -> p = 0.05
+    # n1 T = sqrt(2) * 1.96 with variance 2 xi02 = 2 -> p = 0.05
     n1 = 100
     target = math.sqrt(2.0) * 1.959963984540054
     stat = _stat(target / n1, dcov_kernel(), 1000, n1)
@@ -321,15 +324,49 @@ def test_permutation_ties_count_toward_rejection():
     assert out.p_value == 1.0
 
 
-def test_permutation_invariant_to_monotone_transforms():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal(60)
-    labels = np.r_[np.zeros(48, np.int64), np.ones(12, np.int64)]
-    a = pvalue_permutation(LabeledSample(x[:, None], labels), kendall_kernel(), B=99, seed=5)
-    b = pvalue_permutation(
-        LabeledSample(np.exp(x)[:, None], labels), kendall_kernel(), B=99, seed=5
-    )
-    assert a.p_value == b.p_value
+def _outcome(sample, method, seed):
+    """The fields of ``run_test``'s outcome that a test reports, or the
+    refusal it raised."""
+    try:
+        out = run_test(sample, method, seed)
+    except RaresigError as exc:
+        return type(exc).__name__, str(exc)
+    return out.statistic, out.scaled_statistic, out.variance_estimate, out.p_value, out.method
+
+
+@settings(max_examples=120)
+@given(kernel=st.sampled_from((("kendall", 1), ("multi_kendall", 1), ("multi_kendall", 2))),
+       mode=st.sampled_from(("rit", "bit")),
+       inference=st.sampled_from(("asymptotic", "permutation")),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_permutation_invariant_to_monotone_transforms(kernel, mode, inference, seed, data):
+    # a paper identity: the sign statistics, their variance and both nulls
+    # see only the order of the values, so dense ranks (which keep order
+    # and ties exactly, 1e8 offsets included) change no bit of the test
+    kernel, n_rare = kernel
+    sample = data.draw(permutation_samples(p=1, n_rare=n_rare))
+    ranks = np.unique(sample.features[:, 0], return_inverse=True)[1]
+    method = MethodConfig(kernel=kernel, mode=mode, s=3 if mode == "bit" else None,
+                          inference=inference, B=39)
+    assert _outcome(LabeledSample(ranks[:, None].astype(float), sample.labels),
+                    method, seed) == _outcome(sample, method, seed)
+
+
+@pytest.mark.parametrize("mode", ["rit", "bit"])
+@pytest.mark.parametrize("basis", ["cases", "controls"])
+@pytest.mark.parametrize("inference", ["asymptotic", "permutation", "auto"])
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_one_rare_class_multi_kendall_is_the_kendall_test(mode, basis, inference,
+                                                          seed, data):
+    # the K = 1 reduction end to end, on tied values: the same statistic,
+    # variance, p-value and null, bit for bit
+    sample = data.draw(permutation_samples(p=1))
+    sample = LabeledSample(np.round(sample.features, 1), sample.labels)
+    method = MethodConfig(mode=mode, s=2 if mode == "bit" else None, inference=inference,
+                          xi_basis=basis, B=39)
+    assert _outcome(sample, replace(method, kernel="multi_kendall"), seed) == _outcome(
+        sample, replace(method, kernel="kendall"), seed)
 
 
 @st.composite
@@ -643,6 +680,38 @@ def test_power_highdim_reference_points():
     assert power_highdim(0.05, 200, 2, 1.0, 0.05) > power_highdim(
         0.05, 100, 2, 1.0, 0.05
     )
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_power_highdim_uses_the_pvalue_sd(alpha):
+    # at the shift whose highdim p-value is exactly alpha the standardized
+    # shift is z = ppf(1 - alpha/2), so the power is 0.5 + cdf(-2 z)
+    n1, xi02 = 100, 0.7
+    z = norm.ppf(1 - alpha / 2)
+    mu0 = z * math.sqrt(2 * xi02) / n1
+    stat = _stat(mu0, dcov_kernel(), 1000, n1)
+    assert_allclose(pvalue_asymptotic_highdim(stat, xi02).p_value, alpha, rtol=1e-9)
+    assert_allclose(power_highdim(mu0, n1, 2, xi02, alpha), 0.5 + norm.cdf(-2 * z),
+                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: power_highdim(0.1, 100, 1, 1.0, 0.05),
+    lambda: power_highdim(0.1, 1, 2, 1.0, 0.05),
+    lambda: power_highdim(0.1, 0, 2, 1.0, 0.05),
+    lambda: power_highdim(0.1, 100, 2, 0.0, 0.05),
+    lambda: power_highdim(0.1, 100, 2, 1.0, 2.0),
+    lambda: power_highdim(0.1, 100, 2, 1.0, -1.0),
+    lambda: power_first_order(0.1, 100, 1, 1, 1 / 3, -1.0),
+    lambda: power_first_order(0.1, 100, 1, 1, 1 / 3, 1.0),
+    lambda: local_power_threshold(0.2, -1.0, 1.0, 1 / 3),
+    lambda: local_power_threshold(0.2, 0.0, 1.0, 1 / 3),
+], ids=["highdim-m1", "highdim-n1-1", "highdim-n1-0", "highdim-xi02", "highdim-alpha-2",
+        "highdim-alpha-neg", "first-order-alpha-neg", "first-order-alpha-1",
+        "local-threshold-alpha-neg", "local-threshold-alpha-0"])
+def test_power_calculators_refuse_bad_input(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_local_power_threshold_quantile_arithmetic():

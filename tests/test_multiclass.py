@@ -177,6 +177,34 @@ def test_variance_degenerate_error_and_second_order_report():
     assert_allclose(with_s, expected_s, atol=1e-15)
 
 
+def test_second_order_variance_divides_every_rare_term_by_its_ratio():
+    # K = 2 with r = (1, 3): the rare terms carry r_k with or without s
+    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 3.0), "comparable_rare")
+    rare = 4 * 0.5 / 2 + 4 * 0.25 / (2 * 9) + 16 * 0.1 / 3
+    assert_allclose(multi_second_order_variance(spec, [0.5, 0.25], {(1, 2): 0.1}),
+                    rare, rtol=1e-15)
+    with_s = multi_second_order_variance(
+        spec, [0.5, 0.25], {(1, 2): 0.1}, s=4, zeta2_control=0.3,
+        zeta2_control_cross=[0.2, 0.4],
+    )
+    control = 4 * 0.3 / (2 * 16) + 16 * 0.2 / 4 + 16 * 0.4 / (4 * 3)
+    assert_allclose(with_s, rare + control, rtol=1e-15)
+
+
+def test_second_order_variance_validates_its_inputs():
+    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0), "comparable_rare")
+    with pytest.raises(ValidationError, match="per rare class"):
+        multi_second_order_variance(spec, [0.5], {(1, 2): 0.1})
+    with pytest.raises(ValidationError, match="control"):
+        multi_second_order_variance(spec, [0.5, 0.5], {(1, 2): 0.1}, s=3,
+                                    zeta2_control=0.3)
+    with pytest.raises(ValidationError, match="per rare class"):
+        multi_second_order_variance(spec, [0.5, 0.5], {(1, 2): 0.1}, s=3,
+                                    zeta2_control=0.3, zeta2_control_cross=[0.2])
+    with pytest.raises(DegenerateDataError):
+        multi_second_order_variance(spec, [0.0, 0.0], {(1, 2): 0.0})
+
+
 def test_regime_heuristic():
     rng = np.random.default_rng(6)
     g = _grouped((2000, 40, 400), rng)

@@ -2,11 +2,13 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from raresig import LabeledSample, ValidationError, group_by_label
 from raresig import _accel, pipeline, subsample
@@ -192,8 +194,12 @@ def test_highdim_builds_the_pair_projection_once(monkeypatch):
         assert len(within) == 2 and len(cross) == 1
         within.clear()
         cross.clear()
-        assert out.variance_estimate == estimate_xi02(data, kernel)
+        xi02 = estimate_xi02(data, kernel)
+        assert out.metadata["xi02"] == xi02
         assert within == [] and len(cross) == 1
+        # Var(n1 T) = 2 xi02 (1 + 1/s)^2 under the H0 identities
+        factor = (1 + 1 / s) ** 2 if s else 1.0
+        assert out.variance_estimate == pytest.approx(2 * xi02 * factor, rel=1e-14)
         ratio = condition_diagnostic(data, kernel)
         assert out.metadata["warnings"][-1] == (
             f"high-dimensional normality diagnostic ratio {ratio:.3g} "
@@ -201,6 +207,24 @@ def test_highdim_builds_the_pair_projection_once(monkeypatch):
         )
     out = run_test(sample, MethodConfig(kernel="dcov", inference="highdim"), SEED)
     assert len(out.metadata["warnings"]) == 1
+
+
+@pytest.mark.parametrize("kernel,inference", [
+    ("kendall", "asymptotic"), ("pearson", "asymptotic"),
+    ("multi_kendall", "asymptotic"), ("dcov", "highdim"), ("ipcov", "highdim"),
+])
+@pytest.mark.parametrize("mode", ["rit", "bit"])
+def test_asymptotic_outcomes_explain_their_pvalue(kernel, inference, mode):
+    # the p-value is the normal one of the scaled statistic and the
+    # variance the outcome reports
+    sample = _sample({"multi_kendall": "three", "dcov": "vector",
+                      "ipcov": "vector"}.get(kernel, "scalar"))
+    method = MethodConfig(kernel=kernel, mode=mode, s=3 if mode == "bit" else None,
+                          inference=inference)
+    out = run_test(sample, method, SEED)
+    assert out.method == f"asymptotic_{'first' if inference == 'asymptotic' else inference}"
+    z = abs(out.scaled_statistic) / math.sqrt(out.variance_estimate)
+    assert out.p_value == max(2.0 * float(norm.sf(z)), 5e-324)
 
 
 def test_auto_fallback_applies_to_the_harness():
