@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import ValidationError
 from .kernels import KernelSpec
@@ -97,6 +96,7 @@ def _distances(a: np.ndarray, b: np.ndarray, f=None,
     has lost digits to cancellation and is taken from ``cdist`` of the
     rows; the rest are good to ~1e-13."""
     if a.shape[1] < GEMM_MIN_P:
+        from scipy.spatial.distance import cdist
         d = cdist(a, b)
         return d if f is None else f(d)
     p = (a.shape[1] - 4) // 3
@@ -114,6 +114,7 @@ def _distances(a: np.ndarray, b: np.ndarray, f=None,
 def _recompute(d: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
     """Squared distances of ``d`` below ``_RECOMPUTE`` (|u|^2 + |v|^2) from
     ``cdist`` over the rows and columns concerned: O(block) memory."""
+    from scipy.spatial.distance import cdist
     i, j = np.nonzero(d < _RECOMPUTE * (a[:, 2 * p, None] + b[:, 2 * p]))
     ri, ii = np.unique(i, return_inverse=True)
     rj, jj = np.unique(j, return_inverse=True)
@@ -162,6 +163,7 @@ def _within_total(a: np.ndarray, f) -> float:
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         if a.shape[1] < GEMM_MIN_P:
+            from scipy.spatial.distance import pdist
             d = pdist(a[lo:hi])
             parts.append(float((d if f is None else f(d)).sum()))
         else:

@@ -583,6 +583,8 @@ def _dispatch(args) -> None:
     if args.command == "test":
         _emit(_run_test_command(args), args.format, args.output)
     elif args.command == "subsample-plan":
+        if args.n0 < 0 or args.n1 < 0:
+            raise ValidationError("--n0 and --n1 must be non-negative")
         x = np.zeros((args.n0 + args.n1, 1))
         labels = np.r_[np.zeros(args.n0, np.int64), np.ones(args.n1, np.int64)]
         grouped = group_by_label(LabeledSample(x, labels))

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _accel
 from .data import GroupedSample, LabeledSample, group_by_label
@@ -31,6 +30,9 @@ from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
 from .multiclass import (
     MultiClassSpec,
+    _normal_cdf,
+    _normal_ppf,
+    _normal_sf,
     estimate_zeta1k,
     multi_asymptotic_variance,
     multi_second_order_variance,
@@ -218,7 +220,7 @@ def _normal_outcome(stat: RitStatistic, scaled: float, variance: float, method: 
     5e-324)."""
     if variance <= 0:
         raise DegenerateDataError("degenerate: variance <= 0; use permutation")
-    p = max(2.0 * float(norm.sf(abs(scaled) / math.sqrt(variance))), _TINY_P)
+    p = max(2.0 * _normal_sf(abs(scaled) / math.sqrt(variance)), _TINY_P)
     return TestOutcome(stat.value, scaled, variance, p, method,
                        {"kernel": stat.kernel.kind, "n0": stat.n0, "n1": stat.n1, **meta})
 
@@ -418,9 +420,9 @@ def _two_sided_power(ncp: float, alpha: float) -> float:
     statistic is shifted by ``ncp``."""
     if not 0 < alpha < 1:
         raise ValidationError("alpha must lie in (0, 1)")
-    lo = norm.ppf(alpha / 2)
-    hi = norm.ppf(1 - alpha / 2)
-    return float(1.0 + norm.cdf(lo - ncp) - norm.cdf(hi - ncp))
+    lo = _normal_ppf(alpha / 2)
+    hi = _normal_ppf(1 - alpha / 2)
+    return 1.0 + _normal_cdf(lo - ncp) - _normal_cdf(hi - ncp)
 
 
 def power_first_order(
@@ -478,7 +480,7 @@ def local_power_threshold(
     if xi_eff <= 0:
         raise ValidationError("xi_eff must be positive")
     return float(
-        (norm.ppf(1 - alpha / 2) - norm.ppf(1 - beta))
+        (_normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta))
         * math.sqrt(xi_eff)
         / abs(mu_g1)
     )

@@ -10,6 +10,10 @@ degenerate kernel, behind the high-dimensional null.
 :func:`block_projection` is the kernel's projection onto one
 observation of any block, and :func:`estimate_zeta1k` its variance.
 The statistic itself, at any K, is :func:`raresig.engine.compute_rit`.
+The normal tail, distribution and quantile that turn these variances
+into p-values and power (``_normal_sf``, ``_normal_cdf``,
+``_normal_ppf``) come from the standard library, so importing the
+package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
 
@@ -35,6 +40,26 @@ __all__ = [
 ]
 
 SINGLE_RAREST_FACTOR = 0.2
+
+_STD_NORMAL = NormalDist()
+
+
+def _normal_sf(z: float) -> float:
+    """Upper tail of the standard normal from ``erfc``, accurate down to
+    the subnormals (``NormalDist.cdf`` is 1 + erf, which is 0 for a tail
+    below ~1e-17)."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _normal_cdf(x: float) -> float:
+    return _normal_sf(-x)
+
+
+def _normal_ppf(q: float) -> float:
+    """Standard normal quantile, -inf at q = 0 and +inf at q = 1."""
+    if q == 0.0 or q == 1.0:
+        return math.copysign(math.inf, q - 0.5)
+    return _STD_NORMAL.inv_cdf(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +115,15 @@ class MultiClassSpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_variance_inputs(s, zetas) -> None:
+    """Refuse a sampling ratio s <= 0 and a negative projection variance
+    (None stands for a zeta the formula does not read)."""
+    if s is not None and s <= 0:
+        raise ValidationError("the sampling ratio s must be positive")
+    if any(z is not None and z < 0 for z in zetas):
+        raise ValidationError("projection variances must be non-negative")
+
+
 def multi_asymptotic_variance(
     spec: MultiClassSpec, zetas, s: int | None = None
 ) -> float:
@@ -105,6 +139,7 @@ def multi_asymptotic_variance(
     zetas = list(zetas)
     if len(zetas) != spec.n_rare + 1:
         raise ValidationError("need one zeta per class (control first)")
+    _check_variance_inputs(s, zetas)
     rare = zetas[1:]
     if all(z is not None and z == 0 for z in rare):
         raise DegenerateDataError(
@@ -169,6 +204,7 @@ def multi_second_order_variance(
             raise ValidationError("need one zeta2_control_cross per rare class")
         cross.update({(0, k): z for k, z in enumerate(zeta2_control_cross, 1)})
     m, r, diag = spec.block_orders, (s, *spec.ratios), [zeta2_control, *zeta2_diag]
+    _check_variance_inputs(s, [*diag, *cross.values()])
     classes = range(0 if s is not None else 1, kk + 1)
     total = math.fsum(
         [m[k] ** 2 * (m[k] - 1) ** 2 * diag[k] / (2.0 * r[k] ** 2) for k in classes]

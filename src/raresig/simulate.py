@@ -12,18 +12,17 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import LabeledSample, group_by_label
 from .engine import _classical_statistic, compute_classical, compute_rit
 from .errors import ValidationError
 from .inference import _permutation_stats
 from .kernels import kernel_from_name
+from .multiclass import _normal_sf
 from .pipeline import MethodConfig, run_test
 from .rng import spawn_rng, spawn_seed
 from .subsample import compute_bit, draw_subsample
@@ -224,12 +223,12 @@ def classical_pvalue(
     n = sample.n
     if kind == "pearson":
         r = compute_classical(sample, "pearson")
-        return float(2 * norm.sf(abs(r) * math.sqrt(n)))
+        return 2 * _normal_sf(abs(r) * math.sqrt(n))
     if kind == "kendall":
         tau = compute_classical(sample, "kendall")
         p1 = float((sample.labels == 1).mean())
         sd = math.sqrt(4.0 * p1 * (1 - p1) / 3.0)
-        return float(2 * norm.sf(abs(tau) * math.sqrt(n) / sd))
+        return 2 * _normal_sf(abs(tau) * math.sqrt(n) / sd)
     if kind in ("dcov", "ipcov"):
         stats = np.abs(
             _permutation_stats(_classical_statistic(sample, kind), sample.labels, B, seed)
@@ -305,6 +304,7 @@ def run_erp(
     if workers <= 1:
         rejected = _erp_chunk((scenario, method, 0, m))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, m, workers + 1).astype(int)
         chunks = [
             (scenario, method, int(lo), int(hi))
@@ -422,6 +422,8 @@ def benchmark_complexity(
     ``n1`` and varies the sampling ratio ``s``.  Absolute times are
     machine-specific; use :func:`loglog_slope` on the returned rows.
     """
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
     kernel = kernel_from_name(kernel_name)
     if p is None:
         p = 1 if kernel.order == "first" else 5

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import GroupedSample
 from .engine import RitStatistic, _check_sizes, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
-from .multiclass import MultiClassSpec
+from .multiclass import _STD_NORMAL, MultiClassSpec, _normal_ppf
 from .rng import spawn_rng, spawn_seed
 
 __all__ = [
@@ -190,6 +189,17 @@ def select_s_variance(n1: int, epsilon: float) -> int:
     return _clamp_s(1.0 / (n1 * epsilon))
 
 
+def _check_rule_inputs(n1: int, xi01: float, xi10: float, **levels: float) -> None:
+    """The input check of the power rules: n1 >= 1, xi01 > 0 (a degenerate
+    kernel has no first-order power), xi10 >= 0, and each level in (0, 1)."""
+    if n1 < 1 or xi01 <= 0 or xi10 < 0:
+        raise ValidationError("the power rules need n1 >= 1, xi01 > 0 (not "
+                              "applicable to degenerate kernels) and xi10 >= 0")
+    for name, level in levels.items():
+        if not 0 < level < 1:
+            raise ValidationError(f"{name} must lie in (0, 1)")
+
+
 def select_s_power_floor(
     n1: int,
     m0: int,
@@ -206,9 +216,8 @@ def select_s_power_floor(
     Infeasible (raises) when even the full-sample variance exceeds what
     the power target allows at this ``n1``.
     """
-    if not 0 < alpha < 1 or not 0 < beta < 1:
-        raise ValidationError("alpha and beta must lie in (0, 1)")
-    d = norm.ppf(1 - alpha / 2) - norm.ppf(1 - beta)
+    _check_rule_inputs(n1, xi01, xi10, alpha=alpha, beta=beta)
+    d = _normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta)
     denom = n1 * mu0 * mu0 / (d * d) - m1 * m1 * xi01
     if denom <= 0:
         raise ValidationError(
@@ -229,14 +238,12 @@ def select_s_power_gap(
 ) -> int:
     """Smallest s keeping the power gap between the subsampled and
     full-sample tests within ``epsilon`` (first-order expansion)."""
-    if xi01 <= 0:
-        raise ValidationError(
-            "power-gap rule needs xi01 > 0 (not applicable to degenerate kernels)"
-        )
-    if epsilon <= 0 or not 0 < alpha < 1:
-        raise ValidationError("need epsilon > 0 and 0 < alpha < 1")
+    _check_rule_inputs(n1, xi01, xi10, alpha=alpha)
+    if epsilon <= 0:
+        raise ValidationError("epsilon must be positive")
     mu = abs(mu0)
-    phi_term = norm.pdf(norm.ppf(1 - alpha / 2) - mu * math.sqrt(n1 / (m1 * m1 * xi01)))
+    phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2)
+                               - mu * math.sqrt(n1 / (m1 * m1 * xi01)))
     bound = (
         math.sqrt(n1) * m0 * m0 * mu * xi10 * phi_term
         / (2.0 * epsilon * m1**3 * xi01**1.5)

@@ -441,6 +441,33 @@ def test_cli_power_refuses_bad_input(argv, capsys):
     assert out.out == "" and out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["power", "first-order", "--mu0", "0.1", "--n1", "10", "--xi01", "1", "--s", "0",
+     "--xi10", "1"],
+    ["power", "first-order", "--mu0", "0.1", "--n1", "10", "--xi01", "1", "--s", "-2",
+     "--xi10", "1"],
+    ["select-s", "power-gap", "--n1", "10", "--xi01", "1", "--xi10", "-1", "--mu0", "0.1",
+     "--epsilon", "0.1"],
+    ["bench", "--kernel", "dcov", "--sizes", "100,200", "--trials", "0"],
+    ["subsample-plan", "--n0", "-5", "--n1", "3", "--s", "2"],
+], ids=["first-order-s-0", "first-order-s-neg", "power-gap-xi10-neg", "bench-trials-0",
+        "subsample-plan-n0-neg"])
+def test_cli_refuses_bad_input_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, expected", [([*FIRST, "--alpha", "1e-320"], "0"),
+                                            ([*LOCAL, "--alpha", "1e-320"], "inf")],
+                         ids=["first-order", "local-threshold"])
+def test_cli_power_at_a_level_whose_upper_quantile_is_inf(argv, expected, capsys):
+    # 1 - alpha/2 rounds to 1, whose normal quantile is +inf
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == expected
+
+
 def test_cli_power_local_threshold(capsys):
     code = main(
         ["power", "local-threshold", "--beta", "0.2", "--alpha", "0.05",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
 from raresig import (
     DegenerateDataError,
@@ -26,7 +27,7 @@ from raresig import (
     multi_second_order_variance,
     pearson_kernel,
 )
-from raresig.multiclass import block_projection
+from raresig.multiclass import _normal_cdf, _normal_ppf, _normal_sf, block_projection
 from raresig.rng import spawn_rng
 
 
@@ -149,6 +150,12 @@ def test_variance_formula_reference_values():
     )
     with pytest.raises(ValidationError):
         multi_asymptotic_variance(single, [None, 1 / 3, 1 / 3], s=5)
+    for s in (0, -2):
+        with pytest.raises(ValidationError, match="s must be positive"):
+            multi_asymptotic_variance(spec, [1 / 3, 1 / 3, 1 / 3], s=s)
+    for zetas, s in (([None, 1 / 3, -1.0], None), ([-1.0, 1 / 3, 1 / 3], 5)):
+        with pytest.raises(ValidationError, match="non-negative"):
+            multi_asymptotic_variance(spec, zetas, s=s)
 
 
 def test_variance_formula_binary_reduction():
@@ -203,6 +210,28 @@ def test_second_order_variance_validates_its_inputs():
                                     zeta2_control=0.3, zeta2_control_cross=[0.2])
     with pytest.raises(DegenerateDataError):
         multi_second_order_variance(spec, [0.0, 0.0], {(1, 2): 0.0})
+    with pytest.raises(ValidationError, match="s must be positive"):
+        multi_second_order_variance(spec, [0.5, 0.5], {(1, 2): 0.1}, s=0,
+                                    zeta2_control=0.3, zeta2_control_cross=[0.2, 0.2])
+    for diag, cross, control_cross in (([0.5, -0.5], 0.1, [0.2, 0.2]),
+                                       ([0.5, 0.5], -0.1, [0.2, 0.2]),
+                                       ([0.5, 0.5], 0.1, [0.2, -0.2])):
+        with pytest.raises(ValidationError, match="non-negative"):
+            multi_second_order_variance(spec, diag, {(1, 2): cross}, s=3,
+                                        zeta2_control=0.3,
+                                        zeta2_control_cross=control_cross)
+
+
+def test_normal_helpers_match_scipy():
+    # the normal tail, distribution and quantile the p-values and power
+    # rules read, against scipy.stats.norm
+    z = np.linspace(-37.0, 37.0, 7_401)
+    assert_allclose([_normal_sf(v) for v in z], norm.sf(z), rtol=1e-12, atol=0)
+    assert_allclose([_normal_cdf(v) for v in z], norm.cdf(z), rtol=1e-12, atol=0)
+    q = np.r_[np.logspace(-300, -1, 600), np.linspace(0.1, 0.9, 81),
+              1.0 - np.logspace(-1, -16, 300)]
+    assert_allclose([_normal_ppf(v) for v in q], norm.ppf(q), rtol=1e-14, atol=0)
+    assert (_normal_ppf(0.0), _normal_ppf(1.0)) == (-math.inf, math.inf)
 
 
 def test_regime_heuristic():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -132,7 +133,8 @@ class _InlineExecutor:
 
 
 def test_run_erp_caps_the_worker_processes(monkeypatch):
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlineExecutor)
+    # run_erp imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     _InlineExecutor.sizes = []
     scenario = ScenarioSpec("first_order_eg1", n=500, n1=20, M=3, seed=11)
