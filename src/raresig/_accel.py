@@ -6,7 +6,7 @@ between augmented unit rows for ``rescaled_ipcov``.  Both read one block
 of distances, :func:`_distances`: one GEMM from ``GEMM_MIN_P`` columns
 of the mapped rows on, else ``cdist``.  ipcov's rows are its unit rows
 at radius 1/2, whose distance is sin(theta/2), and it maps each distance
-to theta = 2 arcsin(.), which keeps relative accuracy near 0.
+to theta/2 = arcsin(.), keeping relative accuracy near 0, and doubles sums.
 ``_pair_metric`` maps a kernel to its rows and that map; every O(n^2 p)
 quantity is built from five primitives over the block: the within-block
 total, the within totals of many subsets of one pool, per-row cross and
@@ -27,14 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import KernelSpec
 
-__all__ = [
-    "within_sum",
-    "subset_sums",
-    "cross_rowsum",
-    "within_rowsum",
-    "pair_matrix",
-    "angle_embed",
-]
+__all__ = ["within_sum", "pooled_pair_sums", "cross_rowsum", "pair_matrix", "angle_embed"]
 
 _CHUNK = 512
 # blocks are one GEMM from 8 columns on (dcov, 512 x 2,050 block: cdist
@@ -122,18 +115,21 @@ def _recompute(d: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
 
 
 def _half_angles(d: np.ndarray) -> np.ndarray:
-    """2 arcsin(d) in place: the angle between unit rows 2d apart (the
-    clamp keeps a rounded-up d = 1 at pi)."""
+    """arcsin(d) in place: half the angle between unit rows 2d apart (the
+    clamp keeps a rounded-up d = 1 at pi / 2)."""
     np.minimum(d, 1.0, out=d)
-    np.arcsin(d, out=d)
-    d *= 2.0
-    return d
+    return np.arcsin(d, out=d)
+
+
+def _twice(f, v):
+    """``v``, a sum of entries mapped by ``f``, as a sum of d (bitwise)."""
+    return v if f is None else 2.0 * v
 
 
 def _pair_metric(kernel: KernelSpec):
-    """``(rows, f)`` for a second-order kernel: the pair function
-    d(a_i, b_j) is ``_distances(rows(a), rows(b), f)[i, j]``; ipcov's
-    rows are its unit rows at radius 1/2, so a distance is sin(theta/2)."""
+    """``(rows, f)`` for a second-order kernel: d(a_i, b_j) is
+    ``_distances(rows(a), rows(b), f)[i, j]``, times 2 for ipcov, whose
+    unit rows at radius 1/2 are sin(theta/2) apart and f maps to theta/2."""
     if kernel.kind == "rescaled_dcov":
         return _dcov_rows, None
     if kernel.kind == "rescaled_ipcov":
@@ -151,7 +147,7 @@ def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     out = np.empty(a.shape[0])
     for lo in range(0, a.shape[0], _CHUNK):
         out[lo : lo + _CHUNK] = _distances(a[lo : lo + _CHUNK], b, f).sum(axis=1)
-    return out
+    return _twice(f, out)
 
 
 def _within_total(a: np.ndarray, f) -> float:
@@ -170,7 +166,7 @@ def _within_total(a: np.ndarray, f) -> float:
             parts.append(float(_distances(a[lo:hi], a[lo:hi], f, 0).sum()) / 2.0)
         if hi < n:
             parts.append(float(_distances(a[lo:hi], a[hi:], f).sum()))
-    return math.fsum(parts)
+    return _twice(f, math.fsum(parts))
 
 
 def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:
@@ -179,16 +175,21 @@ def within_sum(kernel: KernelSpec, a: np.ndarray) -> float:
     return _within_total(rows(a), f)
 
 
-def subset_sums(kernel: KernelSpec, x: np.ndarray):
-    """``idx -> sums``: for a (c, m) array of positions in ``x``, the
-    within total of each row's subset, bitwise that of its rows with
-    ``x`` mapped once (one centre for dcov).  From ``GEMM_MIN_P`` columns
-    on and up to ``_CHUNK`` rows, the blocks are one stacked GEMM, at
-    most ``_CHUNK * n`` entries a batch, each the padded :func:`_gemm` of
-    :func:`_distances` (a gathered zero row pads it) with its screen,
-    ``sqrt``, map and sum; other subsets take :func:`_within_total`."""
+def pooled_pair_sums(kernel: KernelSpec, x: np.ndarray):
+    """:func:`_within_rowsum` and :func:`_subset_sums` of the rows of
+    ``x``, mapped once for both (one centre for dcov)."""
     rows, f = _pair_metric(kernel)
     u = rows(x)
+    return _within_rowsum(u, f), _subset_sums(u, f)
+
+
+def _subset_sums(u: np.ndarray, f):
+    """``idx -> sums``: for a (c, m) array of positions in the mapped rows
+    ``u``, each row's subset total, bitwise that of its rows.  From
+    ``GEMM_MIN_P`` columns and up to ``_CHUNK`` rows, one stacked GEMM of
+    at most ``_CHUNK * n`` entries a batch, each block the padded :func:`_gemm`
+    of :func:`_distances` (a zero row pads it), screened, ``sqrt``, mapped,
+    summed; other subsets take :func:`_within_total`."""
     n, w = u.shape
     p = (w - 4) // 3
     if w >= GEMM_MIN_P:
@@ -197,20 +198,19 @@ def subset_sums(kernel: KernelSpec, x: np.ndarray):
 
     def batch(idx: np.ndarray, pad: np.ndarray) -> np.ndarray:
         m = idx.shape[1]
-        a = np.take(left, pad, axis=0)
-        b = np.take(right, pad, axis=0).transpose(0, 2, 1)
-        full = a @ np.ascontiguousarray(b)  # contiguous: faster
+        top = u[idx, 2 * p].max(axis=1)
+        full = np.take(left, pad, axis=0) @ np.ascontiguousarray(
+            np.take(right, pad, axis=0).transpose(0, 2, 1))  # contiguous: faster
         d = full[:, :m, :m]
         diag = np.arange(m)
         d[:, diag, diag] = np.inf
-        top = a[:, :m, p].max(axis=1)
         for i in np.flatnonzero(d.min(axis=(1, 2)) < _RECOMPUTE * (top + top)):
             _recompute(d[i], u[idx[i]], u[idx[i]], p)
         np.sqrt(full, out=full)
         d[:, diag, diag] = 0.0
         if f is not None:
             f(full)
-        return d.sum(axis=(1, 2)) / 2.0
+        return _twice(f, d.sum(axis=(1, 2)) / 2.0)
 
     def sums(idx: np.ndarray) -> np.ndarray:
         c, m = idx.shape
@@ -227,13 +227,10 @@ def subset_sums(kernel: KernelSpec, x: np.ndarray):
     return sums
 
 
-def within_rowsum(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
-    """Per-row sums of d to the other rows of ``a`` (no self terms), over
-    the same blocks as :func:`within_sum`: each diagonal chunk with its
-    diagonal zeroed, and each chunk-to-later-rows block added to the
-    rows on both of its sides."""
-    rows, f = _pair_metric(kernel)
-    a = rows(a)
+def _within_rowsum(a: np.ndarray, f) -> np.ndarray:
+    """Per-row sums of d to the other mapped rows of ``a``, over the blocks
+    of :func:`within_sum`: each diagonal chunk with its diagonal zeroed,
+    and each chunk-to-later-rows block added to the rows on both sides."""
     n = a.shape[0]
     out = np.zeros(n)
     for lo in range(0, n, _CHUNK):
@@ -243,11 +240,13 @@ def within_rowsum(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
             d = _distances(a[lo:hi], a[hi:], f)
             out[lo:hi] += d.sum(axis=1)
             out[hi:] += d.sum(axis=0)
-    return out
+            del d  # before the next chunk's blocks: one O(chunk * n) block live
+    return _twice(f, out)
 
 
 def pair_matrix(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
     """Dense n x n matrix of d within ``a``, diagonal zeroed."""
     rows, f = _pair_metric(kernel)
     a = rows(a)
-    return _distances(a, a, f, 0)
+    d = _distances(a, a, f, 0)
+    return d if f is None else np.multiply(d, 2.0, out=d)  # whole angles

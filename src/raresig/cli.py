@@ -330,13 +330,16 @@ def _write(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _given(value, default):
+    """``default`` for a flag not given; a given 0 is left to be refused."""
+    return default if value is None else value
+
+
 def _preset_table3(kind: str, eg: int, args) -> list:
     family = "first_order_eg1" if eg == 1 else "first_order_eg2"
-    n = args.n or 100_000
-    n1 = args.n1 or 50
-    m = args.M or 1000
-    n1s_values = args.n1s or [2000]
-    base = ScenarioSpec(family, n=n, n1=n1, M=m, alpha=args.alpha, seed=args.seed)
+    n1 = _given(args.n1, 50)
+    base = ScenarioSpec(family, n=_given(args.n, 100_000), n1=n1, M=_given(args.M, 1000),
+                        alpha=args.alpha, seed=args.seed)
     rit = MethodConfig(kernel=kind, mode="rit", xi_basis="controls",
                        budget=args.budget)
     rows = []
@@ -344,7 +347,7 @@ def _preset_table3(kind: str, eg: int, args) -> list:
     rows.append({**size_rep.row(), "setting": "size"})
     power_rep = run_erp(base, rit, args.threads)
     rows.append({**power_rep.row(), "setting": "power"})
-    for n1s in n1s_values:
+    for n1s in _given(args.n1s, [2000]):
         s_val = max(2, int(round(n1s / n1)))
         bit = MethodConfig(kernel=kind, mode="bit", s=s_val, xi_basis="controls",
                            budget=args.budget)
@@ -355,30 +358,25 @@ def _preset_table3(kind: str, eg: int, args) -> list:
 
 def _preset_table_d4(args) -> list:
     full = args.full
-    n = args.n or (10_000 if full else 2_050)
-    n1 = args.n1 or 50
-    m = args.M or (1000 if full else 200)
-    b = args.B or 199
-    s_val = args.s or max(2, int(round((args.n1s[0] if args.n1s else 1000) / n1)))
+    n1 = _given(args.n1, 50)
+    s_val = _given(args.s, max(2, int(round((args.n1s[0] if args.n1s else 1000) / n1))))
     base = ScenarioSpec(
-        "second_order_eg1", n=n, n1=n1, p=args.p or 50, M=m, alpha=args.alpha,
+        "second_order_eg1", n=_given(args.n, 10_000 if full else 2_050), n1=n1,
+        p=_given(args.p, 50), M=_given(args.M, 1000 if full else 200), alpha=args.alpha,
         seed=args.seed,
     )
     bit_perm = MethodConfig(kernel="dcov", mode="bit", s=s_val,
-                            inference="permutation", B=b)
-    rows = []
-    rows.append({**run_erp(base.null(), bit_perm, args.threads).row(),
-                 "setting": "size"})
-    rows.append({**run_erp(base, bit_perm, args.threads).row(), "setting": "power"})
-    return rows
+                            inference="permutation", B=_given(args.B, 199))
+    return [{**run_erp(base.null(), bit_perm, args.threads).row(), "setting": "size"},
+            {**run_erp(base, bit_perm, args.threads).row(), "setting": "power"}]
 
 
 def _run_simulate(args) -> None:
     fam = args.family.replace("-", "_")
     if fam == "figure1":
         rows = figure1_phenomenon(
-            M=args.M or 500, alpha=args.alpha, seed=args.seed,
-            n1=args.n1 or 100, effect=args.effect if args.effect is not None else 0.2,
+            M=_given(args.M, 500), alpha=args.alpha, seed=args.seed,
+            n1=_given(args.n1, 100), effect=_given(args.effect, 0.2),
         )
     elif fam.startswith("table3_"):
         _, kind, eg = fam.split("_")
@@ -388,11 +386,11 @@ def _run_simulate(args) -> None:
     else:
         scenario = ScenarioSpec(
             fam,
-            n=args.n or 10_000,
-            n1=args.n1 or 50,
-            p=args.p or 1,
+            n=_given(args.n, 10_000),
+            n1=_given(args.n1, 50),
+            p=_given(args.p, 1),
             effect=args.effect,
-            M=args.M or (1000 if args.full else 200),
+            M=_given(args.M, 1000 if args.full else 200),
             alpha=args.alpha,
             seed=args.seed,
             params={
@@ -406,7 +404,7 @@ def _run_simulate(args) -> None:
             mode=args.method,
             s=args.s,
             inference=args.inference,
-            B=args.B or 199,
+            B=_given(args.B, 199),
             budget=args.budget,
             xi_basis="controls",
         )
@@ -415,7 +413,7 @@ def _run_simulate(args) -> None:
 
 
 def _run_bench(args) -> None:
-    sizes = args.sizes or [1000, 2000, 4000]
+    sizes = _given(args.sizes, [1000, 2000, 4000])
     grid = (args.s_grid or []) if args.mode == "bit" else sizes
     if len(set(grid)) < 2:
         flag = "--s-grid values" if args.mode == "bit" else "--sizes"

@@ -3,12 +3,13 @@
 A :class:`LabeledSample` holds an ``(n, p)`` feature matrix together with
 integer class labels in ``{0, ..., K}``; class 0 is the majority
 ("control") class and classes 1..K are the rare ("case") classes.
-:func:`group_by_label` splits it into per-class matrices while retaining
-the original row positions, so label permutations can reuse the feature
-matrix without copying rows.
+:func:`group_by_label` partitions the row positions by class and copies
+no row: a :class:`GroupedSample` gathers a class's rows on their first
+read, so a test copies only the rows it reads.
 
-All containers are frozen and their arrays are marked read-only; they
-can be shared freely across workers.
+All containers are frozen and their arrays read-only.  A GroupedSample
+caches the classes it gathers: threads that gather one class at once each
+copy it (same values), so give each thread its own.
 """
 
 from __future__ import annotations
@@ -97,18 +98,26 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class GroupedSample:
-    """Per-class feature matrices, counts, and original row positions."""
+    """Counts and row positions per class over the feature matrix
+    ``source``, whose class-k rows :meth:`group` gathers once; in
+    ``GroupedSample(groups, counts, indices)`` it is the per-class
+    matrices (by keyword ``source=``; ``groups=`` is refused)."""
 
-    groups: tuple
+    source: np.ndarray | tuple = field(repr=False, compare=False)
     counts: tuple
     indices: tuple
     # every class's first feature, sorted ascending, when :func:`presort`
     # made this sample for one test
     sorted_first: tuple | None = field(default=None, repr=False, compare=False)
+    _gathered: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.source, np.ndarray):  # explicit groups
+            self._gathered.update(enumerate(self.source))
 
     @property
     def n_classes(self) -> int:
-        return len(self.groups)
+        return len(self.counts)
 
     @property
     def n(self) -> int:
@@ -116,56 +125,71 @@ class GroupedSample:
 
     @property
     def p(self) -> int:
-        return self.groups[0].shape[1]
+        return self.source[0].shape[-1]  # the first row, or class 0's matrix
 
     @property
     def imbalance(self) -> float:
         """n1 / n0, the case-to-control ratio."""
         return self.counts[1] / self.counts[0]
 
+    @property
+    def groups(self) -> tuple:
+        return tuple(self.group(k) for k in range(self.n_classes))
+
     def group(self, k: int) -> np.ndarray:
-        return self.groups[k]
+        if k not in self._gathered:
+            self._gathered[k] = _gather(self.source, self.indices[k])
+        return self._gathered[k]
 
     def sorted_column(self, k: int) -> np.ndarray:
         """Class k's first feature, sorted ascending: the copy
         :func:`presort` made, else a fresh sort."""
         if self.sorted_first is not None:
             return self.sorted_first[k]
-        return np.sort(self.groups[k][:, 0])
+        return np.sort(self.group(k)[:, 0])
+
+    def keep_controls(self, inclusion: np.ndarray) -> GroupedSample:
+        """This sample with class 0 cut to the rows the mask ``inclusion``
+        keeps, over the same source: no control block is gathered."""
+        src = self.source
+        src = src if isinstance(src, np.ndarray) else (src[0][inclusion], *src[1:])
+        return GroupedSample(src, (int(inclusion.sum()),) + self.counts[1:],
+                             (self.indices[0][inclusion],) + self.indices[1:])
+
+
+def _gather(source: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``source[rows]``, read-only: the one copy of a class's rows."""
+    return _freeze(source[rows])
 
 
 def group_by_label(sample: LabeledSample) -> GroupedSample:
-    """Partition rows by class label, preserving within-class row order.
+    """Partition row positions by class label, in row order (no copy).
 
     Raises :class:`DegenerateDataError` when any class in
     ``0..max(labels)`` is empty (in particular when all rows share one
     label, which leaves nothing to compare).
     """
     n_classes = sample.n_classes
-    groups = []
-    counts = []
-    indices = []
-    for k in range(n_classes):
-        idx = np.flatnonzero(sample.labels == k)
+    indices = tuple(_freeze(np.flatnonzero(sample.labels == k)) for k in range(n_classes))
+    for k, idx in enumerate(indices):
         if idx.size == 0:
             raise DegenerateDataError(
                 f"degenerate partition: class {k} has no observations"
             )
-        groups.append(_freeze(sample.features[idx]))
-        counts.append(int(idx.size))
-        indices.append(_freeze(idx))
     if n_classes < 2:
         raise DegenerateDataError(
             "degenerate partition: need at least one case class besides class 0"
         )
-    return GroupedSample(tuple(groups), tuple(counts), tuple(indices))
+    return GroupedSample(sample.features, tuple(i.size for i in indices), indices)
 
 
 def presort(data: GroupedSample) -> GroupedSample:
     """``data`` with every class's first feature sorted once, so the
     sign kernels' statistic and projections in one test share the sorts."""
     cols = tuple(_freeze(np.sort(g[:, 0])) for g in data.groups)
-    return replace(data, sorted_first=cols)
+    out = replace(data, sorted_first=cols)
+    out._gathered.update(data._gathered)  # the same rows
+    return out
 
 
 def standardize(sample: LabeledSample) -> LabeledSample:

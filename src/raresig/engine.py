@@ -145,15 +145,14 @@ def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
 
     The pooled row sums r_i = sum_{j != i} d(x_i, x_j) and their total T
     do not depend on the labels, so they are computed once (O(p n^2),
-    O(chunk * n) memory), and so are the rows the pair function reads
-    (centred for dcov).  A call then sums the n1 x n1 pair blocks of its
-    c case sets, one stacked GEMM (:func:`raresig._accel.subset_sums`,
-    O(c p n1^2)): s11 is a block's sum, s01 = sum of r over the cases -
-    s11 and s00 = T - s11 - 2 s01.
+    O(chunk * n) memory), from the rows the pair function reads (centred
+    for dcov), mapped once (:func:`raresig._accel.pooled_pair_sums`).  A
+    call then sums the n1 x n1 pair blocks of its c case sets, one stacked
+    GEMM (O(c p n1^2)): s11 is a block's sum, s01 = sum of r over the
+    cases - s11 and s00 = T - s11 - 2 s01.
     """
-    r = _accel.within_rowsum(kernel, x)
+    r, within = _accel.pooled_pair_sums(kernel, x)
     total = math.fsum(r)
-    within = _accel.subset_sums(kernel, x)
 
     def statistic(cases: tuple) -> np.ndarray:
         (idx,) = cases

@@ -338,9 +338,8 @@ def _thinned_pool(
     keeps, the rare-class rows and the kept controls, in their original
     order: ``(pool, plan)``."""
     plan, kept = _draw_test_plan(grouped, kernel, s, seed)
-    keep = np.zeros(sample.n, dtype=bool)
-    keep[np.concatenate(kept.indices)] = True
-    return LabeledSample(sample.features[keep], sample.labels[keep]), plan
+    rows = np.sort(np.concatenate(kept.indices))
+    return LabeledSample(sample.features[rows], sample.labels[rows]), plan
 
 
 def pvalue_permutation(

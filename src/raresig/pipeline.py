@@ -60,6 +60,10 @@ class MethodConfig:
     xi_basis: str = "controls"
     kernel_params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.B < 1:
+            raise ValidationError("B must be at least 1")
+
     def label(self) -> str:
         bits = [self.kernel, self.mode]
         if self.s is not None:

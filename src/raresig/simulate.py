@@ -68,8 +68,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.family not in DEFAULT_EFFECTS:
             raise ValidationError(f"unknown scenario family {self.family!r}")
-        if not 1 <= self.n1 <= self.n:
-            raise ValidationError("need 1 <= n1 <= n")
+        if not 1 <= self.n1 <= self.n or min(self.p, self.M) < 1:
+            raise ValidationError("need 1 <= n1 <= n, p >= 1 and M >= 1")
 
     @property
     def effect_size(self) -> float:
@@ -146,9 +146,8 @@ def _gen_highdim_shift(spec: ScenarioSpec, rng) -> LabeledSample:
     chol = _ar1_cholesky(p, spec.params.get("rho", 0.5))
     labels = _exact_count_labels(n, n1, rng)
     x = rng.standard_normal((n, p)) @ chol.T
-    shift = np.zeros(p)
-    shift[:p1] = spec.effect_size
-    x[labels == 0] += shift
+    # the effect on the first p1 columns of the control rows
+    np.add(x[:, :p1], spec.effect_size, out=x[:, :p1], where=(labels == 0)[:, None])
     return LabeledSample(x, labels)
 
 
@@ -427,6 +426,8 @@ def benchmark_complexity(
     kernel = kernel_from_name(kernel_name)
     if p is None:
         p = 1 if kernel.order == "first" else 5
+    if p < 1 or (mode == "rit" and min(sizes, default=0) < kernel.m0 + kernel.m1):
+        raise ValidationError(f"need p >= 1 and sizes >= {kernel.m0 + kernel.m1}")
     rng = spawn_rng(seed)
     calls = []
     if mode == "rit":
@@ -434,12 +435,11 @@ def benchmark_complexity(
         for n in sizes:
             n1_local = max(kernel.m1, n // 20)
             labels = np.r_[np.zeros(n - n1_local, np.int64), np.ones(n1_local, np.int64)]
-            x = rng.standard_normal((n, p)) if p > 1 else rng.standard_normal((n, 1))
-            grouped = group_by_label(LabeledSample(x, labels))
+            grouped = group_by_label(LabeledSample(rng.standard_normal((n, p)), labels))
             calls.append(lambda g=grouped: compute_rit(g, kernel))
     elif mode == "bit":
-        if n1 is None or not s_values:
-            raise ValidationError("bit benchmarks need n1 and s_values")
+        if n1 is None or not s_values or n1 < kernel.m1 or min(s_values) < 2:
+            raise ValidationError(f"bit benchmarks need n1 >= {kernel.m1} and s_values >= 2")
         n0 = 2 * max(s_values) * n1
         labels = np.r_[np.zeros(n0, np.int64), np.ones(n1, np.int64)]
         x = rng.standard_normal((n0 + n1, p))

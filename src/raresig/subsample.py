@@ -103,10 +103,7 @@ def thin_controls(data: GroupedSample, plan: SubsamplePlan) -> GroupedSample:
         raise ValidationError(
             f"plan drawn for n0 = {plan.n0}, data has n0 = {data.counts[0]}"
         )
-    groups = (data.group(0)[plan.inclusion],) + data.groups[1:]
-    counts = (plan.realized_count,) + data.counts[1:]
-    indices = (data.indices[0][plan.inclusion],) + data.indices[1:]
-    return GroupedSample(groups, counts, indices)
+    return data.keep_controls(plan.inclusion)
 
 
 def _kept_sample(

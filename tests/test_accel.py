@@ -11,6 +11,7 @@ columns and 1e8 offsets, at feature counts on both sides of
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_within_sum_matches_dense(kind, a):
 @fast
 @given(kinds, feature_rows())
 def test_within_rowsum_matches_dense(kind, a):
-    got = _accel.within_rowsum(KERNELS[kind], a)
+    got = _accel.pooled_pair_sums(KERNELS[kind], a)[0]
     n = a.shape[0]
     assert got.shape == (n,)
     want = squareform(pdist(a)) if kind == "dcov" else _dense(kind, a, a)
@@ -125,7 +126,7 @@ def subset_draws(draw):
 @given(kinds, subset_draws())
 def test_subset_sums_match_dense(kind, xi):
     x, idx = xi
-    got = _accel.subset_sums(KERNELS[kind], x)(idx)
+    got = _accel.pooled_pair_sums(KERNELS[kind], x)[1](idx)
     assert got.shape == (idx.shape[0],)
     want = [_within_ref(kind, x[i]).sum() for i in idx]
     assert_allclose(got, want, rtol=1e-12)
@@ -152,7 +153,7 @@ def test_subset_sums_equal_per_subset_sums_bitwise(monkeypatch, kind, p):
     rows, f = _accel._pair_metric(KERNELS[kind])
     u = rows(x)
     want = [_accel._within_total(u[i], f) for i in idx]
-    sums = _accel.subset_sums(KERNELS[kind], x)
+    sums = _accel.pooled_pair_sums(KERNELS[kind], x)[1]
     before = len(screened)
     assert np.array_equal(np.concatenate([sums(idx[:64]), sums(idx[64:]), sums(idx[:1])]),
                           np.r_[want, want[:1]])
@@ -173,7 +174,22 @@ def test_gemm_block_recomputes_cancelling_distances(p):
     got = _accel.pair_matrix(KERNELS["dcov"], x)
     assert got[1, 2] == 0.0 and np.all(np.diag(got) == 0.0)
     assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    assert_allclose(_accel.within_rowsum(KERNELS["dcov"], x), want.sum(axis=1), rtol=1e-12)
+    assert_allclose(_accel.pooled_pair_sums(KERNELS["dcov"], x)[0], want.sum(axis=1),
+                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_pooled_pair_sums_hold_one_block_at_a_time(kind):
+    # a chunk's cross block is freed before the next chunk's blocks are
+    # built, so the peak stays near one _CHUNK x n block of distances
+    x = np.random.default_rng(19).standard_normal((3000, 16))
+    tracemalloc.start()
+    try:
+        _accel.pooled_pair_sums(KERNELS[kind], x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * _accel._CHUNK * x.shape[0]
 
 
 # every primitive of both kernels on sizes that are not multiples of a
@@ -189,9 +205,9 @@ for n, p in ((1537, 20), (700, 50), (83, 300)):
     for k in (dcov_kernel(), ipcov_kernel()):
         idx = np.random.default_rng(p).random((70, n)).argsort(axis=1)[:, :60]
         idx.sort(axis=1)
-        for v in (_accel.within_rowsum(k, x), _accel.cross_rowsum(k, x[:37], x),
-                  _accel.pair_matrix(k, x[:600]), _accel.within_sum(k, x),
-                  _accel.subset_sums(k, x)(idx)):
+        r, sums = _accel.pooled_pair_sums(k, x)
+        for v in (r, _accel.cross_rowsum(k, x[:37], x),
+                  _accel.pair_matrix(k, x[:600]), _accel.within_sum(k, x), sums(idx)):
             h.update(np.asarray(v).tobytes())
 print(h.hexdigest())
 """

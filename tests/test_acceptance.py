@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 from scipy.stats import norm
@@ -49,6 +50,8 @@ from raresig.simulate import (
     loglog_slope,
     run_erp,
 )
+
+pytestmark = pytest.mark.slow
 
 
 def _report(name: str, detail: str) -> None:

@@ -16,6 +16,8 @@ from raresig.pipeline import run_test
 from raresig.rng import spawn_seed
 from raresig.simulate import MethodConfig, ScenarioSpec, generate, run_erp
 
+pytestmark = pytest.mark.slow
+
 
 def _size(scenario, method):
     report = run_erp(scenario.null(), method)

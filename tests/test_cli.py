@@ -557,3 +557,37 @@ def test_emit_refuses_non_finite_json(capsys):
         _emit({"value": float("nan")}, "json", None)
     _emit({"value": 1.5}, "json", None)
     assert json.loads(capsys.readouterr().out) == {"value": 1.5}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "first_order_eg1", "--M", "0"],
+        ["--family", "first_order_eg1", "--n", "400", "--M", "2", "--B", "0"],
+        ["--family", "second_order_eg1", "--n", "400", "--M", "2", "--p", "0"],
+        ["--family", "first_order_eg1", "--n", "400", "--M", "2", "--n1", "0"],
+        ["--family", "table3_kendall_eg1", "--M", "0"],
+        ["--family", "table_d4_dcov_eg1", "--M", "2", "--s", "0"],
+        ["--family", "figure1", "--M", "0"],
+    ],
+)
+def test_cli_simulate_refuses_an_explicit_zero(argv, capsys):
+    # a 0 is a value given, not a missing flag: it is refused, not
+    # replaced by the default
+    assert main(["simulate", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kernel", "dcov", "--sizes", "0,5"],
+        ["--kernel", "dcov", "--sizes", "100,200", "--p", "0"],
+        ["--kernel", "dcov", "--mode", "bit", "--n1", "0", "--s-grid", "2,4"],
+    ],
+)
+def test_cli_bench_refuses_bad_sizes_and_p(argv, capsys):
+    assert main(["bench", "--trials", "1", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from raresig import (
     DegenerateDataError,
+    GroupedSample,
     LabeledSample,
     ValidationError,
     group_by_label,
     standardize,
 )
+from raresig.data import presort
+from raresig.subsample import draw_subsample, thin_controls
 
 
 def test_group_by_label_partition():
@@ -49,6 +53,46 @@ def test_reconcatenation_via_indices_roundtrips():
     for k in range(g.n_classes):
         rebuilt[g.indices[k]] = g.group(k)
     assert_array_equal(rebuilt, sample.features)
+
+
+def test_lazy_and_explicit_groups_agree():
+    # grouping keeps positions and gathers a class on its first read;
+    # explicit per-class matrices, presort, replace and thinning read the
+    # same rows
+    rng = np.random.default_rng(3)
+    labels = np.r_[np.zeros(40, np.int64), np.ones(6, np.int64), np.full(5, 2)]
+    sample = LabeledSample(rng.standard_normal((51, 3)), rng.permutation(labels))
+    lazy = group_by_label(sample)
+    explicit = GroupedSample(tuple(sample.features[i] for i in lazy.indices),
+                             lazy.counts, lazy.indices)
+    plan = draw_subsample(lazy, 3, seed=4)
+    for g in (lazy, explicit):
+        for h in (g, presort(g), replace(g, sorted_first=None)):
+            assert (h.n_classes, h.n, h.p, h.counts) == (3, 51, 3, lazy.counts)
+            assert all(a is b for a, b in zip(h.groups, h.groups))  # kept
+            for k in range(3):
+                assert_array_equal(h.group(k), sample.features[lazy.indices[k]])
+        thin = thin_controls(g, plan)
+        assert thin.counts == (plan.realized_count, 6, 5)
+        assert_array_equal(thin.indices[0], lazy.indices[0][plan.inclusion])
+        for k in range(3):
+            assert_array_equal(thin.group(k), sample.features[thin.indices[k]])
+
+
+def test_grouped_sample_keywords_name_the_source():
+    # the first field is `source`: explicit groups by keyword go there, and
+    # the old keyword `groups=` is refused rather than read as something else
+    sample = LabeledSample(np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 0, 1, 0]))
+    lazy = group_by_label(sample)
+    explicit = GroupedSample(source=lazy.groups, counts=lazy.counts, indices=lazy.indices)
+    swapped = replace(lazy, source=tuple(g + 1.0 for g in lazy.groups))
+    for k in range(2):
+        assert_array_equal(explicit.group(k), lazy.group(k))
+        assert_array_equal(swapped.group(k), lazy.group(k) + 1.0)
+    with pytest.raises(TypeError):
+        GroupedSample(groups=lazy.groups, counts=lazy.counts, indices=lazy.indices)
+    with pytest.raises(TypeError):
+        replace(lazy, groups=lazy.groups)
 
 
 def test_validation_rejects_bad_inputs():

@@ -4,13 +4,14 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from raresig import LabeledSample, ValidationError, group_by_label
-from raresig import _accel, pipeline, subsample
+from raresig import _accel, data, pipeline, subsample
 from raresig.cli import main
 from raresig.engine import compute_rit
 from raresig.inference import condition_diagnostic, estimate_xi02
@@ -346,6 +347,63 @@ def test_bit_thins_the_controls_once(kernel, inference, monkeypatch):
     method = MethodConfig(kernel=kernel, mode="bit", s=3, inference=inference)
     run_test(sample, method, SEED)
     assert len(calls) == 1
+
+
+def _spy_gathers(monkeypatch) -> list:
+    """The row positions of every class gather from here on."""
+    rows = []
+    gather = data._gather
+    monkeypatch.setattr(data, "_gather", lambda src, idx: rows.append(idx) or gather(src, idx))
+    return rows
+
+
+@pytest.mark.parametrize("kernel,kind", [
+    ("kendall", "scalar"), ("pearson", "scalar"), ("multi_kendall", "three"),
+    ("dcov", "vector"), ("ipcov", "vector"),
+])
+def test_permutation_test_gathers_no_class(kernel, kind, monkeypatch):
+    # the permutation null reads pooled summaries of the feature matrix
+    rows = _spy_gathers(monkeypatch)
+    run_test(_sample(kind), MethodConfig(kernel=kernel, inference="permutation", B=B), SEED)
+    assert rows == []
+
+
+@pytest.mark.parametrize("kernel,kind,inference", [
+    ("kendall", "scalar", "asymptotic"), ("multi_kendall", "three", "asymptotic"),
+    ("dcov", "vector", "highdim"), ("ipcov", "vector", "highdim"),
+    ("dcov", "vector", "permutation"),
+])
+def test_bit_test_gathers_only_kept_rows(kernel, kind, inference, monkeypatch):
+    # the statistic and every null read the cases and the kept controls,
+    # each class gathered once (the permutation pool takes them by
+    # position); the full control block never
+    sample = _sample(kind)
+    params = {"n_rare": 2} if kind == "three" else {}
+    grouped = group_by_label(sample)
+    _, kept = subsample._draw_test_plan(grouped, kernel_from_name(kernel, **params), 3, SEED)
+    rows = _spy_gathers(monkeypatch)
+    run_test(sample, MethodConfig(kernel=kernel, mode="bit", s=3, inference=inference), SEED)
+    gathered = np.concatenate([np.zeros(0, np.int64), *rows])
+    assert np.isin(gathered, np.concatenate(kept.indices)).all()
+    assert gathered.size == (0 if inference == "permutation" else kept.n) < grouped.n
+
+
+@pytest.mark.parametrize("inference", ["permutation", "highdim"])
+def test_bit_test_peaks_below_its_input(inference):
+    # at n = 20,000 and p = 50, an 8 MB input, a BIT test holds the cases
+    # and the ~250 kept controls, not a copy of the input
+    rng = np.random.default_rng(21)
+    n, n1 = 20_000, 50
+    labels = rng.permutation(np.r_[np.zeros(n - n1, np.int64), np.ones(n1, np.int64)])
+    sample = LabeledSample(rng.standard_normal((n, 50)), labels)
+    method = MethodConfig(kernel="dcov", mode="bit", s=5, inference=inference, B=19)
+    tracemalloc.start()
+    try:
+        run_test(sample, method, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sample.features.nbytes
 
 
 @pytest.mark.parametrize("kernel,mode,sorts", [

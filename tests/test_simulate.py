@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from raresig import ValidationError, simulate
 from raresig.kernels import kernel_from_name
+from raresig.rng import spawn_rng
 from raresig.simulate import (
     MethodConfig,
     ScenarioSpec,
@@ -72,6 +73,36 @@ def test_highdim_family_covariance_and_shift():
     ctrl = sample.features[sample.labels == 0]
     assert abs(ctrl[:, 0].mean() - 0.4) < 0.15
     assert abs(ctrl[:, 20].mean()) < 0.15
+
+
+def _masked_scatter_reference(spec, rep):
+    """second_order_eg1 with the effect added as a full-width shift vector
+    to the control rows picked by a boolean mask."""
+    rng = spawn_rng(spec.seed, rep, 0)
+    chol = simulate._ar1_cholesky(spec.p, spec.params.get("rho", 0.5))
+    labels = simulate._exact_count_labels(spec.n, spec.n1, rng)
+    x = rng.standard_normal((spec.n, spec.p)) @ chol.T
+    shift = np.zeros(spec.p)
+    shift[: int(spec.params.get("p1", 10))] = spec.effect_size
+    x[labels == 0] += shift
+    return x, labels
+
+
+def test_highdim_shift_is_bytewise_the_masked_scatter():
+    # 24 (seed, n, p) cases, p on both sides of p1 = 10, with the null,
+    # a negative effect and another p1
+    cases = [(seed, n, p) for seed, n in ((0, 20), (3, 257), (11, 2_050), (29, 1_001))
+             for p in (1, 3, 9, 10, 11, 50)]
+    for i, (seed, n, p) in enumerate(cases):
+        effect = (None, 0.0, -0.7)[i % 3]
+        params = {"p1": 4} if i % 4 == 1 else {}
+        spec = ScenarioSpec("second_order_eg1", n=n, n1=n // 10, p=p, effect=effect,
+                            params=params, seed=seed)
+        for rep in (0, 5):
+            sample = generate(spec, rep)
+            x, labels = _masked_scatter_reference(spec, rep)
+            assert sample.features.tobytes() == x.tobytes(), (seed, n, p, rep)
+            assert sample.labels.tobytes() == labels.tobytes()
 
 
 def test_mixture_boundaries():
