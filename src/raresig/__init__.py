@@ -16,9 +16,7 @@ from .errors import DegenerateDataError, RaresigError, ValidationError
 from .inference import (
     TestOutcome,
     condition_diagnostic,
-    estimate_xi01,
     estimate_xi02,
-    estimate_xi10,
     local_power_threshold,
     power_first_order,
     power_highdim,

@@ -98,12 +98,10 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class GroupedSample:
-    """Counts and row positions per class over the feature matrix
-    ``source``, whose class-k rows :meth:`group` gathers once; in
-    ``GroupedSample(groups, counts, indices)`` it is the per-class
-    matrices (by keyword ``source=``; ``groups=`` is refused)."""
+    """Counts and row positions per class over the ``(n, p)`` feature
+    matrix ``source``, whose class-k rows :meth:`group` gathers once."""
 
-    source: np.ndarray | tuple = field(repr=False, compare=False)
+    source: np.ndarray = field(repr=False, compare=False)
     counts: tuple
     indices: tuple
     # every class's first feature, sorted ascending, when :func:`presort`
@@ -112,8 +110,8 @@ class GroupedSample:
     _gathered: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.source, np.ndarray):  # explicit groups
-            self._gathered.update(enumerate(self.source))
+        if not isinstance(self.source, np.ndarray) or self.source.ndim != 2:
+            raise ValidationError("source must be the (n, p) feature matrix")
 
     @property
     def n_classes(self) -> int:
@@ -125,7 +123,7 @@ class GroupedSample:
 
     @property
     def p(self) -> int:
-        return self.source[0].shape[-1]  # the first row, or class 0's matrix
+        return self.source.shape[1]
 
     @property
     def imbalance(self) -> float:
@@ -151,9 +149,7 @@ class GroupedSample:
     def keep_controls(self, inclusion: np.ndarray) -> GroupedSample:
         """This sample with class 0 cut to the rows the mask ``inclusion``
         keeps, over the same source: no control block is gathered."""
-        src = self.source
-        src = src if isinstance(src, np.ndarray) else (src[0][inclusion], *src[1:])
-        return GroupedSample(src, (int(inclusion.sum()),) + self.counts[1:],
+        return GroupedSample(self.source, (int(inclusion.sum()),) + self.counts[1:],
                              (self.indices[0][inclusion],) + self.indices[1:])
 
 

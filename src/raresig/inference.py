@@ -3,7 +3,8 @@
 First-order kernels get a normal null for sqrt(n1) * T; its variance,
 sum_k m_k^2 zeta_k / r_k over the rare classes (plus m_0^2 zeta_0 / s
 under subsampling), is :func:`raresig.multiclass.multi_asymptotic_variance`,
-which reduces to m1^2 xi01 (plus m0^2 xi10 / s) for one rare class.
+which reduces to m1^2 xi01 (plus m0^2 xi10 / s) for one rare class,
+xi01 and xi10 being :func:`raresig.multiclass.estimate_zeta1k` at k = 1, 0.
 Second-order kernels in high dimension get a normal null for n1 * T;
 its variance, 2 xi02 (times (1 + 1/s)^2 under subsampling), is the
 K = 1 :func:`raresig.multiclass.multi_second_order_variance` through
@@ -33,7 +34,6 @@ from .multiclass import (
     _normal_cdf,
     _normal_ppf,
     _normal_sf,
-    estimate_zeta1k,
     multi_asymptotic_variance,
     multi_second_order_variance,
 )
@@ -42,8 +42,6 @@ from .subsample import _draw_test_plan
 
 __all__ = [
     "TestOutcome",
-    "estimate_xi01",
-    "estimate_xi10",
     "estimate_xi02",
     "condition_diagnostic",
     "pvalue_asymptotic_first",
@@ -81,43 +79,9 @@ class TestOutcome:
     metadata: dict = field(default_factory=dict)
 
 
-def _first_order_only(spec: KernelSpec, what: str) -> None:
-    if spec.order != "first":
-        raise ValidationError(f"{what} applies to first-order kernels only")
-
-
 # ---------------------------------------------------------------------------
 # projection-variance estimators
 # ---------------------------------------------------------------------------
-
-
-def estimate_xi01(
-    data: GroupedSample,
-    kernel: KernelSpec,
-    budget: int = 2000,
-    seed: int = 0,
-    basis: str = "cases",
-) -> float:
-    """Variance of the one-case projection: zeta_1 of
-    :func:`raresig.multiclass.estimate_zeta1k`.
-
-    The projection is evaluated at the case points by default
-    (``basis="cases"``); under the null the controls follow the same
-    law and give a far less noisy estimate, so harness code passes
-    ``basis="controls"``.  ``budget`` caps the number of tuples per
-    evaluation point for kernels without a closed projection.
-    """
-    _first_order_only(kernel, "estimate_xi01")
-    return estimate_zeta1k(data, kernel, 1, budget, seed, basis)
-
-
-def estimate_xi10(
-    data: GroupedSample, kernel: KernelSpec, budget: int = 2000, seed: int = 0
-) -> float:
-    """Variance of the one-control projection, evaluated at the controls:
-    zeta_0 of :func:`raresig.multiclass.estimate_zeta1k`."""
-    _first_order_only(kernel, "estimate_xi10")
-    return estimate_zeta1k(data, kernel, 0, budget, seed)
 
 
 def _check_pair_guard(n1: int) -> None:

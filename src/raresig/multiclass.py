@@ -318,8 +318,11 @@ def estimate_zeta1k(
     under the null follow the same law and give a far less noisy
     estimate.  The control block (k = 0) is always evaluated at the
     controls; it enters only the subsampled variance.  ``budget`` caps
-    the tuples per point for kernels without a closed projection.
+    the tuples per point for kernels without a closed projection.  A
+    second-order kernel, whose one-point projections vanish, is refused.
     """
+    if kernel.order != "first":
+        raise ValidationError("estimate_zeta1k applies to first-order kernels only")
     if budget < 30:
         raise ValidationError("budget must be at least 30 tuples")
     if basis not in ("cases", "controls"):

@@ -1,6 +1,9 @@
 """Monte Carlo harness: scenario generators, empirical rejection
 probabilities, the imbalance phenomenon sweep, and runtime benchmarks.
 
+``first_order_eg1``/``eg2`` are the designs ``second_order_eg1``/``eg2``
+at p = 1, and only the ``second_order`` families take p > 1.
+
 Replications are seeded individually (``spawn_rng(seed, rep, domain)``),
 so an empirical rejection probability is a pure function of the
 scenario and method configuration: the same numbers come out for any
@@ -37,7 +40,6 @@ __all__ = [
     "benchmark_complexity",
     "loglog_slope",
     "classical_pvalue",
-    "SCENARIO_FAMILIES",
 ]
 
 DEFAULT_EFFECTS = {
@@ -70,6 +72,10 @@ class ScenarioSpec:
             raise ValidationError(f"unknown scenario family {self.family!r}")
         if not 1 <= self.n1 <= self.n or min(self.p, self.M) < 1:
             raise ValidationError("need 1 <= n1 <= n, p >= 1 and M >= 1")
+        if self.p != 1 and not self.family.startswith("second_order"):
+            raise ValidationError(f"{self.family} generates one feature: need p = 1")
+        if not 0 < self.alpha < 1:
+            raise ValidationError("alpha must lie in (0, 1)")
 
     @property
     def effect_size(self) -> float:
@@ -106,37 +112,19 @@ def _adjust_to_count(labels: np.ndarray, n1: int, rng) -> np.ndarray:
     return labels
 
 
-def _gen_shift_1d(spec: ScenarioSpec, rng, exact: bool) -> LabeledSample:
-    # cases N(0,1), controls N(effect,1) for the main families;
-    # the intro families shift the cases instead.
-    n, n1 = spec.n, spec.n1
-    shift_cases = spec.family.startswith("intro")
+def _gen_intro(spec: ScenarioSpec, rng) -> LabeledSample:
+    # cases N(effect, 1), controls N(0, 1); balanced Bernoulli labels
+    # under intro_fixed_p, exactly n1 cases under intro_decreasing_p
+    n = spec.n
     if spec.family == "intro_fixed_p":
         labels = (rng.random(n) < 0.5).astype(np.int64)
         if labels.sum() == 0:  # vanishing probability, keep the sample valid
             labels[rng.integers(n)] = 1
         elif labels.sum() == n:
             labels[rng.integers(n)] = 0
-    elif exact:
-        labels = _exact_count_labels(n, n1, rng)
     else:
-        labels = (rng.random(n) < n1 / n).astype(np.int64)
-    x = rng.standard_normal(n)
-    eff = spec.effect_size
-    if shift_cases:
-        x = x + eff * (labels == 1)
-    else:
-        x = x + eff * (labels == 0)
-    return LabeledSample(x[:, None], labels)
-
-
-def _gen_logistic_1d(spec: ScenarioSpec, rng) -> LabeledSample:
-    n, n1 = spec.n, spec.n1
-    x = rng.standard_normal(n)
-    beta0 = math.log(n1 / (n - n1))
-    prob = 1.0 / (1.0 + np.exp(-(beta0 + spec.effect_size * x)))
-    labels = (rng.random(n) < prob).astype(np.int64)
-    labels = _adjust_to_count(labels, n1, rng)
+        labels = _exact_count_labels(n, spec.n1, rng)
+    x = rng.standard_normal(n) + spec.effect_size * (labels == 1)
     return LabeledSample(x[:, None], labels)
 
 
@@ -181,28 +169,17 @@ def _gen_mixture(spec: ScenarioSpec, rng) -> LabeledSample:
     return LabeledSample(x[:, None], labels)
 
 
-SCENARIO_FAMILIES = tuple(DEFAULT_EFFECTS)
-
-
 def generate(spec: ScenarioSpec, rep: int) -> LabeledSample:
     """Replication ``rep`` of the scenario (deterministic in seed, rep)."""
     rng = spawn_rng(spec.seed, rep, 0)
     fam = spec.family
-    if fam == "intro_fixed_p":
-        return _gen_shift_1d(spec, rng, exact=False)
-    if fam == "intro_decreasing_p":
-        return _gen_shift_1d(spec, rng, exact=True)
-    if fam == "first_order_eg1":
-        return _gen_shift_1d(spec, rng, exact=True)
-    if fam == "first_order_eg2":
-        return _gen_logistic_1d(spec, rng)
-    if fam == "second_order_eg1":
+    if fam.startswith("intro"):
+        return _gen_intro(spec, rng)
+    if fam.endswith("eg1"):
         return _gen_highdim_shift(spec, rng)
-    if fam == "second_order_eg2":
+    if fam.endswith("eg2"):
         return _gen_highdim_logistic(spec, rng)
-    if fam == "mixture_local":
-        return _gen_mixture(spec, rng)
-    raise ValidationError(f"unknown scenario family {fam!r}")
+    return _gen_mixture(spec, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,7 @@ from raresig import (
     compute_rit_bruteforce,
     dcov_kernel,
     draw_subsample,
-    estimate_xi01,
     estimate_xi02,
-    estimate_xi10,
     estimate_zeta1k,
     group_by_label,
     imbalanced_kendall_kernel,
@@ -264,8 +262,8 @@ def test_criterion_7_power_formula_cross_check():
     g_big = _grouped(x[:, None], labels)
     kernel = kendall_kernel()
     mu0 = compute_rit(g_big, kernel).value
-    xi01 = estimate_xi01(g_big, kernel, basis="controls")
-    xi10 = estimate_xi10(g_big, kernel)
+    xi01 = estimate_zeta1k(g_big, kernel, 1, basis="controls")
+    xi10 = estimate_zeta1k(g_big, kernel, 0)
 
     details = []
     for n1 in (50, 100):
@@ -353,8 +351,8 @@ def test_criterion_9_multiclass_reduction_and_size():
         compute_bit(g, multi_kendall_kernel(1), plan).value
         == compute_bit(g, kendall_kernel(), plan).value
     )
-    assert estimate_zeta1k(g, multi_kendall_kernel(1), k=1) == estimate_xi01(
-        g, kendall_kernel(), basis="cases"
+    assert estimate_zeta1k(g, multi_kendall_kernel(1), k=1) == estimate_zeta1k(
+        g, kendall_kernel(), 1, basis="cases"
     )
 
     # K = 2 null size with the first-order normal calibration

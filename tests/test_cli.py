@@ -450,8 +450,18 @@ def test_cli_power_refuses_bad_input(argv, capsys):
      "--epsilon", "0.1"],
     ["bench", "--kernel", "dcov", "--sizes", "100,200", "--trials", "0"],
     ["subsample-plan", "--n0", "-5", "--n1", "3", "--s", "2"],
+    # the scalar families generate one feature, and a level lies in (0, 1)
+    ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--p", "5"],
+    ["simulate", "--family", "mixture_local", "--n", "400", "--M", "2", "--p", "7"],
+    ["simulate", "--family", "intro_fixed_p", "--n", "400", "--M", "2", "--p", "2"],
+    ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--alpha", "1.5"],
+    ["simulate", "--family", "first_order_eg2", "--n", "400", "--M", "2", "--alpha", "0"],
+    ["simulate", "--family", "figure1", "--M", "2", "--alpha", "-1"],
+    ["simulate", "--family", "table3_kendall_eg1", "--M", "2", "--alpha", "1"],
 ], ids=["first-order-s-0", "first-order-s-neg", "power-gap-xi10-neg", "bench-trials-0",
-        "subsample-plan-n0-neg"])
+        "subsample-plan-n0-neg", "simulate-eg1-p-5", "simulate-mixture-p-7",
+        "simulate-intro-p-2", "simulate-alpha-1.5", "simulate-alpha-0",
+        "simulate-figure1-alpha-neg", "simulate-table3-alpha-1"])
 def test_cli_refuses_bad_input_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()

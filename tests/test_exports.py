@@ -33,6 +33,12 @@ REMOVED = (
     "_classical_kendall",
     "_classical_pearson",
     "pair_rows",
+    "estimate_xi01",
+    "estimate_xi10",
+    "_first_order_only",
+    "SCENARIO_FAMILIES",
+    "_gen_logistic_1d",
+    "_gen_shift_1d",
 )
 
 

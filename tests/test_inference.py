@@ -21,9 +21,8 @@ from raresig import (
     compute_rit,
     condition_diagnostic,
     dcov_kernel,
-    estimate_xi01,
     estimate_xi02,
-    estimate_xi10,
+    estimate_zeta1k,
     group_by_label,
     ipcov_kernel,
     kendall_kernel,
@@ -63,7 +62,7 @@ def _stat(value, kernel, n0, n1):
 def test_xi01_pearson_is_case_variance():
     rng = np.random.default_rng(0)
     g = _grouped(5000, 2000, rng)
-    xi = estimate_xi01(g, pearson_kernel())
+    xi = estimate_zeta1k(g, pearson_kernel(), 1)
     assert abs(xi - 1.0) < 0.1
 
 
@@ -74,24 +73,27 @@ def test_xi01_constant_cases_is_zero():
             np.r_[np.zeros(50, np.int64), np.ones(10, np.int64)],
         )
     )
-    assert estimate_xi01(g, pearson_kernel()) < 1e-28
-    assert estimate_xi01(g, kendall_kernel()) < 1e-28
+    assert estimate_zeta1k(g, pearson_kernel(), 1) < 1e-28
+    assert estimate_zeta1k(g, kendall_kernel(), 1) < 1e-28
 
 
 def test_xi01_needs_first_order_kernel_and_two_cases():
     rng = np.random.default_rng(2)
     g = _grouped(30, 5, rng, p=2)
-    with pytest.raises(ValidationError):
-        estimate_xi01(g, dcov_kernel())
+    # a second-order kernel has no first-order projection variance, at
+    # either block; a Monte Carlo number would hide that
+    for k in (1, 0):
+        with pytest.raises(ValidationError, match="first-order"):
+            estimate_zeta1k(g, dcov_kernel(), k)
     g1 = _grouped(30, 1, rng)
     with pytest.raises(DegenerateDataError):
-        estimate_xi01(g1, kendall_kernel())
+        estimate_zeta1k(g1, kendall_kernel(), 1)
 
 
 def test_xi10_mirrors_xi01_for_kendall():
     rng = np.random.default_rng(3)
     g = _grouped(3000, 1500, rng)
-    assert abs(estimate_xi10(g, kendall_kernel()) - 1 / 3) < 0.05
+    assert abs(estimate_zeta1k(g, kendall_kernel(), 0) - 1 / 3) < 0.05
 
 
 def test_xi02_identical_cases_has_zero_variance():

@@ -12,8 +12,7 @@ from raresig import (
     compute_rit,
     custom_kernel,
     dcov_kernel,
-    estimate_xi01,
-    estimate_xi10,
+    estimate_zeta1k,
     evaluate,
     group_by_label,
     imbalanced_kendall_kernel,
@@ -177,7 +176,7 @@ def test_kendall_projection_variance_one_third():
     rng = np.random.default_rng(3)
     labels = np.r_[np.zeros(5000, np.int64), np.ones(500, np.int64)]
     sample = LabeledSample(rng.standard_normal(5500)[:, None], labels)
-    xi = estimate_xi01(group_by_label(sample), kendall_kernel())
+    xi = estimate_zeta1k(group_by_label(sample), kendall_kernel(), 1)
     assert abs(xi - 1 / 3) < 0.05
 
 
@@ -198,8 +197,8 @@ def test_imbalanced_kendall_normal_closed_forms():
     sample = LabeledSample(rng.standard_normal(6500)[:, None], labels)
     grouped = group_by_label(sample)
     spec = imbalanced_kendall_kernel(m)
-    assert abs(estimate_xi01(grouped, spec, budget=1500, seed=1) - xi01_true) < 0.05
-    xi10 = estimate_xi10(grouped, spec, budget=1500, seed=2)
+    assert abs(estimate_zeta1k(grouped, spec, 1, budget=1500, seed=1) - xi01_true) < 0.05
+    xi10 = estimate_zeta1k(grouped, spec, 0, budget=1500, seed=2)
     assert abs(xi10 - xi10_true) < 0.05
 
 

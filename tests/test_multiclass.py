@@ -17,8 +17,6 @@ from raresig import (
     compute_rit_bruteforce,
     custom_kernel,
     draw_subsample,
-    estimate_xi01,
-    estimate_xi10,
     estimate_zeta1k,
     group_by_label,
     kendall_kernel,
@@ -95,7 +93,7 @@ def test_binary_reduction_is_bitwise():
     binary_s = compute_bit(g, kendall_kernel(), plan)
     assert multi_s.value == binary_s.value
     z = estimate_zeta1k(g, multi_kendall_kernel(1), k=1)
-    xi = estimate_xi01(g, kendall_kernel(), basis="cases")
+    xi = estimate_zeta1k(g, kendall_kernel(), 1, basis="cases")
     assert z == xi
 
 
@@ -295,9 +293,9 @@ def binary_scalar_samples(draw):
 def test_k1_zetas_are_the_binary_xis(g, basis):
     multi = multi_kendall_kernel(1)
     zeta1 = estimate_zeta1k(g, multi, 1, basis=basis)
-    assert zeta1 == estimate_xi01(g, kendall_kernel(), basis=basis)
+    assert zeta1 == estimate_zeta1k(g, kendall_kernel(), 1, basis=basis)
     zeta0 = estimate_zeta1k(g, multi, 0, basis=basis)
-    assert zeta0 == estimate_xi10(g, kendall_kernel())
+    assert zeta0 == estimate_zeta1k(g, kendall_kernel(), 0)
     # brute force: the mean sign against the other class, at the basis points
     x0, x1 = g.group(0)[:, 0], g.group(1)[:, 0]
     pts = x1 if basis == "cases" else x0

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial import distance
 
-from raresig import ValidationError, simulate
+from raresig import ValidationError, _accel, simulate
 from raresig.kernels import kernel_from_name
 from raresig.rng import spawn_rng
 from raresig.simulate import (
@@ -105,6 +106,57 @@ def test_highdim_shift_is_bytewise_the_masked_scatter():
             assert sample.labels.tobytes() == labels.tobytes()
 
 
+def _one_feature_reference(spec, rep):
+    """The scalar designs written out on their own: a case shift for the
+    intro families, a control shift N(effect, 1) against N(0, 1) cases
+    with exactly n1 of them for first_order_eg1, and logistic labels on
+    one N(0, 1) feature, cut or topped up to n1 cases, for
+    first_order_eg2."""
+    rng = spawn_rng(spec.seed, rep, 0)
+    n, n1, eff = spec.n, spec.n1, spec.effect_size
+    if spec.family == "first_order_eg2":
+        x = rng.standard_normal(n)
+        prob = 1.0 / (1.0 + np.exp(-(math.log(n1 / (n - n1)) + eff * x)))
+        labels = (rng.random(n) < prob).astype(np.int64)
+        cases = int(labels.sum())
+        if cases > n1:
+            labels[rng.choice(np.flatnonzero(labels == 1), cases - n1, replace=False)] = 0
+        elif cases < n1:
+            labels[rng.choice(np.flatnonzero(labels == 0), n1 - cases, replace=False)] = 1
+        return x[:, None], labels
+    if spec.family == "intro_fixed_p":
+        labels = (rng.random(n) < 0.5).astype(np.int64)
+        if labels.sum() == 0:
+            labels[rng.integers(n)] = 1
+        elif labels.sum() == n:
+            labels[rng.integers(n)] = 0
+    else:
+        labels = np.zeros(n, dtype=np.int64)
+        labels[rng.choice(n, size=n1, replace=False)] = 1
+    x = rng.standard_normal(n)
+    x = x + eff * (labels == 1 if spec.family.startswith("intro") else labels == 0)
+    return x[:, None], labels
+
+
+@pytest.mark.parametrize("family", ["first_order_eg1", "first_order_eg2",
+                                    "intro_fixed_p", "intro_decreasing_p"])
+def test_scalar_designs_are_bytewise_their_formulas(family):
+    # first_order_eg1/eg2 run through the p-column shift and logistic
+    # generators at p = 1: 24 (seed, n, n1, effect) cases, with the
+    # default, zero and negative effects, n1 = n/2 and n1 = 1
+    cases = [(seed, n, n1) for seed in (0, 7, 123)
+             for n, n1 in ((2, 1), (20, 10), (257, 3), (1_000, 500),
+                           (1_001, 1), (4_096, 41), (10_000, 5_000), (33, 32))]
+    for i, (seed, n, n1) in enumerate(cases):
+        effect = (None, 0.0, -0.45, 1.3)[i % 4]
+        spec = ScenarioSpec(family, n=n, n1=n1, effect=effect, seed=seed)
+        for rep in (0, 3):
+            sample = generate(spec, rep)
+            x, labels = _one_feature_reference(spec, rep)
+            assert sample.features.tobytes() == x.tobytes(), (family, seed, n, n1, rep)
+            assert sample.labels.tobytes() == labels.tobytes()
+
+
 def test_mixture_boundaries():
     spec = ScenarioSpec(
         "mixture_local", n=30_000, n1=20_000, effect=2.0, params={"delta": 1.0}, seed=8
@@ -128,6 +180,14 @@ def test_scenario_validation():
         ScenarioSpec("no_such_family", n=100, n1=10)
     with pytest.raises(ValidationError):
         ScenarioSpec("first_order_eg1", n=100, n1=200)
+    for family in ("intro_fixed_p", "intro_decreasing_p", "first_order_eg1",
+                   "first_order_eg2", "mixture_local"):
+        with pytest.raises(ValidationError, match="p = 1"):
+            ScenarioSpec(family, n=100, n1=10, p=3)
+    assert ScenarioSpec("second_order_eg2", n=100, n1=10, p=3).p == 3
+    for alpha in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="alpha"):
+            ScenarioSpec("first_order_eg1", n=100, n1=10, alpha=alpha)
 
 
 def test_run_erp_deterministic_and_thread_invariant():
@@ -238,3 +298,53 @@ def test_benchmark_rows_and_slope():
     assert math.isfinite(loglog_slope(xs, ts))
     with pytest.raises(ValidationError):
         benchmark_complexity("kendall", sizes=(100,), mode="bit")
+
+
+def test_complexity_grids_evaluate_the_closed_form_pairs(monkeypatch):
+    # the clock-free side of the acceptance suite's runtime-scaling
+    # criterion, on its own grids: every statistic evaluates each
+    # within-class and cross pair once, O(p n^2) under rit and
+    # O(p (s n1)^2) under bit, whose control count is the plan's kept count
+    pairs = [0]
+    blocks, pdist = _accel._distances, distance.pdist
+
+    def counted_blocks(a, b, *args, **kw):
+        pairs[0] += len(a) * len(b)
+        return blocks(a, b, *args, **kw)
+
+    def counted_pdist(a, *args, **kw):
+        pairs[0] += len(a) * (len(a) - 1) // 2
+        return pdist(a, *args, **kw)
+
+    monkeypatch.setattr(_accel, "_distances", counted_blocks)
+    monkeypatch.setattr(distance, "pdist", counted_pdist)
+    calls = []
+
+    def per_call(statistic, n0_of):
+        def counted(g, kernel, *args):
+            before = pairs[0]
+            out = statistic(g, kernel, *args)
+            calls.append((n0_of(g, *args), g.counts[1], pairs[0] - before))
+            return out
+        return counted
+
+    monkeypatch.setattr(simulate, "compute_rit",
+                        per_call(simulate.compute_rit, lambda g: g.counts[0]))
+    monkeypatch.setattr(simulate, "compute_bit",
+                        per_call(simulate.compute_bit, lambda g, plan: plan.realized_count))
+
+    def grid(*args, **kw):
+        calls.clear()
+        benchmark_complexity(*args, trials=1, **kw)
+        return list(calls)  # the warm-up call of each size, then the trial
+
+    kendall = grid("kendall", sizes=(10_000, 40_000, 160_000), seed=111)
+    assert [c[2] for c in kendall] == [0] * 6  # the sign statistic reads no pair
+    rit = grid("dcov", sizes=(1_000, 2_000, 4_000), p=5, seed=112)
+    assert [c[:2] for c in rit] == [(950, 50), (1_900, 100), (3_800, 200)] * 2
+    bit = grid("dcov", sizes=(), mode="bit", n1=100, s_values=(5, 10, 20), p=5, seed=113)
+    assert bit[:3] == bit[3:] and [c[1] for c in bit] == [100] * 6
+    assert all(abs(n0 - s * 100) < 5 * math.sqrt(s * 100)
+               for s, (n0, _, _) in zip((5, 10, 20), bit))
+    for n0, n1, counted in rit + bit:
+        assert counted == n0 * (n0 - 1) // 2 + n1 * n0 + n1 * (n1 - 1) // 2, (n0, n1)
