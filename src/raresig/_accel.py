@@ -12,10 +12,10 @@ quantity is built from five primitives over the block: the within-block
 total, the within totals of many subsets of one pool, per-row cross and
 within sums, and the dense within matrix.  A cross total is
 ``math.fsum`` of the per-row cross sums, which the callers keep.  Each
-runs over blocks of at most ``_CHUNK`` rows, so memory is
-O(chunk * n) outside the dense matrix, and the totals combine
-per-row or per-block sums with ``math.fsum``, so results are
-reproducible run to run.
+pass maps its rows and transposes its right operand once, then runs over
+blocks of about ``_BLOCK_BYTES`` of distances, so memory is O(block
+budget + mapped rows) outside the dense matrix, and the totals combine
+per-row or per-block sums with ``math.fsum``: reproducible run to run.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .kernels import KernelSpec
 
 __all__ = ["within_sum", "pooled_pair_sums", "cross_rowsum", "pair_matrix", "angle_embed"]
 
-_CHUNK = 512
+_BLOCK_BYTES = 2 << 20  # a block: 512 x 512 distances, or 16 x 16,384
 # blocks are one GEMM from 8 columns on (dcov, 512 x 2,050 block: cdist
 # 2.2 ms against 9 at p = 5, 3.4 against 2.2 at p = 8, 19 against 2.9 at 50)
 GEMM_MIN_P = 8
@@ -56,15 +56,31 @@ def angle_embed(x: np.ndarray, c_sigma2: float) -> np.ndarray:
     return aug / np.linalg.norm(aug, axis=1, keepdims=True)
 
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b.T``, the same to the bit at any BLAS thread count: threads
-    split a product along the kernel's tiles, and a partial tile sums in
-    another order, so the operands get zero rows up to full tiles."""
-    m, n = len(a), len(b)
-    pa = np.zeros((m + -m % _TILE, a.shape[1]))
-    pb = np.zeros((b.shape[1], n + -n % _TILE))  # b.T, contiguous: faster
-    pa[:m], pb[:, :n] = a, b.T
-    return (pa @ pb)[:m, :n]
+def _block_rows(n: int) -> int:
+    """Rows of a block against ``n`` columns: about ``_BLOCK_BYTES`` of
+    float64, at least one tile, whole tiles."""
+    return max(_TILE, _BLOCK_BYTES // (8 * n) // _TILE * _TILE)
+
+
+def _gemm(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """``a @ bt`` over the last two axes (``bt`` tile-aligned columns of an
+    :func:`_operand`), ``a`` padded by zero rows to full tiles: a partial
+    tile sums in another order, and threads split a product along tiles.
+    The bits then hold at 1 and 2 BLAS threads on the shapes tested."""
+    m = a.shape[-2]
+    pa = np.zeros(a.shape[:-2] + (m + -m % _TILE, a.shape[-1]))
+    pa[..., :m, :] = a
+    return pa @ bt
+
+
+def _operand(b: np.ndarray) -> np.ndarray:
+    """The right GEMM columns of the mapped rows ``b`` (none below
+    ``GEMM_MIN_P``) transposed, and zero columns up to whole tiles, at
+    least one: built once a pass, whose blocks read column slices of it."""
+    n, w = b.shape
+    bt = np.zeros(((w + 2) // 3 if w >= GEMM_MIN_P else 0, n + _TILE - n % _TILE))
+    bt[:, :n] = b[:, w - len(bt) :].T
+    return bt
 
 
 def _dcov_rows(x: np.ndarray) -> np.ndarray:
@@ -81,37 +97,56 @@ def _dcov_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _distances(a: np.ndarray, b: np.ndarray, f=None,
-               diag: int | None = None) -> np.ndarray:
+               diag: int | None = None, bt: np.ndarray | None = None) -> np.ndarray:
     """Distances between the rows of ``a`` and ``b`` (:func:`_dcov_rows`),
-    mapped in place by ``f`` when given; row i of ``a`` is row
-    ``diag + i`` of ``b``, at distance 0, when ``diag`` is given.  A
-    squared distance from the GEMM below ``_RECOMPUTE`` (|u|^2 + |v|^2)
-    has lost digits to cancellation and is taken from ``cdist`` of the
-    rows; the rest are good to ~1e-13."""
+    mapped in place by ``f`` when given; row i of ``a`` is row ``diag + i``
+    of ``b``, at distance 0, when ``diag`` is given; ``bt`` is ``b``'s
+    :func:`_operand`, or tile-aligned columns of a larger one.  A squared
+    distance from the GEMM below ``_RECOMPUTE`` (|u|^2 + |v|^2) has lost
+    digits to cancellation and is taken from ``cdist`` of the rows."""
     if a.shape[1] < GEMM_MIN_P:
         from scipy.spatial.distance import cdist
         d = cdist(a, b)
         return d if f is None else f(d)
     p = (a.shape[1] - 4) // 3
-    d = _gemm(a[:, p : 2 * p + 2], b[:, 2 * p + 2 :])
+    d = _gemm(a[:, p : 2 * p + 2], _operand(b) if bt is None else bt)[: len(a), : len(b)]
     if diag is not None:
         np.fill_diagonal(d[:, diag:], np.inf)
     if d.min() < _RECOMPUTE * (a[:, 2 * p].max() + b[:, 2 * p].max()):
-        _recompute(d, a, b, p)
+        i, j = np.nonzero(d < _RECOMPUTE * (a[:, 2 * p, None] + b[:, 2 * p]))
+        d[i, j] = _recompute(a, b, i, j, p)
     np.sqrt(d, out=d)
     if diag is not None:
         np.fill_diagonal(d[:, diag:], 0.0)
     return d if f is None else f(d)
 
 
-def _recompute(d: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
-    """Squared distances of ``d`` below ``_RECOMPUTE`` (|u|^2 + |v|^2) from
-    ``cdist`` over the rows and columns concerned: O(block) memory."""
+def _recompute(a: np.ndarray, b: np.ndarray, i, j, p: int) -> np.ndarray:
+    """|a_i - b_j|^2 for the index arrays ``i``, ``j``, from ``cdist`` over
+    the rows concerned: O(block) memory."""
     from scipy.spatial.distance import cdist
-    i, j = np.nonzero(d < _RECOMPUTE * (a[:, 2 * p, None] + b[:, 2 * p]))
     ri, ii = np.unique(i, return_inverse=True)
     rj, jj = np.unique(j, return_inverse=True)
-    d[i, j] = cdist(a[ri, :p], b[rj, :p])[ii, jj] ** 2
+    return cdist(a[ri, :p], b[rj, :p])[ii, jj] ** 2
+
+
+def _upper_sums(u: np.ndarray, bt: np.ndarray, idx: np.ndarray, f) -> np.ndarray:
+    """Sums of d over the pairs of each subset ``idx`` (c, m) of the mapped
+    rows ``u``, from one stacked :func:`_gemm` of columns of their operand
+    ``bt`` (zero column n pads); only each block's strict upper triangle is
+    packed, screened as in :func:`_distances`, ``sqrt``-ed, mapped, summed."""
+    (c, m), p = idx.shape, (u.shape[1] - 4) // 3
+    j = np.arange(m + -m % _TILE)
+    pad = np.concatenate([idx, np.full((c, len(j) - m), len(u))], axis=1)
+    full = _gemm(u[idx, p : 2 * p + 2], bt[:, pad].transpose(1, 0, 2))
+    upper = np.flatnonzero((j > np.arange(m)[:, None]) & (j < m))
+    tri, sq = np.take(full.reshape(c, -1), upper, axis=1), u[idx, 2 * p]
+    for i in np.flatnonzero(tri.min(axis=1, initial=np.inf) < _RECOMPUTE * 2 * sq.max(axis=1)):
+        iu, ju = np.divmod(upper, len(j))
+        k = np.flatnonzero(tri[i] < _RECOMPUTE * (sq[i, iu] + sq[i, ju]))
+        tri[i, k] = _recompute(u[idx[i]], u[idx[i]], iu[k], ju[k], p)
+    np.sqrt(tri, out=tri)
+    return (tri if f is None else f(tri)).sum(axis=1)
 
 
 def _half_angles(d: np.ndarray) -> np.ndarray:
@@ -144,28 +179,30 @@ def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     rows, f = _pair_metric(kernel)
     u = rows(np.concatenate([a, b]))
     a, b = u[: len(a)], u[len(a) :]
+    bt, step = _operand(b), _block_rows(len(b))
     out = np.empty(a.shape[0])
-    for lo in range(0, a.shape[0], _CHUNK):
-        out[lo : lo + _CHUNK] = _distances(a[lo : lo + _CHUNK], b, f).sum(axis=1)
+    for lo in range(0, a.shape[0], step):
+        out[lo : lo + step] = _distances(a[lo : lo + step], b, f, bt=bt).sum(axis=1)
     return _twice(f, out)
 
 
 def _within_total(a: np.ndarray, f) -> float:
     """Sum of d over unordered pairs of the mapped rows ``a``: the pairs
-    within each chunk (``pdist``, or half its block) plus the whole block
-    from the chunk to later rows."""
-    n = a.shape[0]
+    within each block of rows (``pdist``, or :func:`_upper_sums`) plus
+    the whole block from those rows to later rows."""
+    n, w = a.shape
+    bt, step = _operand(a), _block_rows(n)
     parts = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        if a.shape[1] < GEMM_MIN_P:
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if w < GEMM_MIN_P:
             from scipy.spatial.distance import pdist
             d = pdist(a[lo:hi])
             parts.append(float((d if f is None else f(d)).sum()))
         else:
-            parts.append(float(_distances(a[lo:hi], a[lo:hi], f, 0).sum()) / 2.0)
+            parts.append(float(_upper_sums(a, bt, np.arange(lo, hi)[None], f)[0]))
         if hi < n:
-            parts.append(float(_distances(a[lo:hi], a[hi:], f).sum()))
+            parts.append(float(_distances(a[lo:hi], a[hi:], f, bt=bt[:, hi:]).sum()))
     return _twice(f, math.fsum(parts))
 
 
@@ -185,62 +222,38 @@ def pooled_pair_sums(kernel: KernelSpec, x: np.ndarray):
 
 def _subset_sums(u: np.ndarray, f):
     """``idx -> sums``: for a (c, m) array of positions in the mapped rows
-    ``u``, each row's subset total, bitwise that of its rows.  From
-    ``GEMM_MIN_P`` columns and up to ``_CHUNK`` rows, one stacked GEMM of
-    at most ``_CHUNK * n`` entries a batch, each block the padded :func:`_gemm`
-    of :func:`_distances` (a zero row pads it), screened, ``sqrt``, mapped,
-    summed; other subsets take :func:`_within_total`."""
-    n, w = u.shape
-    p = (w - 4) // 3
-    if w >= GEMM_MIN_P:
-        left, right = (np.vstack([u[:, cols], np.zeros(p + 2)])
-                       for cols in (slice(p, 2 * p + 2), slice(2 * p + 2, None)))
-
-    def batch(idx: np.ndarray, pad: np.ndarray) -> np.ndarray:
-        m = idx.shape[1]
-        top = u[idx, 2 * p].max(axis=1)
-        full = np.take(left, pad, axis=0) @ np.ascontiguousarray(
-            np.take(right, pad, axis=0).transpose(0, 2, 1))  # contiguous: faster
-        d = full[:, :m, :m]
-        diag = np.arange(m)
-        d[:, diag, diag] = np.inf
-        for i in np.flatnonzero(d.min(axis=(1, 2)) < _RECOMPUTE * (top + top)):
-            _recompute(d[i], u[idx[i]], u[idx[i]], p)
-        np.sqrt(full, out=full)
-        d[:, diag, diag] = 0.0
-        if f is not None:
-            f(full)
-        return _twice(f, d.sum(axis=(1, 2)) / 2.0)
+    ``u``, each row's subset total, bitwise that of its rows: while m rows
+    are one block, :func:`_upper_sums` of about ``_BLOCK_BYTES`` of
+    products and operands a batch, else :func:`_within_total`."""
+    w, p, bt = u.shape[1], (u.shape[1] - 4) // 3, _operand(u)
 
     def sums(idx: np.ndarray) -> np.ndarray:
         c, m = idx.shape
-        if w < GEMM_MIN_P or m > _CHUNK:
+        if w < GEMM_MIN_P or _block_rows(m) < m:
             return np.array([_within_total(u[i], f) for i in idx])
         size = m + -m % _TILE
-        pad = np.full((c, size), n)
-        pad[:, :m] = idx
-        # blocks a batch: at most _CHUNK * n entries of products and operands
-        step = max(1, _CHUNK * n // (size * (size + 2 * p + 4)))
-        return np.concatenate([batch(idx[lo : lo + step], pad[lo : lo + step])
-                               for lo in range(0, c, step)])
+        step = max(1, _BLOCK_BYTES // (8 * size * (size + 2 * p + 4)))
+        return _twice(f, np.concatenate([_upper_sums(u, bt, idx[lo : lo + step], f)
+                                         for lo in range(0, c, step)]))
 
     return sums
 
 
 def _within_rowsum(a: np.ndarray, f) -> np.ndarray:
     """Per-row sums of d to the other mapped rows of ``a``, over the blocks
-    of :func:`within_sum`: each diagonal chunk with its diagonal zeroed,
-    and each chunk-to-later-rows block added to the rows on both sides."""
+    of :func:`within_sum`: each diagonal block with its diagonal zeroed,
+    and each block-to-later-rows block added to the rows on both sides."""
     n = a.shape[0]
+    bt, step = _operand(a), _block_rows(n)
     out = np.zeros(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        out[lo:hi] += _distances(a[lo:hi], a[lo:hi], f, 0).sum(axis=1)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        out[lo:hi] += _distances(a[lo:hi], a[lo:hi], f, 0, bt[:, lo : lo + step]).sum(axis=1)
         if hi < n:
-            d = _distances(a[lo:hi], a[hi:], f)
+            d = _distances(a[lo:hi], a[hi:], f, bt=bt[:, hi:])
             out[lo:hi] += d.sum(axis=1)
             out[hi:] += d.sum(axis=0)
-            del d  # before the next chunk's blocks: one O(chunk * n) block live
+            del d  # before the next blocks: one block of distances live
     return _twice(f, out)
 
 

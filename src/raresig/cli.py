@@ -140,8 +140,8 @@ def _load_clean(source, header_lines: int, body: str, records: int, feat_idx: li
     last header column is always used (and ignored) to catch short rows.
     Reading a path is faster than reading ``body``.
     """
-    if not body.strip("\r\n"):
-        return None  # no record, or blank ones only
+    if body[:1] in "\r\n" and len(body) == body.count("\r") + body.count("\n"):
+        return None  # no record, or blank ones only (counted, not copied)
     cols = feat_idx + [label_idx]
     converters = None
     if width - 1 not in cols:

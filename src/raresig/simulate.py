@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._accel import _block_rows
 from .data import LabeledSample, group_by_label
 from .engine import _classical_statistic, compute_classical, compute_rit
 from .errors import ValidationError
@@ -76,6 +77,9 @@ class ScenarioSpec:
             raise ValidationError(f"{self.family} generates one feature: need p = 1")
         if not 0 < self.alpha < 1:
             raise ValidationError("alpha must lie in (0, 1)")
+        p1, rho = self.params.get("p1", 10), self.params.get("rho", 0.5)
+        if not (isinstance(p1, (int, np.integer)) and p1 >= 0 and -1 < rho < 1):
+            raise ValidationError("need an integer p1 >= 0 and rho in (-1, 1)")
 
     @property
     def effect_size(self) -> float:
@@ -90,6 +94,18 @@ class ScenarioSpec:
 def _ar1_cholesky(p: int, rho: float = 0.5) -> np.ndarray:
     idx = np.arange(p)
     return np.linalg.cholesky(rho ** np.abs(idx[:, None] - idx[None, :]))
+
+
+def _ar1_features(spec: ScenarioSpec, rng) -> np.ndarray:
+    """n x p normals times the AR(1) factor, in place in blocks of about
+    ``_accel._BLOCK_BYTES``, the last taking the remainder (a small product
+    sums in another order): the whole product's bits, checked to p = 256."""
+    x = rng.standard_normal((spec.n, spec.p))
+    chol, step = _ar1_cholesky(spec.p, spec.params.get("rho", 0.5)), _block_rows(spec.p)
+    los = range(0, max(spec.n - step, 0) + 1, step)
+    for lo, hi in zip(los, [*los[1:], spec.n]):
+        x[lo:hi] = x[lo:hi] @ chol.T
+    return x
 
 
 def _exact_count_labels(n: int, n1: int, rng) -> np.ndarray:
@@ -129,23 +145,19 @@ def _gen_intro(spec: ScenarioSpec, rng) -> LabeledSample:
 
 
 def _gen_highdim_shift(spec: ScenarioSpec, rng) -> LabeledSample:
-    n, n1, p = spec.n, spec.n1, spec.p
-    p1 = int(spec.params.get("p1", 10))
-    chol = _ar1_cholesky(p, spec.params.get("rho", 0.5))
-    labels = _exact_count_labels(n, n1, rng)
-    x = rng.standard_normal((n, p)) @ chol.T
+    p1 = spec.params.get("p1", 10)
+    labels = _exact_count_labels(spec.n, spec.n1, rng)
+    x = _ar1_features(spec, rng)
     # the effect on the first p1 columns of the control rows
     np.add(x[:, :p1], spec.effect_size, out=x[:, :p1], where=(labels == 0)[:, None])
     return LabeledSample(x, labels)
 
 
 def _gen_highdim_logistic(spec: ScenarioSpec, rng) -> LabeledSample:
-    n, n1, p = spec.n, spec.n1, spec.p
-    n_active = int(spec.params.get("p1", 10))
-    chol = _ar1_cholesky(p, spec.params.get("rho", 0.5))
-    x = rng.standard_normal((n, p)) @ chol.T
-    beta = np.zeros(p)
-    beta[:n_active] = spec.effect_size
+    n, n1 = spec.n, spec.n1
+    x = _ar1_features(spec, rng)
+    beta = np.zeros(spec.p)
+    beta[: spec.params.get("p1", 10)] = spec.effect_size
     beta0 = math.log(n1 / (n - n1))
     prob = 1.0 / (1.0 + np.exp(-(beta0 + x @ beta)))
     labels = (rng.random(n) < prob).astype(np.int64)

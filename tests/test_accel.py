@@ -1,11 +1,12 @@
-"""Differential tests: the chunked pairwise primitives against dense references.
+"""Differential tests: the blocked pairwise primitives against dense references.
 
-The references are independent of the chunked code: ``scipy``'s
+The references are independent of the blocked code: ``scipy``'s
 ``pdist``/``cdist`` for the distance kernel, and ``2 arcsin(cdist / 2)``
-on ``angle_embed`` rows for the angular kernel.  Inputs cover the sizes
-on both sides of the 512-row chunk, ties, duplicate rows, constant
-columns and 1e8 offsets, at feature counts on both sides of
-``GEMM_MIN_P``, where the distance block turns into one GEMM.
+on ``angle_embed`` rows for the angular kernel.  Inputs cover one block
+and several (a block is 512 rows up to n = 512, 496 at 513, 240 at
+1,025), ties, duplicate rows, constant columns and 1e8 offsets, at
+feature counts on both sides of ``GEMM_MIN_P``, where the distance block
+turns into one GEMM.
 """
 
 import os
@@ -113,13 +114,19 @@ def test_pair_matrix_matches_dense(kind, a):
 @st.composite
 def subset_draws(draw):
     """Rows as in ``feature_rows`` with a (c, m) array of subsets of them,
-    distinct positions within each subset; m reaches past ``_CHUNK``."""
+    distinct positions within each subset; m reaches past one block (512
+    rows), and 3, 16 and 17 sit on both sides of a tile.  Optionally each
+    subset's first two rows are equal, so that the packed triangle
+    recomputes an entry."""
     x = draw(feature_rows())
     n = x.shape[0]
-    m = draw(st.sampled_from(sorted({min(n, v) for v in (1, 2, 7, 50, 513)})))
+    m = draw(st.sampled_from(sorted({min(n, v) for v in (1, 2, 3, 7, 16, 17, 50, 513)})))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = draw(st.sampled_from((1, 3, 64)))
-    return x, np.array([np.sort(rng.permutation(n)[:m]) for _ in range(c)])
+    idx = np.array([np.sort(rng.permutation(n)[:m]) for _ in range(c)])
+    if m > 1 and draw(st.booleans()):
+        x[idx[:, 1]] = x[idx[:, 0]]  # duplicate rows
+    return x, idx
 
 
 @fast
@@ -180,8 +187,9 @@ def test_gemm_block_recomputes_cancelling_distances(p):
 
 @pytest.mark.parametrize("kind", sorted(KERNELS))
 def test_pooled_pair_sums_hold_one_block_at_a_time(kind):
-    # a chunk's cross block is freed before the next chunk's blocks are
-    # built, so the peak stays near one _CHUNK x n block of distances
+    # a block's distances to later rows are freed before the next block's
+    # are built, so the peak stays near the 1.25 MB of mapped rows plus
+    # one block of about _BLOCK_BYTES (80 rows x 3,000)
     x = np.random.default_rng(19).standard_normal((3000, 16))
     tracemalloc.start()
     try:
@@ -189,17 +197,22 @@ def test_pooled_pair_sums_hold_one_block_at_a_time(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * _accel._CHUNK * x.shape[0]
+    assert peak < 2 * _accel._BLOCK_BYTES
 
 
 # every primitive of both kernels on sizes that are not multiples of a
-# BLAS tile, with a 1e8 offset so that ipcov angles show last-bit changes
+# BLAS tile, with a 1e8 offset so that ipcov angles show last-bit changes;
+# the Monte Carlo pool (1,050 x 50) and its replication's generator.  Not
+# every shape holds: at n = 800, p = 500 the pooled row sums, and at
+# n = 3,000, p = 200 generate, differ in their last bits at 1 and 2 threads
 _THREADS_SCRIPT = """
 import hashlib, numpy as np
-from raresig import _accel
+from raresig import _accel, simulate
 from raresig.kernels import dcov_kernel, ipcov_kernel
 h = hashlib.sha1()
-for n, p in ((1537, 20), (700, 50), (83, 300)):
+spec = simulate.ScenarioSpec("second_order_eg1", n=10_000, n1=50, p=50)
+h.update(simulate.generate(spec, 1).features.tobytes())
+for n, p in ((1537, 20), (700, 50), (83, 300), (1050, 50)):
     x = np.random.default_rng(n).standard_normal((n, p))
     x[:, 0] += 1e8
     for k in (dcov_kernel(), ipcov_kernel()):
@@ -215,7 +228,8 @@ print(h.hexdigest())
 
 def test_blocks_are_bitwise_equal_at_any_blas_thread_count():
     # threads split a GEMM along its tiles; the padded operands keep every
-    # entry in a full tile, so the sums do not depend on the thread count
+    # entry in a full tile, so on these shapes the sums do not depend on
+    # the thread count
     src = str(Path(_accel.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):

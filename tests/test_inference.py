@@ -588,10 +588,11 @@ def test_relabelings_are_uniform_over_two_class_labelings():
 
 @pytest.mark.parametrize("n1", [500, 1000])
 def test_permutation_memory_stays_within_two_pooled_blocks(n1):
-    # the peak stays below twice the pooled pass's block of _CHUNK x n
-    # distances: at n1 = 500 the stacked case blocks of a chunk go a few
-    # at a time (19 at once would take ~45 MB), at n1 = 1,000 each case
-    # set's pairs go _CHUNK rows at a time
+    # the peak stays below twice the pooled pass's footprint, its 1.25 MB
+    # of mapped rows and one block of about _BLOCK_BYTES: at n1 = 500 the
+    # stacked case blocks of a chunk go one at a time (19 at once would
+    # take ~45 MB) with their packed upper triangles, at n1 = 1,000 each
+    # case set's pairs go one block of rows at a time
     rng = np.random.default_rng(18)
     n = 3000
     labels = rng.permutation(np.r_[np.zeros(n - n1, np.int64), np.ones(n1, np.int64)])
@@ -602,7 +603,7 @@ def test_permutation_memory_stays_within_two_pooled_blocks(n1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * _accel._CHUNK * n
+    assert peak < 2 * (_accel._BLOCK_BYTES + 8 * n * (3 * 16 + 4))
 
 
 def _pair_values(kernel, sample):

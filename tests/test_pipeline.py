@@ -406,6 +406,23 @@ def test_bit_test_peaks_below_its_input(inference):
     assert peak < sample.features.nbytes
 
 
+def test_rit_permutation_peaks_within_its_blocks():
+    # at n = 20,000 and p = 50, the pooled pass holds the mapped rows and
+    # one block of about _accel._BLOCK_BYTES, not 512 rows against all n
+    rng = np.random.default_rng(21)
+    n, n1 = 20_000, 50
+    labels = rng.permutation(np.r_[np.zeros(n - n1, np.int64), np.ones(n1, np.int64)])
+    sample = LabeledSample(rng.standard_normal((n, 50)), labels)
+    method = MethodConfig(kernel="dcov", mode="rit", inference="permutation", B=19)
+    tracemalloc.start()
+    try:
+        run_test(sample, method, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 55e6
+
+
 @pytest.mark.parametrize("kernel,mode,sorts", [
     ("kendall", "rit", 2), ("kendall", "bit", 2),
     ("multi_kendall", "rit", 3), ("multi_kendall", "bit", 3),

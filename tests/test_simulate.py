@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -91,9 +92,11 @@ def _masked_scatter_reference(spec, rep):
 
 def test_highdim_shift_is_bytewise_the_masked_scatter():
     # 24 (seed, n, p) cases, p on both sides of p1 = 10, with the null,
-    # a negative effect and another p1
+    # a negative effect and another p1; then four that span two blocks of
+    # the in-place product and seven rows, the last block taking them
     cases = [(seed, n, p) for seed, n in ((0, 20), (3, 257), (11, 2_050), (29, 1_001))
              for p in (1, 3, 9, 10, 11, 50)]
+    cases += [(p, 2 * _accel._block_rows(p) + 7, p) for p in (3, 9, 50, 200)]
     for i, (seed, n, p) in enumerate(cases):
         effect = (None, 0.0, -0.7)[i % 3]
         params = {"p1": 4} if i % 4 == 1 else {}
@@ -173,6 +176,40 @@ def test_mixture_boundaries():
         generate(
             ScenarioSpec("mixture_local", n=100, n1=50, params={"delta": 1.5}), 0
         )
+
+
+def test_scenario_refuses_rho_outside_the_open_unit_interval():
+    # rho = 1.5 used to reach numpy's LinAlgError in the Cholesky factor
+    for rho in (1.5, 1.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="rho"):
+            ScenarioSpec("second_order_eg1", n=100, n1=10, p=5, params={"rho": rho})
+    assert generate(ScenarioSpec("second_order_eg2", n=100, n1=10, p=5,
+                                 params={"rho": -0.9}), 0).features.shape == (100, 5)
+
+
+def test_scenario_refuses_p1_not_a_nonnegative_integer():
+    # p1 = -3 at p = 5 used to shift columns 0-1 silently
+    for p1 in (-3, 2.5, 3.0, "3"):
+        with pytest.raises(ValidationError, match="p1"):
+            ScenarioSpec("second_order_eg1", n=100, n1=10, p=5, params={"p1": p1})
+    # p1 past p means every column, as the default p1 = 10 does at p = 1
+    wide = ScenarioSpec("second_order_eg1", n=100, n1=10, p=5, params={"p1": 99})
+    every = replace(wide, params={"p1": 5})
+    assert generate(wide, 0).features.tobytes() == generate(every, 0).features.tobytes()
+
+
+@pytest.mark.parametrize("family", ["second_order_eg1", "second_order_eg2"])
+def test_generate_peaks_near_its_feature_bytes(family):
+    # the normals are drawn into the output and multiplied by the AR(1)
+    # factor in place, a block of rows at a time: no second n x p array
+    spec = ScenarioSpec(family, n=100_000, n1=500, p=50)
+    tracemalloc.start()
+    try:
+        sample = generate(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * sample.features.nbytes
 
 
 def test_scenario_validation():
