@@ -12,10 +12,10 @@ quantity is built from five primitives over the block: the within-block
 total, the within totals of many subsets of one pool, per-row cross and
 within sums, and the dense within matrix.  A cross total is
 ``math.fsum`` of the per-row cross sums, which the callers keep.  Each
-pass maps its rows and transposes its right operand once, then runs over
-blocks of about ``_BLOCK_BYTES`` of distances, so memory is O(block
-budget + mapped rows) outside the dense matrix, and the totals combine
-per-row or per-block sums with ``math.fsum``: reproducible run to run.
+pass maps its rows, each value once, and builds its right operand once,
+then runs over blocks of about ``_BLOCK_BYTES`` of distances: memory is
+O(block budget + mapped rows) outside the dense matrix, and totals
+combine per-row or per-block sums with ``math.fsum`` (reproducible).
 """
 
 from __future__ import annotations
@@ -74,26 +74,28 @@ def _gemm(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
 
 
 def _operand(b: np.ndarray) -> np.ndarray:
-    """The right GEMM columns of the mapped rows ``b`` (none below
+    """``[-2v, 1, |v|^2]`` of the mapped rows ``b`` (none below
     ``GEMM_MIN_P``) transposed, and zero columns up to whole tiles, at
-    least one: built once a pass, whose blocks read column slices of it."""
+    least one: the right GEMM operand, built once a pass."""
     n, w = b.shape
-    bt = np.zeros(((w + 2) // 3 if w >= GEMM_MIN_P else 0, n + _TILE - n % _TILE))
-    bt[:, :n] = b[:, w - len(bt) :].T
+    bt = np.zeros((w // 2 + 1 if w >= GEMM_MIN_P else 0, n + _TILE - n % _TILE))
+    if len(bt):
+        p = w // 2 - 1
+        np.multiply(b[:, p : 2 * p].T, -2.0, out=bt[:p, :n])
+        bt[p:, :n] = b[:, [2 * p + 1, 2 * p]].T
     return bt
 
 
 def _dcov_rows(x: np.ndarray) -> np.ndarray:
-    """The rows x below ``GEMM_MIN_P`` columns, else ``[x, u, |u|^2, 1,
-    -2u, 1, |u|^2]`` with u = x centred at its mean, against an offset:
-    ``[u, |u|^2, 1] . [-2v, 1, |v|^2] = |u - v|^2``."""
+    """The rows x below ``GEMM_MIN_P`` columns, else ``[x, u, |u|^2, 1]``
+    with u = x centred at its mean, against an offset: the rows past x
+    times the :func:`_operand` ``[-2v, 1, |v|^2]`` give ``|u - v|^2``."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape[1] < GEMM_MIN_P:
         return x
     u = x - x.mean(axis=0)
     sq = np.einsum("ij,ij->i", u, u)[:, None]
-    one = np.ones_like(sq)
-    return np.hstack([x, u, sq, one, -2.0 * u, one, sq])
+    return np.hstack([x, u, sq, np.ones_like(sq)])
 
 
 def _distances(a: np.ndarray, b: np.ndarray, f=None,
@@ -108,8 +110,8 @@ def _distances(a: np.ndarray, b: np.ndarray, f=None,
         from scipy.spatial.distance import cdist
         d = cdist(a, b)
         return d if f is None else f(d)
-    p = (a.shape[1] - 4) // 3
-    d = _gemm(a[:, p : 2 * p + 2], _operand(b) if bt is None else bt)[: len(a), : len(b)]
+    p = a.shape[1] // 2 - 1
+    d = _gemm(a[:, p:], _operand(b) if bt is None else bt)[: len(a), : len(b)]
     if diag is not None:
         np.fill_diagonal(d[:, diag:], np.inf)
     if d.min() < _RECOMPUTE * (a[:, 2 * p].max() + b[:, 2 * p].max()):
@@ -135,10 +137,10 @@ def _upper_sums(u: np.ndarray, bt: np.ndarray, idx: np.ndarray, f) -> np.ndarray
     rows ``u``, from one stacked :func:`_gemm` of columns of their operand
     ``bt`` (zero column n pads); only each block's strict upper triangle is
     packed, screened as in :func:`_distances`, ``sqrt``-ed, mapped, summed."""
-    (c, m), p = idx.shape, (u.shape[1] - 4) // 3
+    (c, m), p = idx.shape, u.shape[1] // 2 - 1
     j = np.arange(m + -m % _TILE)
     pad = np.concatenate([idx, np.full((c, len(j) - m), len(u))], axis=1)
-    full = _gemm(u[idx, p : 2 * p + 2], bt[:, pad].transpose(1, 0, 2))
+    full = _gemm(u[idx, p:], bt[:, pad].transpose(1, 0, 2))
     upper = np.flatnonzero((j > np.arange(m)[:, None]) & (j < m))
     tri, sq = np.take(full.reshape(c, -1), upper, axis=1), u[idx, 2 * p]
     for i in np.flatnonzero(tri.min(axis=1, initial=np.inf) < _RECOMPUTE * 2 * sq.max(axis=1)):
@@ -225,7 +227,7 @@ def _subset_sums(u: np.ndarray, f):
     ``u``, each row's subset total, bitwise that of its rows: while m rows
     are one block, :func:`_upper_sums` of about ``_BLOCK_BYTES`` of
     products and operands a batch, else :func:`_within_total`."""
-    w, p, bt = u.shape[1], (u.shape[1] - 4) // 3, _operand(u)
+    w, p, bt = u.shape[1], u.shape[1] // 2 - 1, _operand(u)
 
     def sums(idx: np.ndarray) -> np.ndarray:
         c, m = idx.shape

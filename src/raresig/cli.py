@@ -578,6 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> None:
+    if args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
     if args.command == "test":
         _emit(_run_test_command(args), args.format, args.output)
     elif args.command == "subsample-plan":

@@ -4,10 +4,10 @@
 all per-class index combinations, for one control class and any number
 K of rare classes (the binary test is K = 1), through the cheapest exact
 route: group means for the difference kernel (O(n)), order statistics
-for the sign kernels (O(n log n); ``multi_kendall`` sums one sign
-statistic per rare class), enumeration or a documented budgeted
-subsample for the m-control sign kernel, and pairwise distance/angle
-sums for the second-order kernels (O(p n^2), streaming memory).
+for the sign kernel (O(n log n), one sign statistic per rare class),
+enumeration or a documented budgeted subsample for the sign kernel
+against m >= 2 control means, and pairwise distance/angle sums for the
+second-order kernels (O(p n^2), streaming memory).
 ``compute_rit_bruteforce`` is the literal definition and serves as the
 oracle in tests; a ``custom`` kernel always takes it.
 ``_pooled_statistic`` evaluates a kernel's statistic on a chunk of case
@@ -48,7 +48,6 @@ class RitStatistic:
 
     value: float
     kernel: KernelSpec
-    order: str
     n0: int
     n1: int
     algorithm: str
@@ -110,9 +109,7 @@ def _imbalanced_kendall(data: GroupedSample, spec: KernelSpec, seed: int):
     x1 = data.group(1)[:, 0]
     n0, n1 = x0.size, x1.size
     exact = math.comb(n0, m) * n1 <= IMBALANCED_EXACT_GUARD
-    if m == 1:
-        means = x0.copy()
-    elif exact and m == 2:
+    if exact and m == 2:
         iu = np.triu_indices(n0, k=1)
         means = (x0[iu[0]] + x0[iu[1]]) / 2.0
     elif exact:
@@ -165,8 +162,8 @@ def _pair_sum_statistic(x: np.ndarray, kernel: KernelSpec, formula):
 
 
 def _sign_statistic(x: np.ndarray):
-    """``cases -> sign statistic`` of ``rescaled_kendall`` or
-    ``multi_kendall`` over the scalar rows ``x``, for rare classes whose
+    """``cases -> sign statistic`` of ``rescaled_kendall`` at any number
+    of rare classes over the scalar rows ``x``, for rare classes whose
     rows are ``cases`` (one (c, n_k) array of positions per class): c
     values.
 
@@ -219,7 +216,7 @@ def _pooled_statistic(x: np.ndarray, kernel: KernelSpec):
     """``cases -> statistics`` of ``kernel`` over the rows ``x``, a value
     per case set of the chunk ``cases``, from one pooled summary, or None
     for a kernel without one (``imbalanced_kendall``, ``custom``)."""
-    if kernel.kind in ("rescaled_kendall", "multi_kendall"):
+    if kernel.kind == "rescaled_kendall":
         return _sign_statistic(x[:, 0])
     if kernel.kind == "rescaled_pearson":
         return _mean_statistic(x[:, 0])
@@ -249,7 +246,7 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         centre = x0.mean()
         value = float((x1 - centre).mean() - (x0 - centre).mean())
         algorithm = "group-means"
-    elif kernel.kind in ("rescaled_kendall", "multi_kendall"):
+    elif kernel.kind == "rescaled_kendall":
         value = math.fsum(kendall_cross_mean(data, k) for k in range(1, data.n_classes))
         algorithm = "sort-count"
     elif kernel.kind == "imbalanced_kendall":
@@ -266,7 +263,7 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         return compute_rit_bruteforce(data, kernel)
     else:
         raise ValidationError(f"unsupported kernel kind {kernel.kind!r}")
-    return RitStatistic(value, kernel, kernel.order, n0, n1, algorithm, meta)
+    return RitStatistic(value, kernel, n0, n1, algorithm, meta)
 
 
 def compute_rit_bruteforce(data: GroupedSample, kernel: KernelSpec) -> RitStatistic:
@@ -285,8 +282,7 @@ def compute_rit_bruteforce(data: GroupedSample, kernel: KernelSpec) -> RitStatis
         evaluate(kernel, [data.group(k)[list(idx)] for k, idx in enumerate(combo)])
         for combo in product(*(combinations(range(n), m) for n, m in blocks))
     )
-    return RitStatistic(total / count, kernel, kernel.order, data.counts[0],
-                        data.counts[1], "bruteforce")
+    return RitStatistic(total / count, kernel, *data.counts[:2], "bruteforce")
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def pvalue_asymptotic_first(stat: RitStatistic, variance: float) -> TestOutcome:
     """Two-sided normal p-value for sqrt(n1) * T with asymptotic variance
     ``variance``, for one rare class or several
     (:func:`raresig.multiclass.multi_asymptotic_variance`)."""
-    if stat.order != "first":
+    if stat.kernel.order != "first":
         raise ValidationError("asymptotic_first applies to first-order kernels only")
     return _normal_outcome(stat, math.sqrt(stat.n1) * stat.value, variance,
                            "asymptotic_first")
@@ -216,7 +216,7 @@ def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
     (``stat.meta["s"]``, set by the subsampled statistic; None for the
     full sample).  Valid in the high-dimensional regime; the caller
     asserts that (see :func:`condition_diagnostic`)."""
-    if stat.order != "second":
+    if stat.kernel.order != "second":
         raise ValidationError("asymptotic_highdim applies to second-order kernels only")
     variance = _highdim_variance(stat.kernel.block_orders, xi02, stat.meta.get("s"))
     return _normal_outcome(stat, stat.n1 * stat.value, variance, "asymptotic_highdim",
@@ -336,8 +336,8 @@ def pvalue_permutation(
     (``metadata["batched"]``: the statistic read a pooled summary, see
     :func:`engine._pooled_statistic`):
 
-    * ``kendall``: one sort for the pooled sign counts, then O(n1) a
-      permutation;
+    * ``kendall`` (and ``imbalanced-kendall`` at m = 1): one sort for
+      the pooled sign counts, then O(n1) a permutation;
     * ``multi-kendall``: the same, plus O(n_r log n_r) for the sign
       counts among the n_r rare rows;
     * ``pearson``: one centred total, then an O(n1) ``fsum``;
@@ -345,8 +345,8 @@ def pvalue_permutation(
       n1 x n1 pair blocks of a chunk's case sets in one stacked GEMM,
       O(p n1^2) a permutation.
 
-    ``imbalanced-kendall`` and ``custom`` kernels relabel, regroup and
-    recompute the statistic per permutation.
+    ``imbalanced-kendall`` at m >= 2 and ``custom`` kernels relabel,
+    regroup and recompute the statistic per permutation.
     """
     if B < 19:
         raise ValidationError("need at least 19 permutations")

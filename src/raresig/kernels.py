@@ -1,12 +1,12 @@
 """Kernel functions for the rescaled statistics.
 
-Five built-in kernels are provided.  ``rescaled_pearson``,
+Five built-in kernel kinds are provided.  ``rescaled_pearson``,
 ``rescaled_kendall`` and ``imbalanced_kendall`` are first-order (the
 one-case projection has positive variance); ``rescaled_dcov`` and
 ``rescaled_ipcov`` are second-order (both one-observation projections
-are degenerate, the two-case projection is not).  ``multi_kendall``
-extends the Kendall comparison to K rare classes, and ``custom`` wraps a
-user callable.
+are degenerate, the two-case projection is not).  ``rescaled_kendall``
+is the sign kernel at any number K of rare classes (the binary and the
+m = 1 imbalanced kernels are K = 1); ``custom`` wraps a user callable.
 
 The kernels' projections, whose variances drive the first-order
 asymptotic nulls, are in :func:`raresig.multiclass.block_projection`.
@@ -41,7 +41,7 @@ __all__ = [
 
 SECOND_ORDER_KINDS = ("rescaled_dcov", "rescaled_ipcov")
 # these require p == 1
-SCALAR_KINDS = ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall", "multi_kendall")
+SCALAR_KINDS = ("rescaled_pearson", "rescaled_kendall", "imbalanced_kendall")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +90,15 @@ def pearson_kernel() -> KernelSpec:
 
 def kendall_kernel() -> KernelSpec:
     """Sign kernel: h(x0; x1) = sgn(x1 - x0), ties mapped to 0."""
-    return KernelSpec("rescaled_kendall", (1, 1))
+    return multi_kendall_kernel(1)
 
 
 def imbalanced_kendall_kernel(m: int) -> KernelSpec:
     """Sign of the case against the mean of an m-control block."""
     if int(m) != m or m < 1:
         raise ValidationError("imbalanced_kendall needs integer m >= 1")
+    if m == 1:
+        return kendall_kernel()
     return KernelSpec("imbalanced_kendall", (int(m), 1), params={"m": int(m)})
 
 
@@ -116,10 +118,11 @@ def ipcov_kernel(c_sigma2: float = 1.0) -> KernelSpec:
 
 
 def multi_kendall_kernel(n_rare: int) -> KernelSpec:
-    """Sum over rare classes k of sgn(x_k - x_0); one observation per block."""
+    """The sign kernel at ``n_rare`` rare classes: the sum over them of
+    sgn(x_k - x_0), one observation per block."""
     if int(n_rare) != n_rare or n_rare < 1:
         raise ValidationError("multi_kendall needs at least one rare class")
-    return KernelSpec("multi_kendall", (1,) * (int(n_rare) + 1))
+    return KernelSpec("rescaled_kendall", (1,) * (int(n_rare) + 1))
 
 
 def custom_kernel(fn, block_orders, order: str = "first", **params) -> KernelSpec:
@@ -234,7 +237,7 @@ def evaluate(spec: KernelSpec, blocks) -> float:
     if kind == "rescaled_pearson":
         return kernel_pearson(blocks[0][0], blocks[1][0])
     if kind == "rescaled_kendall":
-        return kernel_kendall(blocks[0][0], blocks[1][0])
+        return math.fsum(kernel_kendall(blocks[0][0], b[0]) for b in blocks[1:])
     if kind == "imbalanced_kendall":
         return kernel_imbalanced_kendall(blocks[0][:, 0], blocks[1][0])
     if kind == "rescaled_dcov":
@@ -246,11 +249,6 @@ def evaluate(spec: KernelSpec, blocks) -> float:
             blocks[1][0],
             blocks[1][1],
             spec.params.get("c_sigma2", 1.0),
-        )
-    if kind == "multi_kendall":
-        x0 = _scalar(blocks[0][0], "multi_kendall")
-        return float(
-            sum(np.sign(_scalar(b[0], "multi_kendall") - x0) for b in blocks[1:])
         )
     if kind == "custom":
         return float(spec.fn(*blocks))

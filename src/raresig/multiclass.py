@@ -230,14 +230,14 @@ def block_projection(
     1948) at each row of ``points``: one block-k slot is fixed at the
     point and the kernel is averaged over every other slot.
 
-    The difference kernel and the sign kernels have closed forms
-    (``rescaled_kendall`` is the K = 1 ``multi_kendall``; at a rare
-    block the other rare classes only add a constant, which is left
-    out, since only the variance over points is used).
-    ``imbalanced_kendall`` enumerates the m-control blocks when there
-    are at most ``budget`` of them, else draws ``budget`` of them per
-    point.  Any other kernel averages ``budget`` Monte Carlo tuples per
-    point, each slot filled with distinct rows of its own class.
+    The difference kernel and the sign kernel, at any number of rare
+    classes, have closed forms (at a rare block the other rare classes
+    only add a constant, which is left out, since only the variance over
+    points is used).  ``imbalanced_kendall``, whose blocks hold m >= 2
+    controls, enumerates the m-control blocks when there are at most
+    ``budget`` of them, else draws ``budget`` of them per point.  Any
+    other kernel averages ``budget`` Monte Carlo tuples per point, each
+    slot filled with distinct rows of its own class.
     """
     _check_sizes(data, kernel)
     if not 0 <= k < data.n_classes:
@@ -249,7 +249,7 @@ def block_projection(
     if kind == "rescaled_pearson":
         pts = points[:, 0]
         return pts - data.group(0)[:, 0].mean() if k else data.group(1)[:, 0].mean() - pts
-    if kind in ("rescaled_kendall", "multi_kendall"):
+    if kind == "rescaled_kendall":
         pts = points[:, 0]
         if k:
             return sign_counts(data.sorted_column(0), pts) / data.counts[0]
@@ -291,11 +291,7 @@ def _imbalanced_kendall_projection(
             means = x0[rng.integers(0, x0.size, size=(hi - lo, budget, m))].mean(axis=2)
             out[lo:hi] = np.sign(pts - means).mean(axis=1)
             continue
-        others = (
-            x0[rng.integers(0, x0.size, size=(hi - lo, budget, m - 1))].sum(axis=2)
-            if m > 1
-            else np.zeros((hi - lo, budget))
-        )
+        others = x0[rng.integers(0, x0.size, size=(hi - lo, budget, m - 1))].sum(axis=2)
         case_draw = x1[rng.integers(0, x1.size, size=(hi - lo, budget))]
         out[lo:hi] = np.sign(case_draw - (pts + others) / m).mean(axis=1)
     return out

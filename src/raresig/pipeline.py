@@ -63,6 +63,8 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.B < 1:
             raise ValidationError("B must be at least 1")
+        if self.s is not None and self.mode != "bit":
+            raise ValidationError("the sampling ratio s applies to method=bit only")
 
     def label(self) -> str:
         bits = [self.kernel, self.mode]
@@ -99,9 +101,9 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     The permutation null, chosen or the auto fallback, is
     :func:`raresig.inference.pvalue_permutation`: each chunk of 64
     permutations draws the rare rows' positions in one call and, for
-    every kernel but ``imbalanced-kendall`` and ``custom``, reads a
-    pooled summary at O(n1) a permutation (n1 x n1 pair blocks, one
-    stacked GEMM a chunk, for the pairwise kernels) instead of
+    every kernel but ``imbalanced-kendall`` at m >= 2 and ``custom``,
+    reads a pooled summary at O(n1) a permutation (n1 x n1 pair blocks,
+    one stacked GEMM a chunk, for the pairwise kernels) instead of
     regrouping n rows.
     """
     params = dict(method.kernel_params)
@@ -134,7 +136,7 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     data, plan = group_by_label(sample), None
     if s is not None:
         plan, data = _draw_test_plan(data, kernel, s, seed)
-    if kernel.kind in ("rescaled_kendall", "multi_kendall"):
+    if kernel.kind == "rescaled_kendall":
         # the statistic and every zeta_k share one sort per class
         data = presort(data)
     if inference == "highdim":

@@ -286,6 +286,8 @@ def run_erp(
     Per-replication seeding makes the count independent of ``threads``.
     At most ``min(threads, M, os.cpu_count())`` worker processes run.
     """
+    if threads < 1:
+        raise ValidationError("threads must be at least 1")
     t0 = time.perf_counter()
     m = scenario.M
     workers = min(threads, m, os.cpu_count() or 1)

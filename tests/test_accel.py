@@ -200,6 +200,21 @@ def test_pooled_pair_sums_hold_one_block_at_a_time(kind):
     assert peak < 2 * _accel._BLOCK_BYTES
 
 
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_pooled_pair_sums_hold_each_mapped_value_once(kind):
+    # a mapped row is [x, u, |u|^2, 1] and the right operand is built from
+    # it: 16 MB of rows and 8 MB of operand for 8 MB of input (3.44x for
+    # dcov, 4.16x for ipcov, which maps its unit rows first)
+    x = np.random.default_rng(20).standard_normal((20_000, 50))
+    tracemalloc.start()
+    try:
+        _accel.pooled_pair_sums(KERNELS[kind], x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * x.nbytes
+
+
 # every primitive of both kernels on sizes that are not multiples of a
 # BLAS tile, with a 1e8 offset so that ipcov angles show last-bit changes;
 # the Monte Carlo pool (1,050 x 50) and its replication's generator.  Not

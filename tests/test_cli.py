@@ -458,10 +458,16 @@ def test_cli_power_refuses_bad_input(argv, capsys):
     ["simulate", "--family", "first_order_eg2", "--n", "400", "--M", "2", "--alpha", "0"],
     ["simulate", "--family", "figure1", "--M", "2", "--alpha", "-1"],
     ["simulate", "--family", "table3_kendall_eg1", "--M", "2", "--alpha", "1"],
+    # a sampling ratio only means something to the boosted test, and a
+    # worker count is at least one
+    ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--s", "5"],
+    ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--threads", "0"],
+    ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--threads", "-3"],
 ], ids=["first-order-s-0", "first-order-s-neg", "power-gap-xi10-neg", "bench-trials-0",
         "subsample-plan-n0-neg", "simulate-eg1-p-5", "simulate-mixture-p-7",
         "simulate-intro-p-2", "simulate-alpha-1.5", "simulate-alpha-0",
-        "simulate-figure1-alpha-neg", "simulate-table3-alpha-1"])
+        "simulate-figure1-alpha-neg", "simulate-table3-alpha-1", "simulate-rit-s",
+        "simulate-threads-0", "simulate-threads-neg"])
 def test_cli_refuses_bad_input_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -601,3 +607,17 @@ def test_cli_bench_refuses_bad_sizes_and_p(argv, capsys):
     assert main(["bench", "--trials", "1", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["test", "--method", "rit", "--s", "5"], ["test", "--threads", "0"],
+     ["--threads", "-3", "test"]],
+    ids=["rit-s", "threads-0", "global-threads-neg"],
+)
+def test_cli_test_refuses_a_ratio_outside_bit_and_threads_below_one(argv, separated_csv,
+                                                                     capsys):
+    assert main([*argv, "--input", separated_csv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1

@@ -51,7 +51,7 @@ def _grouped(n0, n1, rng, p=1, shift=0.0):
 
 
 def _stat(value, kernel, n0, n1):
-    return RitStatistic(value, kernel, kernel.order, n0, n1, "test")
+    return RitStatistic(value, kernel, n0, n1, "test")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from raresig import (
     kernel_ipcov,
     kernel_kendall,
     kernel_pearson,
+    multi_kendall_kernel,
     pearson_kernel,
 )
 from raresig.inference import _pair_projection
@@ -47,6 +48,17 @@ def test_kernel_kendall_values():
     assert kernel_kendall(1, 3) == 1.0
     assert kernel_kendall(3, 1) == -1.0
     assert kernel_kendall(2, 2) == 0.0
+
+
+def test_one_sign_kernel_at_one_rare_class_and_one_control():
+    # the K = 1 multi-class kernel and the m = 1 imbalanced kernel are the
+    # binary sign kernel: one kind and one set of block orders
+    specs = [kendall_kernel(), multi_kendall_kernel(1), imbalanced_kendall_kernel(1)]
+    assert {(k.kind, k.block_orders) for k in specs} == {("rescaled_kendall", (1, 1))}
+    three = multi_kendall_kernel(2)
+    assert (three.kind, three.block_orders) == ("rescaled_kendall", (1, 1, 1))
+    assert evaluate(three, [[0.0], [1.0], [-2.0]]) == 0.0
+    assert evaluate(three, [[0.0], [1.0], [0.0]]) == 1.0
 
 
 def test_kernel_imbalanced_kendall_values():

@@ -100,6 +100,8 @@ def test_cli_and_harness_agree(kernel, mode, inference, tmp_path):
 
 
 def test_multi_kendall_on_binary_data_is_the_kendall_test(tmp_path):
+    # K = 1 rare class, and the sign against one control's "mean" (m = 1),
+    # are the binary sign kernel itself
     path = _write(tmp_path / "binary.csv", _sample("scalar"))
     methods = (["--method", "rit"], ["--method", "bit", "--s", "3"])
     for inference, method, basis in itertools.product(
@@ -107,10 +109,12 @@ def test_multi_kendall_on_binary_data_is_the_kendall_test(tmp_path):
     ):
         argv = ["--input", path, "--inference", inference, "--B", str(B),
                 "--seed", str(SEED), "--xi-basis", basis, *method]
-        multi = _cli_json("--kernel", "multi-kendall", *argv)
         binary = _cli_json("--kernel", "kendall", *argv)
-        multi.pop("wall_time_ms"), binary.pop("wall_time_ms")
-        assert multi == binary
+        binary.pop("wall_time_ms")
+        for kernel in (["multi-kendall"], ["imbalanced-kendall", "--m", "1"]):
+            same = _cli_json("--kernel", *kernel, *argv)
+            same.pop("wall_time_ms")
+            assert same == binary, kernel
 
 
 def test_multi_kendall_inference_is_honoured(tmp_path):
@@ -285,6 +289,14 @@ def test_outcome_metadata_carries_the_run_context():
 def test_run_test_rejects_invalid_configs(method, match):
     with pytest.raises(ValidationError, match=match):
         run_test(_sample("scalar"), method, SEED)
+
+
+@pytest.mark.parametrize("mode", ["rit", "classical"])
+def test_a_sampling_ratio_outside_bit_is_refused(mode):
+    # the ratio is refused, not silently dropped from the test and kept
+    # in the method's label
+    with pytest.raises(ValidationError, match="method=bit only"):
+        MethodConfig(mode=mode, s=5)
 
 
 @pytest.mark.parametrize("kernel,other", [("dcov", "highdim"), ("kendall", "asymptotic")])

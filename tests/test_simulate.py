@@ -292,6 +292,14 @@ def test_run_erp_bit_requires_s():
         run_erp(scenario, MethodConfig(kernel="kendall", mode="bit"))
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_erp_refuses_threads_below_one(threads):
+    scenario = ScenarioSpec("first_order_eg1", n=1_000, n1=20, M=5, seed=13)
+    method = MethodConfig(kernel="kendall", mode="rit", xi_basis="controls")
+    with pytest.raises(ValidationError, match="threads"):
+        run_erp(scenario, method, threads)
+
+
 def test_figure1_rows_shape_and_headline_behaviour():
     rows = figure1_phenomenon(
         fixed_grid=(300, 1200), decreasing_grid=(1200,), n1=60, M=60, seed=14
