@@ -49,8 +49,8 @@ def angle_embed(x: np.ndarray, c_sigma2: float) -> np.ndarray:
     whose angle is the angular affinity
     ``acos((c + x.y) / sqrt((c + x.x)(c + y.y)))``; at distance r apart
     that angle is 2 arcsin(r / 2)."""
-    if c_sigma2 <= 0:
-        raise ValidationError("c_sigma2 must be positive")
+    if not 0 < c_sigma2 < math.inf:
+        raise ValidationError("c_sigma2 must be positive and finite")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     aug = np.column_stack([x, np.full(x.shape[0], math.sqrt(c_sigma2))])
     return aug / np.linalg.norm(aug, axis=1, keepdims=True)

@@ -70,7 +70,7 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     a selected cell is empty, unparseable or (a feature) non-finite; the
     second return value counts them.  A label must parse to a finite
     integer in [0, 2**63), else :class:`ValidationError`; so is a file
-    that is not UTF-8 text.
+    that is not UTF-8 text, and a feature list that names the label.
 
     A clean body (the rules drop no row and raise nothing) is parsed by
     one ``np.loadtxt`` call; any other body is reparsed row by row,
@@ -103,6 +103,8 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
         raise ValidationError(f"feature columns not found: {', '.join(missing)}")
     if not feature_cols:
         raise ValidationError("no feature columns selected")
+    if label_col in feature_cols:
+        raise ValidationError(f"label column {label_col!r} cannot be a feature")
     feat_idx = [header.index(c) for c in feature_cols]
 
     parsed = _load_clean(path, len(lines), body, records, feat_idx, label_idx,

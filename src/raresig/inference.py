@@ -31,6 +31,7 @@ from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
 from .multiclass import (
     MultiClassSpec,
+    _check_finite,
     _normal_cdf,
     _normal_ppf,
     _normal_sf,
@@ -206,7 +207,7 @@ def _highdim_variance(orders: tuple, xi02: float, s: int | None) -> float:
     identities (Hoeffding 1948) zeta_00 = xi02, as a control pair projects
     like a case pair, and zeta_01 = xi02 / 4, as a case and a control
     project to -h/2.  At m0 = m1 = 2 it is 2 xi02 (1 + 1/s)^2."""
-    spec = MultiClassSpec(1, orders, (1.0,), "comparable_rare")
+    spec = MultiClassSpec(1, orders, (1.0,))
     return multi_second_order_variance(spec, [xi02], {}, s, xi02, [xi02 / 4.0])
 
 
@@ -214,8 +215,8 @@ def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
     """Two-sided normal p-value for n1 * T, whose variance is
     :func:`_highdim_variance` at the statistic's sampling ratio
     (``stat.meta["s"]``, set by the subsampled statistic; None for the
-    full sample).  Valid in the high-dimensional regime; the caller
-    asserts that (see :func:`condition_diagnostic`)."""
+    full sample).  Valid when the dimension grows with the sample; the
+    caller asserts that (see :func:`condition_diagnostic`)."""
     if stat.kernel.order != "second":
         raise ValidationError("asymptotic_highdim applies to second-order kernels only")
     variance = _highdim_variance(stat.kernel.block_orders, xi02, stat.meta.get("s"))
@@ -405,11 +406,12 @@ def power_first_order(
     ``s`` (and ``xi10``) the subsampled variance applies.  At
     ``mu0 = 0`` the value is exactly ``alpha``.
     """
+    _check_finite(mu0=mu0)
     if xi01 <= 0 or n1 < 1:
         raise ValidationError("need xi01 > 0 and n1 >= 1")
     if s is not None and xi10 is None:
         raise ValidationError("subsampled power needs xi10")
-    spec = MultiClassSpec(1, (m0, m1), (1.0,), "comparable_rare")
+    spec = MultiClassSpec(1, (m0, m1), (1.0,))
     var = multi_asymptotic_variance(spec, [xi10, xi01], s=s) / n1
     return _two_sided_power(mu0 / math.sqrt(var), alpha)
 
@@ -419,6 +421,7 @@ def power_highdim(mu0: float, n1: int, m1: int, xi02: float, alpha: float) -> fl
     test, whose null sd is that of :func:`pvalue_asymptotic_highdim`
     (the control order m0 enters only under subsampling); the shift
     enters at rate n1 (not sqrt(n1))."""
+    _check_finite(mu0=mu0)
     if xi02 <= 0 or m1 < 2 or n1 < m1:
         raise ValidationError("need xi02 > 0, m1 >= 2 and n1 >= m1")
     sd = math.sqrt(_highdim_variance((m1, m1), xi02, None))
@@ -436,6 +439,7 @@ def local_power_threshold(
     ``xi_eff = xi01 + m0^2 * xi10 / (s * m1^2)``; its larger variance
     always yields a larger threshold.  C increases with ``beta``.
     """
+    _check_finite(mu_g1=mu_g1, xi_eff=xi_eff)
     if mu_g1 == 0:
         raise ValidationError("mu_g1 must be non-zero")
     if not 0 < alpha < 1 or not 0 < beta < 1 - alpha:

@@ -110,8 +110,8 @@ def dcov_kernel() -> KernelSpec:
 def ipcov_kernel(c_sigma2: float = 1.0) -> KernelSpec:
     """Six-term angular-affinity kernel; ``c_sigma2`` shifts the inner
     products before the angle is taken."""
-    if c_sigma2 <= 0:
-        raise ValidationError("c_sigma2 must be positive")
+    if not 0 < c_sigma2 < math.inf:
+        raise ValidationError("c_sigma2 must be positive and finite")
     return KernelSpec(
         "rescaled_ipcov", (2, 2), params={"c_sigma2": float(c_sigma2)}, order="second"
     )
@@ -211,8 +211,8 @@ def _angle(x, y, c_sigma2: float) -> float:
 def kernel_ipcov(x0a, x0b, x1a, x1b, c_sigma2: float = 1.0) -> float:
     """Angular-affinity analogue of the distance kernel: the same six
     terms over the angle between the augmented rows (see :func:`_angle`)."""
-    if c_sigma2 <= 0:
-        raise ValidationError("c_sigma2 must be positive")
+    if not 0 < c_sigma2 < math.inf:
+        raise ValidationError("c_sigma2 must be positive and finite")
     pts = [np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0a, x0b, x1a, x1b)]
     if len({v.size for v in pts}) != 1:
         raise ValidationError("ipcov kernel arguments must share one dimension")

@@ -1,12 +1,13 @@
 """The asymptotic theory of the statistic with several rare classes
 against one control class; the binary test is its K = 1 case.
 
-:class:`MultiClassSpec` holds the class structure (block orders, size
-ratios and the asymptotic regime).  :func:`multi_asymptotic_variance` is
-the one first-order variance formula, for any K and with or without
-control subsampling; :func:`multi_second_order_variance` is the one
-second-order formula, the variance of n1 times the statistic of a
-degenerate kernel, behind the high-dimensional null.
+:class:`MultiClassSpec` holds the class structure (block orders and size
+ratios).  :func:`multi_asymptotic_variance` is the one first-order
+variance, sum_k m_k^2 zeta_k / r_k (+ m_0^2 zeta_0 / s under control
+subsampling), at any K and any ratios; as the other rare classes outgrow
+class 1 it tends to m_1^2 zeta_1.  :func:`multi_second_order_variance`
+is the one second-order formula, the variance of n1 times the statistic
+of a degenerate kernel, behind the high-dimensional null.
 :func:`block_projection` is the kernel's projection onto one
 observation of any block, and :func:`estimate_zeta1k` its variance.
 The statistic itself, at any K, is :func:`raresig.engine.compute_rit`.
@@ -39,8 +40,6 @@ __all__ = [
     "estimate_zeta1k",
 ]
 
-SINGLE_RAREST_FACTOR = 0.2
-
 _STD_NORMAL = NormalDist()
 
 
@@ -64,34 +63,27 @@ def _normal_ppf(q: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MultiClassSpec:
-    """Shape of a multi-class problem: rare-class count, block orders,
-    size ratios r_k = n_k / n_1, and the asymptotic regime."""
+    """Shape of a multi-class problem: rare-class count, block orders
+    and size ratios r_k = n_k / n_1, which weight the one first-order
+    variance at any sizes (see :func:`multi_asymptotic_variance`)."""
 
     n_rare: int
     block_orders: tuple
     ratios: tuple
-    regime: str
 
     def __post_init__(self) -> None:
         if self.n_rare < 1:
             raise ValidationError("need at least one rare class")
         if len(self.block_orders) != self.n_rare + 1:
             raise ValidationError("block_orders must cover control plus rare classes")
-        if self.regime not in ("comparable_rare", "single_rarest"):
-            raise ValidationError("regime must be comparable_rare or single_rarest")
 
     @classmethod
     def from_grouped(
         cls, data: GroupedSample, block_orders: tuple | None = None
     ) -> "MultiClassSpec":
-        """Derive the class structure from counts.
-
-        Regime heuristic: class 1 is taken as the designated rarest
-        class; the regime is ``single_rarest`` when n_1 is at most 0.2
-        times the smallest other rare-class count, else
-        ``comparable_rare``.  One dataset cannot decide an asymptotic
-        regime, so the classification is reported, not asserted.
-        """
+        """Derive the class structure from counts, at any rare-class
+        sizes: a far rarer class 1 only shrinks the other classes' terms
+        m_k^2 zeta_k / r_k, and needs no formula of its own."""
         k = data.n_classes - 1
         orders = tuple(block_orders) if block_orders else (1,) * (k + 1)
         for cls_idx, m in enumerate(orders):
@@ -100,14 +92,7 @@ class MultiClassSpec:
                     f"class {cls_idx} has {data.counts[cls_idx]} rows, needs {m}"
                 )
         n1 = data.counts[1]
-        ratios = tuple(data.counts[i] / n1 for i in range(1, k + 1))
-        others = data.counts[2 : k + 1]
-        regime = (
-            "single_rarest"
-            if others and n1 <= SINGLE_RAREST_FACTOR * min(others)
-            else "comparable_rare"
-        )
-        return cls(k, orders, ratios, regime)
+        return cls(k, orders, tuple(data.counts[i] / n1 for i in range(1, k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +100,20 @@ class MultiClassSpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(**values) -> None:
+    """Refuse a NaN or infinite calculator input, named in the message."""
+    bad = [name for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise ValidationError(f"{', '.join(bad)} must be finite")
+
+
 def _check_variance_inputs(s, zetas) -> None:
-    """Refuse a sampling ratio s <= 0 and a negative projection variance
-    (None stands for a zeta the formula does not read)."""
+    """Refuse a sampling ratio s <= 0 and a negative or non-finite
+    projection variance (None: a zeta the formula does not read)."""
     if s is not None and s <= 0:
         raise ValidationError("the sampling ratio s must be positive")
-    if any(z is not None and z < 0 for z in zetas):
-        raise ValidationError("projection variances must be non-negative")
+    if any(z is not None and not 0 <= z < math.inf for z in zetas):
+        raise ValidationError("projection variances must be finite and non-negative")
 
 
 def multi_asymptotic_variance(
@@ -132,42 +124,28 @@ def multi_asymptotic_variance(
 
     ``zetas[k]`` is the one-observation projection variance for class k
     (index 0 is the control class and is only consulted when ``s`` is
-    given).  Comparable regime: sum of m_k^2 zeta_k / r_k over rare
-    classes, plus m_0^2 zeta_0 / s under subsampling.  Single-rarest
-    regime: m_1^2 zeta_1 alone.
+    given).  The variance is the sum of m_k^2 zeta_k / r_k over the rare
+    classes, plus m_0^2 zeta_0 / s under subsampling.  Every term but
+    class 1's vanishes as its r_k grows, so when class 1 is far the
+    rarest the sum tends to m_1^2 zeta_1 by itself.
     """
     zetas = list(zetas)
     if len(zetas) != spec.n_rare + 1:
         raise ValidationError("need one zeta per class (control first)")
     _check_variance_inputs(s, zetas)
-    rare = zetas[1:]
-    if all(z is not None and z == 0 for z in rare):
+    m, rare = spec.block_orders, zetas[1:]
+    total = math.fsum(m[k] ** 2 * rare[k - 1] / spec.ratios[k - 1]
+                      for k in range(1, spec.n_rare + 1))
+    if total <= 0:
         raise DegenerateDataError(
             "degenerate: all first-order projection variances vanish; "
             "use multi_second_order_variance for the variance and "
             "permutation for testing"
         )
-    orders = spec.block_orders
-    if spec.regime == "single_rarest":
-        if s is not None:
-            raise ValidationError(
-                "subsampled variance is defined for the comparable regime"
-            )
-        total = orders[1] ** 2 * rare[0]
-    else:
-        total = math.fsum(
-            orders[k] ** 2 * rare[k - 1] / spec.ratios[k - 1]
-            for k in range(1, spec.n_rare + 1)
-        )
-        if s is not None:
-            if zetas[0] is None:
-                raise ValidationError("subsampled variance needs the control zeta")
-            total += orders[0] ** 2 * zetas[0] / s
-    if total <= 0:
-        raise DegenerateDataError(
-            "degenerate: the first-order variance vanishes in the "
-            f"{spec.regime} regime; use permutation for testing"
-        )
+    if s is not None:
+        if zetas[0] is None:
+            raise ValidationError("subsampled variance needs the control zeta")
+        total += m[0] ** 2 * zetas[0] / s
     return float(total)
 
 

@@ -23,7 +23,7 @@ from .data import GroupedSample
 from .engine import RitStatistic, _check_sizes, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
-from .multiclass import _STD_NORMAL, MultiClassSpec, _normal_ppf
+from .multiclass import _STD_NORMAL, _check_finite, _normal_ppf
 from .rng import spawn_rng, spawn_seed
 
 __all__ = [
@@ -111,17 +111,9 @@ def _kept_sample(
 ) -> GroupedSample:
     """The cases and the controls ``plan`` keeps: the rows every
     subsampled quantity reads.  Refuses a kernel that does not fit the
-    data (see :func:`raresig.engine.compute_rit`), a plan that keeps
-    fewer than m0 controls, and with several rare classes sizes outside
-    the comparable regime, the only one the subsampled variance covers
-    (one rare class is always comparable)."""
+    data (see :func:`raresig.engine.compute_rit`) and a plan that keeps
+    fewer than m0 controls."""
     _check_sizes(data, kernel)
-    if data.n_classes > 2:
-        spec = MultiClassSpec.from_grouped(data, kernel.block_orders)
-        if spec.regime != "comparable_rare":
-            raise ValidationError(
-                "subsampled multi-class statistic assumes comparable rare-class sizes"
-            )
     if plan.realized_count < kernel.m0:
         raise DegenerateDataError(
             f"plan kept {plan.realized_count} controls, kernel needs {kernel.m0}; "
@@ -151,8 +143,7 @@ def compute_bit(
     C(s n1, m0) * C(n1, m1) blocks.
 
     Equals the full-sample statistic exactly when every control is
-    included and ``s * n1 == n0``.  A multi-class kernel needs
-    comparable rare-class sizes (``ValidationError`` otherwise).
+    included and ``s * n1 == n0``.
     """
     return _kept_statistic(_kept_sample(data, kernel, plan), kernel, plan, seed)
 
@@ -173,22 +164,27 @@ def _draw_test_plan(
 
 
 def _clamp_s(bound: float) -> int:
+    if not math.isfinite(bound):
+        raise ValidationError("no finite sampling ratio meets the target")
     return max(2, math.ceil(bound))
 
 
 def select_s_variance(n1: int, epsilon: float) -> int:
     """Smallest s keeping the asymptotic-variance inflation within
     ``epsilon``: s >= 1 / (n1 * epsilon), clamped to at least 2."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be positive and finite")
     if n1 < 1:
         raise ValidationError("n1 must be positive")
     return _clamp_s(1.0 / (n1 * epsilon))
 
 
-def _check_rule_inputs(n1: int, xi01: float, xi10: float, **levels: float) -> None:
-    """The input check of the power rules: n1 >= 1, xi01 > 0 (a degenerate
-    kernel has no first-order power), xi10 >= 0, and each level in (0, 1)."""
+def _check_rule_inputs(n1: int, xi01: float, xi10: float, mu0: float,
+                       **levels: float) -> None:
+    """The input check of the power rules: finite xi01, xi10 and mu0,
+    n1 >= 1, xi01 > 0 (a degenerate kernel has no first-order power),
+    xi10 >= 0, and each level in (0, 1)."""
+    _check_finite(xi01=xi01, xi10=xi10, mu0=mu0)
     if n1 < 1 or xi01 <= 0 or xi10 < 0:
         raise ValidationError("the power rules need n1 >= 1, xi01 > 0 (not "
                               "applicable to degenerate kernels) and xi10 >= 0")
@@ -213,7 +209,7 @@ def select_s_power_floor(
     Infeasible (raises) when even the full-sample variance exceeds what
     the power target allows at this ``n1``.
     """
-    _check_rule_inputs(n1, xi01, xi10, alpha=alpha, beta=beta)
+    _check_rule_inputs(n1, xi01, xi10, mu0, alpha=alpha, beta=beta)
     d = _normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta)
     denom = n1 * mu0 * mu0 / (d * d) - m1 * m1 * xi01
     if denom <= 0:
@@ -235,9 +231,9 @@ def select_s_power_gap(
 ) -> int:
     """Smallest s keeping the power gap between the subsampled and
     full-sample tests within ``epsilon`` (first-order expansion)."""
-    _check_rule_inputs(n1, xi01, xi10, alpha=alpha)
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check_rule_inputs(n1, xi01, xi10, mu0, alpha=alpha)
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be positive and finite")
     mu = abs(mu0)
     phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2)
                                - mu * math.sqrt(n1 / (m1 * m1 * xi01)))

@@ -12,8 +12,9 @@ terms.  These are Monte Carlo checks; expect a couple of minutes.
 import numpy as np
 import pytest
 
+from raresig.data import LabeledSample
 from raresig.pipeline import run_test
-from raresig.rng import spawn_seed
+from raresig.rng import spawn_rng, spawn_seed
 from raresig.simulate import MethodConfig, ScenarioSpec, generate, run_erp
 
 pytestmark = pytest.mark.slow
@@ -47,6 +48,23 @@ def test_size_control_imbalanced_kendall(method):
     scenario = ScenarioSpec("first_order_eg1", n=20_000, n1=200, M=1000, seed=22)
     size = _size(scenario, method)
     assert 0.03 <= size <= 0.07
+
+
+@pytest.mark.parametrize("basis", ["cases", "controls"])
+@pytest.mark.parametrize("mode, s", [("rit", None), ("bit", 5)], ids=["rit", "bit"])
+def test_size_control_multiclass_unequal_rare_classes(mode, s, basis):
+    # criterion 9's K = 2 null and band with class 2 five times class 1
+    # (n1 = 0.2 n2): every rare class enters the variance at its ratio
+    labels = np.concatenate([np.zeros(20_000, np.int64), np.ones(200, np.int64),
+                             np.full(1_000, 2, np.int64)])
+    method = MethodConfig(kernel="multi_kendall", mode=mode, s=s,
+                          inference="asymptotic", xi_basis=basis)
+    m = 1000
+    rejected = 0
+    for rep in range(m):
+        x = spawn_rng(910, rep).standard_normal((labels.size, 1))
+        rejected += run_test(LabeledSample(x, labels), method, rep).p_value <= 0.05
+    assert 0.03 <= rejected / m <= 0.07
 
 
 def test_size_control_subsampled_pairwise_permutation():

@@ -281,6 +281,19 @@ def test_run_test_separated_data_permutation(separated_csv, capsys):
     assert result["n0"] == 40 and result["n1"] == 8
 
 
+@pytest.mark.parametrize("inference", ["asymptotic", "permutation"])
+def test_run_test_bit_takes_any_rare_class_sizes(inference, tmp_path, capsys):
+    # n1 = 20 is at most 0.2 n2 = 24: the subsampled multi-class test runs
+    rng = np.random.default_rng(12)
+    labels = np.r_[np.zeros(400, np.int64), np.ones(20, np.int64), np.full(120, 2)]
+    rows = [[f"{v:.6f}", k] for v, k in zip(rng.standard_normal(labels.size), labels)]
+    path = _write_csv(tmp_path / "three.csv", ["x", "label"], rows)
+    result = _test_json(capsys, "--input", path, "--kernel", "multi-kendall",
+                        "--method", "bit", "--s", "3", "--inference", inference,
+                        "--B", "99")
+    assert result["s"] == 3 and 0 < result["p_value"] <= 1
+
+
 def test_run_test_deterministic_modulo_walltime(tmp_path, capsys):
     rng = np.random.default_rng(9)
     rows = [[f"{v:.6f}", 0] for v in rng.standard_normal(120)]
@@ -420,6 +433,8 @@ FIRST = ["power", "first-order", "--mu0", "0.1", "--n1", "100", "--xi01", "0.3"]
 LOCAL = ["power", "local-threshold", "--beta", "0.2", "--mu-g1", "1", "--xi", "0.3"]
 GAP = ["select-s", "power-gap", "--n1", "100", "--xi01", "0.3", "--xi10", "0.3",
        "--mu0", "0.3", "--epsilon", "0.01"]
+FLOOR = [*GAP[:1], "power-floor", *GAP[2:10], "--beta", "0.5"]
+CSV = "<csv>"  # stands for a binary CSV written by the test
 
 
 @pytest.mark.parametrize("argv", [
@@ -463,12 +478,42 @@ def test_cli_power_refuses_bad_input(argv, capsys):
     ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--s", "5"],
     ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--threads", "0"],
     ["simulate", "--family", "first_order_eg1", "--n", "400", "--M", "2", "--threads", "-3"],
+    # a calculator refuses a NaN or infinite input, and a rule whose bound
+    # on s overflows
+    [*FIRST[:3], "nan", *FIRST[4:]],
+    [*FIRST[:7], "nan"],
+    [*FIRST, "--s", "3", "--xi10", "nan"],
+    [*HIGHDIM[:3], "nan", *HIGHDIM[4:]],
+    [*HIGHDIM[:7], "nan"],
+    [*LOCAL[:5], "nan", *LOCAL[6:]],
+    [*LOCAL[:7], "inf"],
+    ["select-s", "variance", "--n1", "100", "--epsilon", "nan"],
+    ["select-s", "variance", "--n1", "1", "--epsilon", "1e-320"],
+    [*FLOOR[:5], "nan", *FLOOR[6:]],
+    [*FLOOR[:7], "nan", *FLOOR[8:]],
+    [*FLOOR[:9], "nan", *FLOOR[10:]],
+    [*GAP[:5], "nan", *GAP[6:]],
+    [*GAP[:7], "nan", *GAP[8:]],
+    [*GAP[:9], "nan", *GAP[10:]],
+    [*GAP[:11], "nan"],
+    # the test command: the label is no feature, and c_sigma2 is finite
+    ["test", "--input", CSV, "--features", "label"],
+    ["test", "--input", CSV, "--kernel", "ipcov", "--c-sigma2", "nan"],
+    ["test", "--input", CSV, "--kernel", "ipcov", "--c-sigma2", "inf"],
 ], ids=["first-order-s-0", "first-order-s-neg", "power-gap-xi10-neg", "bench-trials-0",
         "subsample-plan-n0-neg", "simulate-eg1-p-5", "simulate-mixture-p-7",
         "simulate-intro-p-2", "simulate-alpha-1.5", "simulate-alpha-0",
         "simulate-figure1-alpha-neg", "simulate-table3-alpha-1", "simulate-rit-s",
-        "simulate-threads-0", "simulate-threads-neg"])
-def test_cli_refuses_bad_input_with_one_error_line(argv, capsys):
+        "simulate-threads-0", "simulate-threads-neg",
+        "first-order-mu0-nan", "first-order-xi01-nan", "first-order-xi10-nan",
+        "highdim-mu0-nan", "highdim-xi02-nan", "local-threshold-mu-g1-nan",
+        "local-threshold-xi-inf", "variance-epsilon-nan", "variance-s-overflow",
+        "power-floor-xi01-nan", "power-floor-xi10-nan", "power-floor-mu0-nan",
+        "power-gap-xi01-nan", "power-gap-xi10-nan", "power-gap-mu0-nan",
+        "power-gap-epsilon-nan", "test-features-label", "test-c-sigma2-nan",
+        "test-c-sigma2-inf"])
+def test_cli_refuses_bad_input_with_one_error_line(argv, separated_csv, capsys):
+    argv = [separated_csv if a == CSV else a for a in argv]
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""

@@ -26,6 +26,7 @@ from raresig import (
     multi_kendall_kernel,
     pearson_kernel,
 )
+from raresig._accel import angle_embed
 from raresig.inference import _pair_projection
 from raresig.multiclass import block_projection
 from raresig.rng import spawn_rng
@@ -97,8 +98,11 @@ def test_kernel_ipcov_values():
         kernel_ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=1.0), -math.pi / 2,
         atol=1e-12,
     )
-    with pytest.raises(ValidationError):
-        kernel_ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=0.0)
+    for c in (0.0, math.nan, math.inf):
+        for refuse in (lambda: kernel_ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=c),
+                       lambda: ipcov_kernel(c), lambda: angle_embed([[0.0]], c)):
+            with pytest.raises(ValidationError, match="c_sigma2"):
+                refuse()
 
 
 def test_first_order_antisymmetry_under_block_swap():

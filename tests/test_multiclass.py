@@ -26,6 +26,7 @@ from raresig import (
     pearson_kernel,
 )
 from raresig.multiclass import _normal_cdf, _normal_ppf, _normal_sf, block_projection
+from raresig.pipeline import MethodConfig, run_test
 from raresig.rng import spawn_rng
 
 
@@ -135,19 +136,21 @@ def test_zeta1k_constant_class_is_zero():
 
 
 def test_variance_formula_reference_values():
-    spec = MultiClassSpec(2, (1, 1, 1), (1.0, 1.0), "comparable_rare")
+    spec = MultiClassSpec(2, (1, 1, 1), (1.0, 1.0))
     assert_allclose(
         multi_asymptotic_variance(spec, [None, 1 / 3, 1 / 3]), 2 / 3, atol=1e-15
     )
     # goes to the full-sample value as s grows
     with_s = multi_asymptotic_variance(spec, [4 / 3, 1 / 3, 1 / 3], s=10**9)
     assert_allclose(with_s, 2 / 3, atol=1e-8)
-    single = MultiClassSpec(2, (1, 1, 1), (1.0, 10.0), "single_rarest")
-    assert_allclose(
-        multi_asymptotic_variance(single, [None, 1 / 3, 1 / 3]), 1 / 3, atol=1e-15
-    )
-    with pytest.raises(ValidationError):
-        multi_asymptotic_variance(single, [None, 1 / 3, 1 / 3], s=5)
+    # every rare term is divided by its ratio, and only class 1's is left
+    # as the other classes outgrow it
+    for ratio, expected in ((10.0, 1 / 3 + 1 / 30), (1e12, 1 / 3)):
+        wide = MultiClassSpec(2, (1, 1, 1), (1.0, ratio))
+        assert_allclose(multi_asymptotic_variance(wide, [None, 1 / 3, 1 / 3]),
+                        expected, rtol=1e-11)
+        assert_allclose(multi_asymptotic_variance(wide, [4 / 3, 1 / 3, 1 / 3], s=5),
+                        expected + 4 / 15, rtol=1e-11)
     for s in (0, -2):
         with pytest.raises(ValidationError, match="s must be positive"):
             multi_asymptotic_variance(spec, [1 / 3, 1 / 3, 1 / 3], s=s)
@@ -157,7 +160,7 @@ def test_variance_formula_reference_values():
 
 
 def test_variance_formula_binary_reduction():
-    spec = MultiClassSpec(1, (1, 1), (1.0,), "comparable_rare")
+    spec = MultiClassSpec(1, (1, 1), (1.0,))
     assert multi_asymptotic_variance(spec, [None, 0.25]) == 0.25
     # m1^2 xi01 + m0^2 xi10 / s under subsampling
     assert_allclose(multi_asymptotic_variance(spec, [1 / 3, 1 / 3], s=5),
@@ -165,7 +168,7 @@ def test_variance_formula_binary_reduction():
 
 
 def test_variance_degenerate_error_and_second_order_report():
-    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0), "comparable_rare")
+    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0))
     with pytest.raises(DegenerateDataError, match="second_order"):
         multi_asymptotic_variance(spec, [None, 0.0, 0.0])
     value = multi_second_order_variance(
@@ -184,7 +187,7 @@ def test_variance_degenerate_error_and_second_order_report():
 
 def test_second_order_variance_divides_every_rare_term_by_its_ratio():
     # K = 2 with r = (1, 3): the rare terms carry r_k with or without s
-    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 3.0), "comparable_rare")
+    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 3.0))
     rare = 4 * 0.5 / 2 + 4 * 0.25 / (2 * 9) + 16 * 0.1 / 3
     assert_allclose(multi_second_order_variance(spec, [0.5, 0.25], {(1, 2): 0.1}),
                     rare, rtol=1e-15)
@@ -197,7 +200,7 @@ def test_second_order_variance_divides_every_rare_term_by_its_ratio():
 
 
 def test_second_order_variance_validates_its_inputs():
-    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0), "comparable_rare")
+    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0))
     with pytest.raises(ValidationError, match="per rare class"):
         multi_second_order_variance(spec, [0.5], {(1, 2): 0.1})
     with pytest.raises(ValidationError, match="control"):
@@ -232,17 +235,29 @@ def test_normal_helpers_match_scipy():
     assert (_normal_ppf(0.0), _normal_ppf(1.0)) == (-math.inf, math.inf)
 
 
-def test_regime_heuristic():
+def test_one_variance_formula_at_every_ratio():
+    # n2 = 5 n1 - 1, 5 n1 and 10 n1: the variance keeps every rare term on
+    # both sides of n1 = 0.2 n2, and the subsampled test takes any ratio
     rng = np.random.default_rng(6)
-    g = _grouped((2000, 40, 400), rng)
-    assert MultiClassSpec.from_grouped(g).regime == "single_rarest"
-    g2 = _grouped((2000, 180, 200), rng)
-    assert MultiClassSpec.from_grouped(g2).regime == "comparable_rare"
-    g3 = _grouped((2000, 40), rng)
-    assert MultiClassSpec.from_grouped(g3).regime == "comparable_rare"
+    for n2 in (199, 200, 400):
+        counts = (2000, 40, n2)
+        labels = np.concatenate([np.full(c, k, np.int64) for k, c in enumerate(counts)])
+        sample = LabeledSample(rng.standard_normal((labels.size, 1)), labels)
+        for mode, s in (("rit", None), ("bit", 3)):
+            method = MethodConfig(kernel="multi_kendall", mode=mode, s=s,
+                                  inference="asymptotic")
+            out = run_test(sample, method, 11)
+            z = out.metadata["zetas"]
+            expected = z[1] + z[2] / (n2 / 40) + (z[0] / s if s else 0.0)
+            assert_allclose(out.variance_estimate, expected, rtol=1e-14)
+    # the last sample, at (2000, 40, 400), under BIT's statistic and
+    # permutation null
+    g = group_by_label(sample)
     plan = draw_subsample(g, 2, seed=0)
-    with pytest.raises(ValidationError, match="comparable"):
-        compute_bit(g, multi_kendall_kernel(2), plan)
+    assert math.isfinite(compute_bit(g, multi_kendall_kernel(2), plan).value)
+    method = MethodConfig(kernel="multi_kendall", mode="bit", s=3,
+                          inference="permutation", B=99)
+    assert 0 < run_test(sample, method, 11).p_value <= 1
 
 
 def test_multi_kernel_arity_checks():
@@ -260,7 +275,7 @@ def test_multi_kernel_arity_checks():
             multi_kendall_kernel(2),
         )
     # a 3-block kernel on binary data: compute_bit checks the block count
-    # before the plan's regime, with compute_rit's typed error
+    # with compute_rit's typed error
     g2 = _grouped((12, 4), rng)
     plan = draw_subsample(g2, 2, seed=0)
     for stat in (lambda k: compute_rit(g2, k), lambda k: compute_bit(g2, k, plan)):

@@ -243,28 +243,28 @@ def test_auto_fallback_applies_to_the_harness():
         assert any("fell back" in w for w in out.metadata["warnings"])
 
 
-def _separated_rarest_class() -> LabeledSample:
-    # class 1 (5 rows) sits above every control and is far smaller than
-    # class 2 (60 rows): the single_rarest regime with zeta_1 = 0
+def _separated_rare_classes() -> LabeledSample:
+    # classes 1 (5 rows) and 2 (60 rows) sit above every control, so every
+    # rare zeta vanishes at the case points
     x = np.random.default_rng(8).standard_normal(365)
     labels = np.r_[np.zeros(300, np.int64), np.ones(5, np.int64), np.full(60, 2)]
-    x[labels == 1] += 10.0
+    x[labels > 0] += 10.0
     return LabeledSample(x[:, None], labels)
 
 
 def test_multiclass_zero_variance_is_a_degenerate_error(tmp_path):
-    path = _write(tmp_path / "separated.csv", _separated_rarest_class())
+    path = _write(tmp_path / "separated.csv", _separated_rare_classes())
     code, out, err = _cli(
         "--input", path, "--kernel", "multi-kendall", "--inference", "asymptotic"
     )
     assert code == 3 and out == ""
-    assert "variance vanishes in the single_rarest regime" in err
+    assert "all first-order projection variances vanish" in err
 
 
 def test_multiclass_zero_variance_auto_falls_back():
-    # zeta_1 vanishes at the separated class-1 points, not at the controls
+    # the zetas vanish at the separated case points, not at the controls
     method = MethodConfig(kernel="multi_kendall", xi_basis="cases", B=99)
-    out = run_test(_separated_rarest_class(), method, SEED)
+    out = run_test(_separated_rare_classes(), method, SEED)
     assert out.method == "permutation"
     assert any("fell back" in w for w in out.metadata["warnings"])
 
