@@ -526,8 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         parents=[common])
     pw_sub = pw.add_subparsers(dest="calc", required=True)
     fo = pw_sub.add_parser("first-order")
-    note = ("power of the full-sample high-dimensional test, whose n1 T is normal "
-            "with the p-value's variance m1^2 (m1-1)^2 xi02 / 2 (2 xi02 for dcov/ipcov)")
+    note = ("power of the high-dimensional test, whose n1 T is normal with variance "
+            "m1^2 (m1-1)^2 xi02 / 2 (2 xi02 for dcov/ipcov) in the limit n1/n0 -> 0")
     hd = pw_sub.add_parser("highdim", help=note, description=note)
     for q, m1 in ((fo, 1), (hd, 2)):
         q.add_argument("--mu0", type=float, required=True)

@@ -1,14 +1,17 @@
 """Variance estimation, null distributions, and power calculators.
 
+Both normal nulls take the controls at a ratio s: a subsampled
+statistic's sampling ratio, or n0/n1 for the full sample (which keeps
+every control); the power calculators' None is the limit n1/n0 -> 0.
 First-order kernels get a normal null for sqrt(n1) * T; its variance,
-sum_k m_k^2 zeta_k / r_k over the rare classes (plus m_0^2 zeta_0 / s
-under subsampling), is :func:`raresig.multiclass.multi_asymptotic_variance`,
-which reduces to m1^2 xi01 (plus m0^2 xi10 / s) for one rare class,
-xi01 and xi10 being :func:`raresig.multiclass.estimate_zeta1k` at k = 1, 0.
+sum_k m_k^2 zeta_k / r_k over the rare classes plus m_0^2 zeta_0 / s,
+is :func:`raresig.multiclass.multi_asymptotic_variance`, which reduces
+to m1^2 xi01 + m0^2 xi10 / s for one rare class, xi01 and xi10 being
+:func:`raresig.multiclass.estimate_zeta1k` at k = 1, 0.
 Second-order kernels in high dimension get a normal null for n1 * T;
-its variance, 2 xi02 (times (1 + 1/s)^2 under subsampling), is the
-K = 1 :func:`raresig.multiclass.multi_second_order_variance` through
-the H0 identities of :func:`_highdim_variance`.  xi02, the variance
+its variance, 2 xi02 (1 + 1/s)^2, is the K = 1
+:func:`raresig.multiclass.multi_second_order_variance` through the H0
+identities of :func:`_highdim_variance`.  xi02, the variance
 over case pairs of the projection
 h = 2 (D(x) + D(y) - d(x, y) - gamma), does not move with the constant
 gamma, so it reads no control pair; only the condition ratio applies
@@ -213,13 +216,14 @@ def _highdim_variance(orders: tuple, xi02: float, s: int | None) -> float:
 
 def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
     """Two-sided normal p-value for n1 * T, whose variance is
-    :func:`_highdim_variance` at the statistic's sampling ratio
-    (``stat.meta["s"]``, set by the subsampled statistic; None for the
-    full sample).  Valid when the dimension grows with the sample; the
-    caller asserts that (see :func:`condition_diagnostic`)."""
+    :func:`_highdim_variance` at the statistic's control ratio: the
+    sampling ratio ``stat.meta["s"]`` of a subsampled statistic, else
+    n0/n1.  Valid when the dimension grows with the sample; the caller
+    asserts that (see :func:`condition_diagnostic`)."""
     if stat.kernel.order != "second":
         raise ValidationError("asymptotic_highdim applies to second-order kernels only")
-    variance = _highdim_variance(stat.kernel.block_orders, xi02, stat.meta.get("s"))
+    s = stat.meta.get("s") or stat.n0 / stat.n1
+    variance = _highdim_variance(stat.kernel.block_orders, xi02, s)
     return _normal_outcome(stat, stat.n1 * stat.value, variance, "asymptotic_highdim",
                            xi02=xi02)
 
@@ -389,42 +393,33 @@ def _two_sided_power(ncp: float, alpha: float) -> float:
     return 1.0 + _normal_cdf(lo - ncp) - _normal_cdf(hi - ncp)
 
 
-def power_first_order(
-    mu0: float,
-    n1: int,
-    m0: int,
-    m1: int,
-    xi01: float,
-    alpha: float,
-    s: int | None = None,
-    xi10: float | None = None,
-) -> float:
+def power_first_order(mu0: float, n1: int, m0: int, m1: int, xi01: float, alpha: float,
+                      s: float | None = None, xi10: float | None = None) -> float:
     """Two-sided power of the first-order test against mean shift ``mu0``.
 
     The variance of the statistic is the K = 1 case of
-    :func:`raresig.multiclass.multi_asymptotic_variance` over n1; with
-    ``s`` (and ``xi10``) the subsampled variance applies.  At
-    ``mu0 = 0`` the value is exactly ``alpha``.
+    :func:`raresig.multiclass.multi_asymptotic_variance` over n1.  Pass
+    the sampling ratio ``s`` (and ``xi10``) for the subsampled test and
+    s = n0/n1 for the full-sample test at a finite ratio; None is the
+    limit n1/n0 -> 0.  At ``mu0 = 0`` the value is exactly ``alpha``.
     """
     _check_finite(mu0=mu0)
     if xi01 <= 0 or n1 < 1:
         raise ValidationError("need xi01 > 0 and n1 >= 1")
-    if s is not None and xi10 is None:
-        raise ValidationError("subsampled power needs xi10")
     spec = MultiClassSpec(1, (m0, m1), (1.0,))
     var = multi_asymptotic_variance(spec, [xi10, xi01], s=s) / n1
     return _two_sided_power(mu0 / math.sqrt(var), alpha)
 
 
-def power_highdim(mu0: float, n1: int, m1: int, xi02: float, alpha: float) -> float:
-    """Two-sided power of the full-sample high-dimensional second-order
-    test, whose null sd is that of :func:`pvalue_asymptotic_highdim`
-    (the control order m0 enters only under subsampling); the shift
-    enters at rate n1 (not sqrt(n1))."""
+def power_highdim(mu0: float, n1: int, m1: int, xi02: float, alpha: float,
+                  s: float | None = None) -> float:
+    """Two-sided power of the high-dimensional second-order test, whose
+    null sd is that of :func:`pvalue_asymptotic_highdim` (m0 = m1), the
+    shift entering at rate n1.  ``s`` is as in :func:`power_first_order`."""
     _check_finite(mu0=mu0)
     if xi02 <= 0 or m1 < 2 or n1 < m1:
         raise ValidationError("need xi02 > 0, m1 >= 2 and n1 >= m1")
-    sd = math.sqrt(_highdim_variance((m1, m1), xi02, None))
+    sd = math.sqrt(_highdim_variance((m1, m1), xi02, s))
     return _two_sided_power(mu0 * n1 / sd, alpha)
 
 

@@ -3,11 +3,11 @@ against one control class; the binary test is its K = 1 case.
 
 :class:`MultiClassSpec` holds the class structure (block orders and size
 ratios).  :func:`multi_asymptotic_variance` is the one first-order
-variance, sum_k m_k^2 zeta_k / r_k (+ m_0^2 zeta_0 / s under control
-subsampling), at any K and any ratios; as the other rare classes outgrow
-class 1 it tends to m_1^2 zeta_1.  :func:`multi_second_order_variance`
-is the one second-order formula, the variance of n1 times the statistic
-of a degenerate kernel, behind the high-dimensional null.
+variance, sum_k m_k^2 zeta_k / r_k + m_0^2 zeta_0 / s, at any K and any
+ratios, the controls entering at the sampling ratio s, or n0/n1 for the
+full sample.  :func:`multi_second_order_variance` is the one
+second-order formula, the variance of n1 times the statistic of a
+degenerate kernel, behind the high-dimensional null.
 :func:`block_projection` is the kernel's projection onto one
 observation of any block, and :func:`estimate_zeta1k` its variance.
 The statistic itself, at any K, is :func:`raresig.engine.compute_rit`.
@@ -108,10 +108,10 @@ def _check_finite(**values) -> None:
 
 
 def _check_variance_inputs(s, zetas) -> None:
-    """Refuse a sampling ratio s <= 0 and a negative or non-finite
-    projection variance (None: a zeta the formula does not read)."""
-    if s is not None and s <= 0:
-        raise ValidationError("the sampling ratio s must be positive")
+    """Refuse a ratio s that is not positive and finite and a negative or
+    non-finite projection variance (None: a zeta the formula does not read)."""
+    if s is not None and not 0 < s < math.inf:
+        raise ValidationError("the sampling ratio s must be positive and finite")
     if any(z is not None and not 0 <= z < math.inf for z in zetas):
         raise ValidationError("projection variances must be finite and non-negative")
 
@@ -122,12 +122,12 @@ def multi_asymptotic_variance(
     """Asymptotic variance of sqrt(n1) times the statistic of a first-order
     kernel (a binary kernel is the K = 1 case).
 
-    ``zetas[k]`` is the one-observation projection variance for class k
-    (index 0 is the control class and is only consulted when ``s`` is
-    given).  The variance is the sum of m_k^2 zeta_k / r_k over the rare
-    classes, plus m_0^2 zeta_0 / s under subsampling.  Every term but
-    class 1's vanishes as its r_k grows, so when class 1 is far the
-    rarest the sum tends to m_1^2 zeta_1 by itself.
+    ``zetas[k]`` is the one-observation projection variance for class k,
+    index 0 the control class.  The variance is the sum of
+    m_k^2 zeta_k / r_k over the rare classes plus m_0^2 zeta_0 / s, s the
+    sampling ratio or n0/n1 for the full sample; None, the limit
+    n1/n0 -> 0, reads no zeta_0.  Every term but class 1's vanishes as
+    its r_k grows.
     """
     zetas = list(zetas)
     if len(zetas) != spec.n_rare + 1:
@@ -144,7 +144,7 @@ def multi_asymptotic_variance(
         )
     if s is not None:
         if zetas[0] is None:
-            raise ValidationError("subsampled variance needs the control zeta")
+            raise ValidationError("the control term (ratio s) needs zeta_0 (xi10)")
         total += m[0] ** 2 * zetas[0] / s
     return float(total)
 
@@ -212,8 +212,8 @@ def block_projection(
     classes, have closed forms (at a rare block the other rare classes
     only add a constant, which is left out, since only the variance over
     points is used).  ``imbalanced_kendall``, whose blocks hold m >= 2
-    controls, enumerates the m-control blocks when there are at most
-    ``budget`` of them, else draws ``budget`` of them per point.  Any
+    controls, reads every point against one sorted array of at most
+    ``budget`` draws (:func:`_imbalanced_kendall_projection`).  Any
     other kernel averages ``budget`` Monte Carlo tuples per point, each
     slot filled with distinct rows of its own class.
     """
@@ -255,24 +255,23 @@ def block_projection(
 def _imbalanced_kendall_projection(
     data: GroupedSample, m: int, k: int, points: np.ndarray, budget: int, rng
 ) -> np.ndarray:
-    """:func:`block_projection` of the imbalanced sign kernel, in chunks
-    of 256 points."""
+    """:func:`block_projection` of sgn(x1 - mean of m controls) from the
+    signs of each point against one sorted array, O((budget + points)
+    log budget): the means of ``budget`` m-control tuples (of all, if no
+    more) at the case block; at the control block ``budget`` draws of
+    m x1 - (sum of m - 1 controls), whose kernel at control x is
+    sgn(draw - x)."""
     x0, x1 = data.group(0)[:, 0], data.group(1)[:, 0]
     if k and math.comb(x0.size, m) <= budget:
-        means = np.sort([x0[list(c)].mean() for c in combinations(range(x0.size), m)])
-        return sign_counts(means, points[:, 0]) / means.size
-    out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], 256):
-        hi = min(lo + 256, points.shape[0])
-        pts = points[lo:hi, 0:1]
-        if k:
-            means = x0[rng.integers(0, x0.size, size=(hi - lo, budget, m))].mean(axis=2)
-            out[lo:hi] = np.sign(pts - means).mean(axis=1)
-            continue
-        others = x0[rng.integers(0, x0.size, size=(hi - lo, budget, m - 1))].sum(axis=2)
-        case_draw = x1[rng.integers(0, x1.size, size=(hi - lo, budget))]
-        out[lo:hi] = np.sign(case_draw - (pts + others) / m).mean(axis=1)
-    return out
+        ref = np.array([x0[list(c)].mean() for c in combinations(range(x0.size), m)])
+    elif k:
+        ref = x0[_distinct_tuples(rng, x0.size, m, budget)].mean(axis=1)
+    else:
+        ref = (m * x1[rng.integers(0, x1.size, size=budget)]
+               - x0[_distinct_tuples(rng, x0.size, m - 1, budget)].sum(axis=1))
+    ref.sort()
+    signs = sign_counts(ref, points[:, 0]) / ref.size
+    return signs if k else -signs
 
 
 def estimate_zeta1k(
@@ -290,10 +289,11 @@ def estimate_zeta1k(
     A rare block (k >= 1) is evaluated at its own class
     (``basis="cases"``) or at the controls (``basis="controls"``), which
     under the null follow the same law and give a far less noisy
-    estimate.  The control block (k = 0) is always evaluated at the
-    controls; it enters only the subsampled variance.  ``budget`` caps
-    the tuples per point for kernels without a closed projection.  A
-    second-order kernel, whose one-point projections vanish, is refused.
+    estimate.  The control block (k = 0), whose term weighs n1/n0 or
+    1/s, is evaluated at ``budget`` controls drawn without replacement
+    (all, if no more) before any tuple.  ``budget`` also caps the tuples
+    per point for kernels without a closed projection.  A second-order
+    kernel, whose one-point projections vanish, is refused.
     """
     if kernel.order != "first":
         raise ValidationError("estimate_zeta1k applies to first-order kernels only")
@@ -305,6 +305,8 @@ def estimate_zeta1k(
         raise ValidationError(f"class {k} out of range")
     if data.counts[k] < 2:
         raise DegenerateDataError(f"need at least two class-{k} points")
+    rng = spawn_rng(seed)
     points = data.group(k if basis == "cases" else 0)
-    vals = block_projection(data, kernel, k, points, budget, spawn_rng(seed))
-    return float(vals.var(ddof=1))
+    if k == 0 and points.shape[0] > budget:
+        points = points[rng.choice(points.shape[0], budget, replace=False)]
+    return float(block_projection(data, kernel, k, points, budget, rng).var(ddof=1))

@@ -3,14 +3,15 @@
 The function owns the procedure's decision tree.  The statistic is the
 full-sample rescaled one (``rit``) or the boosted one on Bernoulli-thinned
 controls (``bit``).  The null is the first-order normal null, the
-high-dimensional normal null for n1 T (variance 2 xi02, times
-(1 + 1/s)^2 under ``bit``), or label permutation; ``auto`` takes the
-first for first-order kernels and permutation otherwise, and falls
-back to permutation when the first-order variance estimate vanishes.
-Every first-order kernel, binary or multi-class, takes one variance,
-sum_k m_k^2 zeta_k / r_k (plus m_0^2 zeta_0 / s under ``bit``), from
-the zeta_k of :func:`raresig.multiclass.estimate_zeta1k`; for a binary
-kernel zeta_1 is xi01 and zeta_0 is xi10.  Under ``bit`` one plan
+high-dimensional normal null for n1 T, or label permutation; ``auto``
+takes the first for first-order kernels and permutation otherwise, and
+falls back to permutation when a first-order variance cannot be
+estimated or vanishes.  Both normal nulls take the controls at ratio s
+under ``bit`` and n0/n1 under ``rit`` (``bit`` keeping every control):
+every first-order kernel takes sum_k m_k^2 zeta_k / r_k + m_0^2 zeta_0 / s
+from the zeta_k of :func:`raresig.multiclass.estimate_zeta1k` (for a
+binary kernel zeta_1 is xi01 and zeta_0 is xi10), and the
+high-dimensional null 2 xi02 (1 + 1/s)^2.  Under ``bit`` one plan
 is drawn and the controls are thinned once: the statistic and every
 variance estimate read that one thinned sample, and the permutation
 null permutes within it.  Both the command line and the Monte Carlo
@@ -46,7 +47,7 @@ class MethodConfig:
 
     ``mode`` is ``rit`` or ``bit``; ``classical`` (the pooled baseline)
     is only meaningful to the Monte Carlo harness.  ``budget`` caps the
-    Monte Carlo tuples per point in the projection-variance estimates;
+    Monte Carlo tuples per point and the control points of zeta_0;
     ``xi_basis`` picks the points every rare-class zeta_k is evaluated
     at (see :func:`raresig.multiclass.estimate_zeta1k`).
     """
@@ -90,8 +91,7 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     subsample plan needed; None under ``rit``) and ``warnings``: plan
     redraws (once, under every null), the auto fallback, the
     high-dimensional condition ratio, and a budgeted statistic.  The
-    first-order null adds ``zetas`` (None for the control block under
-    ``rit``).
+    first-order null adds ``zetas``, one per class, control first.
 
     Random streams derived from ``seed``: ``(seed, 1)`` the subsample
     plan (under every null), ``(seed, 2, c)`` permutation chunk c, and
@@ -151,30 +151,23 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
         )
         out = pvalue_asymptotic_highdim(stat, xi02)
     else:
-        # one zeta per block (the control block only enters under bit)
-        zetas = [
-            estimate_zeta1k(
-                data, kernel, k, method.budget,
-                spawn_seed(seed, 7, k) if k > 1 else spawn_seed(seed, 6 - k),
-                basis=method.xi_basis,
-            )
-            if k or s is not None
-            else None
-            for k in range(data.n_classes)
-        ]
+        # one zeta per class; the controls enter at ratio s, or n0/n1
         try:
+            zetas = [estimate_zeta1k(data, kernel, k, method.budget,
+                                     spawn_seed(seed, 7, k) if k > 1
+                                     else spawn_seed(seed, 6 - k), basis=method.xi_basis)
+                     for k in range(data.n_classes)]
             var = multi_asymptotic_variance(
-                MultiClassSpec.from_grouped(data, kernel.block_orders), zetas, s=s
+                MultiClassSpec.from_grouped(data, kernel.block_orders), zetas,
+                s=s or data.counts[0] / data.counts[1],
             )
-        except DegenerateDataError:
+        except DegenerateDataError as exc:
             if method.inference != "auto":
                 raise
-            # fully separated data degenerates the plug-in variance;
-            # the permutation null still applies
-            warnings.append(
-                "projection-variance estimate is zero; fell back to the "
-                "permutation test"
-            )
+            # too few rows for a zeta, or fully separated data that zeroes
+            # them; the permutation null still applies
+            warnings.append(f"no projection-variance estimate ({exc}); fell back "
+                            "to the permutation test")
             out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
             return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
         out = pvalue_asymptotic_first(stat, var)

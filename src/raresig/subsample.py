@@ -3,8 +3,9 @@ rules for choosing the sampling ratio.
 
 Keeping every case and an expected ``s * n1`` Bernoulli-thinned subset
 of the controls preserves the convergence behaviour of the full-sample
-statistic at a fraction of the cost; the price is an extra
-``m0^2 * xi10 / s`` term in the asymptotic variance.
+statistic at a fraction of the cost; the price is a control term
+``m0^2 * xi10 / s`` in the asymptotic variance (the full sample's s is
+n0 / n1).
 :func:`compute_bit` is the one subsampled statistic, for binary and
 multi-class kernels alike; a test draws its plan once and every null
 reads the same kept rows.  The three ``select_s_*`` rules bound,
@@ -23,7 +24,8 @@ from .data import GroupedSample
 from .engine import RitStatistic, _check_sizes, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
-from .multiclass import _STD_NORMAL, _check_finite, _normal_ppf
+from .multiclass import (_STD_NORMAL, MultiClassSpec, _check_finite, _normal_ppf,
+                         multi_asymptotic_variance)
 from .rng import spawn_rng, spawn_seed
 
 __all__ = [
@@ -193,6 +195,14 @@ def _check_rule_inputs(n1: int, xi01: float, xi10: float, mu0: float,
             raise ValidationError(f"{name} must lie in (0, 1)")
 
 
+def _variance_parts(m0: int, m1: int, xi01: float, xi10: float) -> tuple:
+    """``(m1^2 xi01, m0^2 xi10)``: the K = 1 :func:`multi_asymptotic_variance`
+    at s = None, and its growth at s = 1."""
+    spec, zetas = MultiClassSpec(1, (m0, m1), (1.0,)), [xi10, xi01]
+    full = multi_asymptotic_variance(spec, zetas)
+    return full, multi_asymptotic_variance(spec, zetas, s=1) - full
+
+
 def select_s_power_floor(
     n1: int,
     m0: int,
@@ -211,12 +221,13 @@ def select_s_power_floor(
     """
     _check_rule_inputs(n1, xi01, xi10, mu0, alpha=alpha, beta=beta)
     d = _normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta)
-    denom = n1 * mu0 * mu0 / (d * d) - m1 * m1 * xi01
+    full, control = _variance_parts(m0, m1, xi01, xi10)
+    denom = n1 * mu0 * mu0 / (d * d) - full
     if denom <= 0:
         raise ValidationError(
             f"infeasible: target power {beta} unreachable at n1 = {n1}"
         )
-    return _clamp_s(m0 * m0 * xi10 / denom)
+    return _clamp_s(control / denom)
 
 
 def select_s_power_gap(
@@ -235,10 +246,7 @@ def select_s_power_gap(
     if not 0 < epsilon < math.inf:
         raise ValidationError("epsilon must be positive and finite")
     mu = abs(mu0)
-    phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2)
-                               - mu * math.sqrt(n1 / (m1 * m1 * xi01)))
-    bound = (
-        math.sqrt(n1) * m0 * m0 * mu * xi10 * phi_term
-        / (2.0 * epsilon * m1**3 * xi01**1.5)
-    )
-    return _clamp_s(bound)
+    full, control = _variance_parts(m0, m1, xi01, xi10)
+    phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2) - mu * math.sqrt(n1 / full))
+    return _clamp_s(math.sqrt(n1) * control * mu * phi_term
+                    / (2.0 * epsilon * full**1.5))

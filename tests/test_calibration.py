@@ -67,6 +67,22 @@ def test_size_control_multiclass_unequal_rare_classes(mode, s, basis):
     assert 0.03 <= rejected / m <= 0.07
 
 
+@pytest.mark.parametrize("basis", ["cases", "controls"])
+def test_size_control_multiclass_full_sample_at_a_finite_ratio(basis):
+    # criterion 9's K = 2 null and band at n0 = 5 n1, where the controls'
+    # term m_0^2 zeta_0 n1 / n0 (zeta_0 = K^2 / 3) is a third of the variance
+    labels = np.concatenate([np.zeros(1_000, np.int64), np.ones(200, np.int64),
+                             np.full(200, 2, np.int64)])
+    method = MethodConfig(kernel="multi_kendall", mode="rit", inference="asymptotic",
+                          xi_basis=basis)
+    m = 1000
+    rejected = 0
+    for rep in range(m):
+        x = spawn_rng(12, rep).standard_normal((labels.size, 1))
+        rejected += run_test(LabeledSample(x, labels), method, rep).p_value <= 0.05
+    assert 0.03 <= rejected / m <= 0.07
+
+
 def test_size_control_subsampled_pairwise_permutation():
     scenario = ScenarioSpec("second_order_eg1", n=1_050, n1=50, p=50, M=600, seed=23)
     method = MethodConfig(kernel="dcov", mode="bit", s=10,
@@ -100,3 +116,20 @@ def test_size_control_subsampled_pairwise_highdim(kernel):
         size = float((p <= 0.05).mean())
         assert 0.02 <= size <= 0.09, (s, size)
         assert ks < 0.08, (s, ks)
+
+
+@pytest.mark.parametrize("kernel", ["dcov", "ipcov"])
+def test_size_control_full_sample_pairwise_highdim(kernel):
+    # criterion 6(a)'s band and KS bound under RIT at n0/n1 = 20, whose
+    # variance 2 xi02 (1 + n1/n0)^2 keeps the controls' terms
+    null = ScenarioSpec("second_order_eg1", n=1_050, n1=50, p=50, M=400, seed=31).null()
+    method = MethodConfig(kernel=kernel, mode="rit", inference="highdim")
+    p = np.array([run_test(generate(null, rep), method, rep).p_value
+                  for rep in range(null.M)])
+    grid = np.arange(1, null.M + 1) / null.M
+    sorted_p = np.sort(p)
+    ks = max(float(np.abs(grid - sorted_p).max()),
+             float(np.abs(sorted_p - (grid - 1 / null.M)).max()))
+    size = float((p <= 0.05).mean())
+    assert 0.02 <= size <= 0.09, size
+    assert ks < 0.08, ks

@@ -323,6 +323,23 @@ def test_run_test_auto_falls_back_to_permutation(separated_csv, capsys):
     assert any("fell back" in w for w in result["warnings"])
 
 
+@pytest.mark.parametrize("kernel", ["kendall", "multi-kendall"])
+def test_run_test_auto_falls_back_without_a_second_case(kernel, tmp_path, capsys):
+    # one case leaves no case-side projection variance to estimate
+    rng = np.random.default_rng(8)
+    rows = [[f"{v:.6f}", 0] for v in rng.standard_normal(100)] + [["0.5", 1]]
+    path = _write_csv(tmp_path / "one.csv", ["x", "label"], rows)
+    argv = ["--input", path, "--kernel", kernel, "--B", "99", "--seed", "3"]
+    perm = _test_json(capsys, *argv, "--inference", "permutation")
+    result = _test_json(capsys, *argv)
+    assert result["method"] == "permutation"
+    assert result["p_value"] == perm["p_value"]
+    assert any("need at least two class-1 points" in w and "fell back" in w
+               for w in result["warnings"])
+    assert main(["test", *argv, "--inference", "asymptotic"]) == 3
+    assert "need at least two class-1 points" in capsys.readouterr().err
+
+
 def test_run_test_bit_and_standardize(tmp_path, capsys):
     rng = np.random.default_rng(5)
     rows = [[f"{v:.6f}", 0] for v in rng.standard_normal(400) * 3 + 1]

@@ -218,6 +218,28 @@ def test_imbalanced_kendall_normal_closed_forms():
     assert abs(xi10 - xi10_true) < 0.05
 
 
+def test_imbalanced_kendall_projection_reads_one_sorted_draw():
+    rng = np.random.default_rng(12)
+    spec = imbalanced_kendall_kernel(2)
+    # C(12, 2) = 66 <= budget: the case block averages every control pair
+    g = _two_class(rng.standard_normal((12, 1)), rng.standard_normal((5, 1)))
+    x0, pts = g.group(0)[:, 0], rng.standard_normal((9, 1))
+    pair_means = [(x0[i] + x0[j]) / 2 for i in range(12) for j in range(i)]
+    brute = [np.mean([kernel_imbalanced_kendall([mu], v) for mu in pair_means])
+             for v in pts[:, 0]]
+    assert_allclose(block_projection(g, spec, 1, pts, 100, spawn_rng(0)), brute,
+                    atol=1e-15)
+    # budgeted blocks: every point is read against the same `budget` draws,
+    # so a prefix of the points projects as it does alone
+    g = _two_class(rng.standard_normal((300, 1)), rng.standard_normal((40, 1)))
+    pts = rng.standard_normal((1000, 1))
+    for k in (0, 1):
+        vals = block_projection(g, spec, k, pts, 50, spawn_rng(1, k))
+        assert_allclose(vals * 50, np.round(vals * 50), atol=1e-12)
+        assert_allclose(block_projection(g, spec, k, pts[:7], 50, spawn_rng(1, k)),
+                        vals[:7], atol=0)
+
+
 def test_dcov_first_order_degeneracy():
     # the one-case projection of the distance kernel is degenerate: its
     # values across case points stay near zero while the sign kernel's

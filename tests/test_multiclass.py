@@ -151,7 +151,7 @@ def test_variance_formula_reference_values():
                         expected, rtol=1e-11)
         assert_allclose(multi_asymptotic_variance(wide, [4 / 3, 1 / 3, 1 / 3], s=5),
                         expected + 4 / 15, rtol=1e-11)
-    for s in (0, -2):
+    for s in (0, -2, math.nan, math.inf):
         with pytest.raises(ValidationError, match="s must be positive"):
             multi_asymptotic_variance(spec, [1 / 3, 1 / 3, 1 / 3], s=s)
     for zetas, s in (([None, 1 / 3, -1.0], None), ([-1.0, 1 / 3, 1 / 3], 5)):
@@ -248,7 +248,8 @@ def test_one_variance_formula_at_every_ratio():
                                   inference="asymptotic")
             out = run_test(sample, method, 11)
             z = out.metadata["zetas"]
-            expected = z[1] + z[2] / (n2 / 40) + (z[0] / s if s else 0.0)
+            # the full sample takes the controls at ratio n0/n1 = 50
+            expected = z[1] + z[2] / (n2 / 40) + z[0] / (s or 50)
             assert_allclose(out.variance_estimate, expected, rtol=1e-14)
     # the last sample, at (2000, 40, 400), under BIT's statistic and
     # permutation null

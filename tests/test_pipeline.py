@@ -4,11 +4,14 @@ import itertools
 import json
 import math
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raresig import LabeledSample, ValidationError, group_by_label
 from raresig import _accel, data, pipeline, subsample
@@ -150,7 +153,7 @@ def test_multiclass_pvalue_stays_positive():
     assert 0 < p <= 1
 
 
-def test_control_zeta_only_under_subsampling(monkeypatch):
+def test_every_zeta_under_both_methods(monkeypatch):
     seen = []
     original = pipeline.estimate_zeta1k
 
@@ -161,10 +164,26 @@ def test_control_zeta_only_under_subsampling(monkeypatch):
     monkeypatch.setattr(pipeline, "estimate_zeta1k", spy)
     sample = _sample("three")
     run_test(sample, MethodConfig(kernel="multi_kendall"), SEED)
-    assert seen == [1, 2]
+    assert seen == [0, 1, 2]
     seen.clear()
     run_test(sample, MethodConfig(kernel="multi_kendall", mode="bit", s=3), SEED)
     assert seen == [0, 1, 2]
+
+
+def test_imbalanced_kendall_zetas_at_every_control_cost_one_sorted_draw():
+    # the controls basis projects all 199,800 controls: against one sorted
+    # array of `budget` draws (`budget` draws per point took ~22 s on a
+    # 2-vCPU host)
+    rng = np.random.default_rng(13)
+    labels = np.zeros(200_000, np.int64)
+    labels[:200] = 1
+    sample = LabeledSample(rng.standard_normal((labels.size, 1)), labels)
+    method = MethodConfig(kernel="imbalanced_kendall", kernel_params={"m": 2},
+                          inference="asymptotic", xi_basis="controls")
+    t0 = time.process_time()
+    out = run_test(sample, method, SEED)
+    assert time.process_time() - t0 < 1.0
+    assert 0 < out.p_value <= 1 and len(out.metadata["zetas"]) == 2
 
 
 def test_highdim_builds_the_pair_projection_once(monkeypatch):
@@ -201,8 +220,9 @@ def test_highdim_builds_the_pair_projection_once(monkeypatch):
         xi02 = estimate_xi02(data, kernel)
         assert out.metadata["xi02"] == xi02
         assert within == [] and len(cross) == 1
-        # Var(n1 T) = 2 xi02 (1 + 1/s)^2 under the H0 identities
-        factor = (1 + 1 / s) ** 2 if s else 1.0
+        # Var(n1 T) = 2 xi02 (1 + 1/s)^2 under the H0 identities, the
+        # full sample at s = n0/n1
+        factor = (1 + 1 / (s or grouped.counts[0] / grouped.counts[1])) ** 2
         assert out.variance_estimate == pytest.approx(2 * xi02 * factor, rel=1e-14)
         ratio = condition_diagnostic(data, kernel)
         assert out.metadata["warnings"][-1] == (
@@ -211,6 +231,34 @@ def test_highdim_builds_the_pair_projection_once(monkeypatch):
         )
     out = run_test(sample, MethodConfig(kernel="dcov", inference="highdim"), SEED)
     assert len(out.metadata["warnings"]) == 1
+
+
+@pytest.mark.parametrize("kernel,params,inference", [
+    ("pearson", {}, "asymptotic"),
+    ("kendall", {}, "asymptotic"),
+    ("imbalanced_kendall", {"m": 2}, "asymptotic"),
+    ("multi_kendall", {}, "asymptotic"),
+    ("dcov", {}, "highdim"),
+    ("ipcov", {}, "highdim"),
+])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.sampled_from((20, 50)),
+       s=st.sampled_from((2, 10)))
+def test_rit_is_bit_when_every_control_is_kept(kernel, params, inference, seed, n1, s):
+    # at n0 = s n1 the plan keeps every control, so the boosted test is
+    # the full-sample one: same statistic, variance and p-value, bit for bit
+    rng = np.random.default_rng(seed)
+    counts = (s * n1, n1) + ((n1 + 7,) if kernel == "multi_kendall" else ())
+    labels = np.concatenate([np.full(c, k, np.int64) for k, c in enumerate(counts)])
+    p = 5 if inference == "highdim" else 1
+    sample = LabeledSample(rng.standard_normal((labels.size, p)), labels)
+    rit, bit = (run_test(sample, MethodConfig(kernel=kernel, mode=mode, s=ratio,
+                                              inference=inference,
+                                              kernel_params=params), seed)
+                for mode, ratio in (("rit", None), ("bit", s)))
+    assert bit.metadata["plan_attempts"] == 1
+    assert (rit.statistic, rit.variance_estimate, rit.p_value) == (
+        bit.statistic, bit.variance_estimate, bit.p_value)
 
 
 @pytest.mark.parametrize("kernel,inference", [
