@@ -44,7 +44,11 @@ IMBALANCED_BUDGET = 100_000
 
 @dataclass(frozen=True, eq=False)
 class RitStatistic:
-    """A computed rescaled statistic with its evaluation context."""
+    """A computed rescaled statistic with its evaluation context.
+
+    ``meta["s"]`` is the control ratio of the normal nulls: the sampling
+    ratio of a subsampled statistic, else n0/n1, as the full sample
+    keeps every control."""
 
     value: float
     kernel: KernelSpec
@@ -56,6 +60,7 @@ class RitStatistic:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ValidationError("statistic is not finite")
+        object.__setattr__(self, "meta", {"s": self.n0 / self.n1, **self.meta})
 
 
 def _check_sizes(data: GroupedSample, spec: KernelSpec) -> None:

@@ -216,14 +216,12 @@ def _highdim_variance(orders: tuple, xi02: float, s: int | None) -> float:
 
 def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
     """Two-sided normal p-value for n1 * T, whose variance is
-    :func:`_highdim_variance` at the statistic's control ratio: the
-    sampling ratio ``stat.meta["s"]`` of a subsampled statistic, else
-    n0/n1.  Valid when the dimension grows with the sample; the caller
-    asserts that (see :func:`condition_diagnostic`)."""
+    :func:`_highdim_variance` at the statistic's control ratio
+    ``stat.meta["s"]``.  Valid when the dimension grows with the sample;
+    the caller asserts that (see :func:`condition_diagnostic`)."""
     if stat.kernel.order != "second":
         raise ValidationError("asymptotic_highdim applies to second-order kernels only")
-    s = stat.meta.get("s") or stat.n0 / stat.n1
-    variance = _highdim_variance(stat.kernel.block_orders, xi02, s)
+    variance = _highdim_variance(stat.kernel.block_orders, xi02, stat.meta["s"])
     return _normal_outcome(stat, stat.n1 * stat.value, variance, "asymptotic_highdim",
                            xi02=xi02)
 
@@ -411,15 +409,14 @@ def power_first_order(mu0: float, n1: int, m0: int, m1: int, xi01: float, alpha:
     return _two_sided_power(mu0 / math.sqrt(var), alpha)
 
 
-def power_highdim(mu0: float, n1: int, m1: int, xi02: float, alpha: float,
-                  s: float | None = None) -> float:
+def power_highdim(mu0: float, n1: int, m1: int, xi02: float, alpha: float) -> float:
     """Two-sided power of the high-dimensional second-order test, whose
-    null sd is that of :func:`pvalue_asymptotic_highdim` (m0 = m1), the
-    shift entering at rate n1.  ``s`` is as in :func:`power_first_order`."""
+    null sd is that of :func:`pvalue_asymptotic_highdim` (m0 = m1) in
+    the limit n1/n0 -> 0, the shift entering at rate n1."""
     _check_finite(mu0=mu0)
     if xi02 <= 0 or m1 < 2 or n1 < m1:
         raise ValidationError("need xi02 > 0, m1 >= 2 and n1 >= m1")
-    sd = math.sqrt(_highdim_variance((m1, m1), xi02, s))
+    sd = math.sqrt(_highdim_variance((m1, m1), xi02, None))
     return _two_sided_power(mu0 * n1 / sd, alpha)
 
 

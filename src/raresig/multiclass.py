@@ -133,9 +133,7 @@ def multi_asymptotic_variance(
     if len(zetas) != spec.n_rare + 1:
         raise ValidationError("need one zeta per class (control first)")
     _check_variance_inputs(s, zetas)
-    m, rare = spec.block_orders, zetas[1:]
-    total = math.fsum(m[k] ** 2 * rare[k - 1] / spec.ratios[k - 1]
-                      for k in range(1, spec.n_rare + 1))
+    total, control = _variance_parts(spec, zetas)
     if total <= 0:
         raise DegenerateDataError(
             "degenerate: all first-order projection variances vanish; "
@@ -143,10 +141,20 @@ def multi_asymptotic_variance(
             "permutation for testing"
         )
     if s is not None:
-        if zetas[0] is None:
+        if control is None:
             raise ValidationError("the control term (ratio s) needs zeta_0 (xi10)")
-        total += m[0] ** 2 * zetas[0] / s
+        total += control / s
     return float(total)
+
+
+def _variance_parts(spec: MultiClassSpec, zetas: list) -> tuple:
+    """The two parts of :func:`multi_asymptotic_variance`: the rare sum
+    sum_k m_k^2 zeta_k / r_k and the control part times s,
+    m_0^2 zeta_0 (None without zeta_0)."""
+    m = spec.block_orders
+    rare = math.fsum(m[k] ** 2 * zetas[k] / spec.ratios[k - 1]
+                     for k in range(1, spec.n_rare + 1))
+    return rare, None if zetas[0] is None else m[0] ** 2 * zetas[0]
 
 
 def multi_second_order_variance(

@@ -159,7 +159,7 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
                      for k in range(data.n_classes)]
             var = multi_asymptotic_variance(
                 MultiClassSpec.from_grouped(data, kernel.block_orders), zetas,
-                s=s or data.counts[0] / data.counts[1],
+                s=stat.meta["s"],
             )
         except DegenerateDataError as exc:
             if method.inference != "auto":

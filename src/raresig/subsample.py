@@ -25,7 +25,7 @@ from .engine import RitStatistic, _check_sizes, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
 from .multiclass import (_STD_NORMAL, MultiClassSpec, _check_finite, _normal_ppf,
-                         multi_asymptotic_variance)
+                         _variance_parts)
 from .rng import spawn_rng, spawn_seed
 
 __all__ = [
@@ -195,14 +195,6 @@ def _check_rule_inputs(n1: int, xi01: float, xi10: float, mu0: float,
             raise ValidationError(f"{name} must lie in (0, 1)")
 
 
-def _variance_parts(m0: int, m1: int, xi01: float, xi10: float) -> tuple:
-    """``(m1^2 xi01, m0^2 xi10)``: the K = 1 :func:`multi_asymptotic_variance`
-    at s = None, and its growth at s = 1."""
-    spec, zetas = MultiClassSpec(1, (m0, m1), (1.0,)), [xi10, xi01]
-    full = multi_asymptotic_variance(spec, zetas)
-    return full, multi_asymptotic_variance(spec, zetas, s=1) - full
-
-
 def select_s_power_floor(
     n1: int,
     m0: int,
@@ -221,7 +213,7 @@ def select_s_power_floor(
     """
     _check_rule_inputs(n1, xi01, xi10, mu0, alpha=alpha, beta=beta)
     d = _normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta)
-    full, control = _variance_parts(m0, m1, xi01, xi10)
+    full, control = _variance_parts(MultiClassSpec(1, (m0, m1), (1.0,)), [xi10, xi01])
     denom = n1 * mu0 * mu0 / (d * d) - full
     if denom <= 0:
         raise ValidationError(
@@ -246,7 +238,7 @@ def select_s_power_gap(
     if not 0 < epsilon < math.inf:
         raise ValidationError("epsilon must be positive and finite")
     mu = abs(mu0)
-    full, control = _variance_parts(m0, m1, xi01, xi10)
+    full, control = _variance_parts(MultiClassSpec(1, (m0, m1), (1.0,)), [xi10, xi01])
     phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2) - mu * math.sqrt(n1 / full))
     return _clamp_s(math.sqrt(n1) * control * mu * phi_term
                     / (2.0 * epsilon * full**1.5))

@@ -689,21 +689,16 @@ def test_power_highdim_reference_points():
 @pytest.mark.parametrize("alpha", [0.05, 0.01])
 def test_power_highdim_uses_the_pvalue_sd(alpha):
     # at the shift whose highdim p-value is exactly alpha the standardized
-    # shift is z = ppf(1 - alpha/2), so the power is 0.5 + cdf(-2 z); the
-    # full-sample test at n0 = 1000 has the control ratio s = n0/n1 = 10
+    # shift is z = ppf(1 - alpha/2), so the power is 0.5 + cdf(-2 z).  The
+    # power takes the p-value's sd in the limit n1/n0 -> 0; at n0 = 1000
+    # the p-value's sd carries the factor 1 + n1/n0 = 1.1
     n1, xi02 = 100, 0.7
     z = norm.ppf(1 - alpha / 2)
-    mu0 = z * math.sqrt(2 * xi02) * (1 + 1 / 10) / n1
-    stat = _stat(mu0, dcov_kernel(), 1000, n1)
+    mu0 = z * math.sqrt(2 * xi02) / n1
+    stat = _stat(1.1 * mu0, dcov_kernel(), 1000, n1)
     assert_allclose(pvalue_asymptotic_highdim(stat, xi02).p_value, alpha, rtol=1e-9)
-    assert_allclose(power_highdim(mu0, n1, 2, xi02, alpha, s=10),
-                    0.5 + norm.cdf(-2 * z), rtol=1e-12)
-    # the rare limit s = None drops the control term
-    assert power_highdim(mu0, n1, 2, xi02, alpha) > power_highdim(
-        mu0, n1, 2, xi02, alpha, s=10)
-    for s in (0.0, math.nan):
-        with pytest.raises(ValidationError, match="positive and finite"):
-            power_highdim(mu0, n1, 2, xi02, alpha, s=s)
+    assert_allclose(power_highdim(mu0, n1, 2, xi02, alpha), 0.5 + norm.cdf(-2 * z),
+                    rtol=1e-12)
 
 
 @pytest.mark.parametrize("call", [

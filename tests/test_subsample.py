@@ -22,6 +22,7 @@ from raresig import (
     select_s_power_gap,
     select_s_variance,
 )
+from raresig.multiclass import MultiClassSpec, _variance_parts
 
 
 def _grouped(n0, n1, rng, p=1):
@@ -93,6 +94,8 @@ def test_full_inclusion_identity():
         t = compute_rit(g, kernel)
         ts = compute_bit(g, kernel, plan)
         assert ts.value == t.value
+        # the full sample's control ratio n0/n1 is the kept plan's s
+        assert t.meta["s"] == ts.meta["s"] == 4
 
 
 def test_manual_plan_matches_direct_enumeration():
@@ -212,6 +215,14 @@ def test_select_s_power_gap_against_numeric_inversion():
     # first-order expansion: allow one step of slack around the inversion
     assert abs(s_formula - s_exact) <= 2
     assert gap(s_formula) <= 1.5 * eps
+
+
+def test_power_rules_read_the_variance_parts_without_rounding():
+    # the rules' m1^2 xi01 and m0^2 xi10 are the two parts of the K = 1
+    # first-order variance, exact even when xi10 is tiny next to xi01
+    spec = MultiClassSpec(1, (2, 1), (1.0,))
+    for xi10 in (0.0, 1e-18, 1 / 3, 7.0):
+        assert _variance_parts(spec, [xi10, 1 / 3]) == (1 / 3, 4 * xi10)
 
 
 def test_select_s_monotonicity():
