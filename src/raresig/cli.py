@@ -536,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--alpha", type=float, default=0.05)
     fo.add_argument("--m0", type=int, default=1)
     fo.add_argument("--xi01", type=float, required=True)
-    fo.add_argument("--s", type=int)
+    fo.add_argument("--s", type=float)
     fo.add_argument("--xi10", type=float)
     hd.add_argument("--xi02", type=float, required=True)
     lt = pw_sub.add_parser("local-threshold")

@@ -3,11 +3,15 @@
 ``compute_rit`` evaluates the combinatorial average of a kernel over
 all per-class index combinations, for one control class and any number
 K of rare classes (the binary test is K = 1), through the cheapest exact
-route: group means for the difference kernel (O(n)), order statistics
-for the sign kernel (O(n log n), one sign statistic per rare class),
-enumeration or a documented budgeted subsample for the sign kernel
-against m >= 2 control means, and pairwise distance/angle sums for the
-second-order kernels (O(p n^2), streaming memory).
+route: group means for the difference kernel (O(n)), each rare point's
+sign counts against one sorted reference for both sign kernels, and
+pairwise distance/angle sums for the second-order kernels (O(p n^2),
+streaming memory).  The reference (:func:`_sign_reference`) is the
+sorted controls (O(n log n)), or for the sign against m >= 2 control
+means, the sorted means of m-control tuples under one rule: every tuple
+when they number at most a cap, else ``cap`` random ones (O(cap m)
+memory, O((cap + n1) log cap) time).  The rare-block projection of
+:func:`raresig.multiclass.block_projection` reads the same reference.
 ``compute_rit_bruteforce`` is the literal definition and serves as the
 oracle in tests; a ``custom`` kernel always takes it.
 ``_pooled_statistic`` evaluates a kernel's statistic on a chunk of case
@@ -38,7 +42,6 @@ from .rng import spawn_rng
 __all__ = ["RitStatistic", "compute_rit", "compute_rit_bruteforce", "compute_classical"]
 
 BRUTE_FORCE_GUARD = 10_000_000
-IMBALANCED_EXACT_GUARD = 10_000_000
 IMBALANCED_BUDGET = 100_000
 
 
@@ -86,14 +89,6 @@ def sign_counts(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return less - greater
 
 
-def kendall_cross_mean(data: GroupedSample, k: int) -> float:
-    """Mean of sgn(x - control) over every class-k row x and every
-    control (ties count 0)."""
-    ctrl = data.sorted_column(0)
-    cs = data.group(k)[:, 0]
-    return float(sign_counts(ctrl, cs).sum(dtype=np.int64)) / (ctrl.size * cs.size)
-
-
 def _distinct_tuples(rng, n: int, m: int, count: int) -> np.ndarray:
     """``count`` random m-subsets of range(n), distinct within each row."""
     out = rng.integers(0, n, size=(count, m))
@@ -108,25 +103,28 @@ def _distinct_tuples(rng, n: int, m: int, count: int) -> np.ndarray:
     return out
 
 
-def _imbalanced_kendall(data: GroupedSample, spec: KernelSpec, seed: int):
-    m = spec.params["m"]
-    x0 = data.group(0)[:, 0]
-    x1 = data.group(1)[:, 0]
-    n0, n1 = x0.size, x1.size
-    exact = math.comb(n0, m) * n1 <= IMBALANCED_EXACT_GUARD
-    if exact and m == 2:
-        iu = np.triu_indices(n0, k=1)
-        means = (x0[iu[0]] + x0[iu[1]]) / 2.0
-    elif exact:
-        means = np.array([x0[list(c)].mean() for c in combinations(range(n0), m)])
+def _sign_reference(data: GroupedSample, kernel: KernelSpec, cap: int, rng) -> np.ndarray:
+    """The sorted array a rare point's sign counts are read against, for
+    the statistic and the rare-block projection of both sign kernels:
+    the controls for ``rescaled_kendall``; for ``imbalanced_kendall`` the
+    means of every m-control tuple when they number at most ``cap``,
+    else of ``cap`` random tuples drawn from ``rng``."""
+    if kernel.kind == "rescaled_kendall":
+        return data.sorted_column(0)
+    m, x0 = kernel.params["m"], data.group(0)[:, 0]
+    count = math.comb(x0.size, m)
+    if count <= cap:
+        # every m-subset, each prefix extended by every larger index that
+        # leaves room for the rest: O(cap m) memory
+        idx = np.arange(x0.size - m + 1)[:, None]
+        for k in range(1, m):
+            i, j = np.nonzero(idx[:, -1:] < np.arange(x0.size - m + k + 1))
+            idx = np.column_stack([idx[i], j])
     else:
-        idx = _distinct_tuples(spawn_rng(seed), n0, m, IMBALANCED_BUDGET)
-        means = x0[idx].mean(axis=1)
-    means.sort()
-    value = float(sign_counts(means, x1).sum(dtype=np.int64)) / (means.size * n1)
-    if exact:
-        return value, "exact-enumeration", {}
-    return value, "budgeted-subsample", {"budgeted": True, "budget": IMBALANCED_BUDGET}
+        idx = _distinct_tuples(rng, x0.size, m, cap)
+    ref = x0[idx].mean(axis=1)
+    ref.sort()
+    return ref
 
 
 def _rit_from_sums(n0: int, n1: int, s00: float, s01: float, s11: float) -> float:
@@ -234,9 +232,12 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
     """Exact rescaled statistic of any kernel, at any number of rare
     classes, via the fastest path for the kernel.
 
-    ``seed`` only matters for the budgeted path of ``imbalanced_kendall``
-    (taken when exact enumeration would exceed the combination guard);
-    that path is flagged in ``meta['budgeted']``.  The pairwise path keeps
+    Both sign kernels count each rare point's signs against one sorted
+    reference (:func:`_sign_reference`); ``imbalanced_kendall`` enumerates
+    its m-control tuples when they number at most ``IMBALANCED_BUDGET``,
+    else reads that many tuples drawn from ``spawn_rng(seed)``, a
+    budgeted path flagged in ``meta['budgeted']``.  ``seed`` matters to
+    no other path.  The pairwise path keeps
     ``meta['s00']`` and each case's sum to the controls,
     ``meta['case_rowsums']``, for the high-dimensional null.  A
     ``custom`` kernel is enumerated (:func:`compute_rit_bruteforce`).
@@ -251,11 +252,17 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         centre = x0.mean()
         value = float((x1 - centre).mean() - (x0 - centre).mean())
         algorithm = "group-means"
-    elif kernel.kind == "rescaled_kendall":
-        value = math.fsum(kendall_cross_mean(data, k) for k in range(1, data.n_classes))
-        algorithm = "sort-count"
-    elif kernel.kind == "imbalanced_kendall":
-        value, algorithm, meta = _imbalanced_kendall(data, kernel, seed)
+    elif kernel.kind in ("rescaled_kendall", "imbalanced_kendall"):
+        ref = _sign_reference(data, kernel, IMBALANCED_BUDGET, spawn_rng(seed))
+        value = math.fsum(
+            float(sign_counts(ref, data.group(k)[:, 0]).sum(dtype=np.int64))
+            / (ref.size * data.counts[k]) for k in range(1, data.n_classes)
+        )
+        if ref.size < math.comb(n0, kernel.m0):
+            algorithm = "budgeted-subsample"
+            meta = {"budgeted": True, "budget": IMBALANCED_BUDGET}
+        else:
+            algorithm = "sort-count" if kernel.m0 == 1 else "exact-enumeration"
     elif kernel.kind in SECOND_ORDER_KINDS:
         x0, x1 = data.group(0), data.group(1)
         s00 = 2.0 * _accel.within_sum(kernel, x0)

@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import GroupedSample
-from .engine import _check_sizes, _distinct_tuples, sign_counts
+from .engine import _check_sizes, _distinct_tuples, _sign_reference, sign_counts
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec, evaluate
 from .rng import spawn_rng
@@ -216,14 +216,19 @@ def block_projection(
     1948) at each row of ``points``: one block-k slot is fixed at the
     point and the kernel is averaged over every other slot.
 
-    The difference kernel and the sign kernel, at any number of rare
-    classes, have closed forms (at a rare block the other rare classes
-    only add a constant, which is left out, since only the variance over
-    points is used).  ``imbalanced_kendall``, whose blocks hold m >= 2
-    controls, reads every point against one sorted array of at most
-    ``budget`` draws (:func:`_imbalanced_kendall_projection`).  Any
-    other kernel averages ``budget`` Monte Carlo tuples per point, each
-    slot filled with distinct rows of its own class.
+    The difference kernel has a closed form.  At a rare block both sign
+    kernels read every point against the statistic's sorted reference at
+    cap ``budget`` (:func:`raresig.engine._sign_reference`: the
+    controls, or the means of every m-control tuple when they number at
+    most ``budget``, else of ``budget`` tuples drawn from ``rng``); the
+    other rare classes only add a constant, which is left out, since only
+    the variance over points is used.  At the control block the sign
+    kernel sums the signs against each rare class, and
+    ``imbalanced_kendall`` reads every point against ``budget`` sorted
+    draws of m x1 - (sum of m - 1 controls), whose kernel at control x
+    is sgn(draw - x).  Any other kernel averages ``budget`` Monte Carlo
+    tuples per point, each slot filled with distinct rows of its own
+    class.
     """
     _check_sizes(data, kernel)
     if not 0 <= k < data.n_classes:
@@ -235,17 +240,21 @@ def block_projection(
     if kind == "rescaled_pearson":
         pts = points[:, 0]
         return pts - data.group(0)[:, 0].mean() if k else data.group(1)[:, 0].mean() - pts
-    if kind == "rescaled_kendall":
+    if kind in ("rescaled_kendall", "imbalanced_kendall"):
         pts = points[:, 0]
         if k:
-            return sign_counts(data.sorted_column(0), pts) / data.counts[0]
-        return -sum(
-            sign_counts(data.sorted_column(c), pts) / data.counts[c]
-            for c in range(1, data.n_classes)
-        )
-    if kind == "imbalanced_kendall":
-        return _imbalanced_kendall_projection(data, kernel.params["m"], k, points,
-                                              budget, rng)
+            ref = _sign_reference(data, kernel, budget, rng)
+            return sign_counts(ref, pts) / ref.size
+        if kind == "rescaled_kendall":
+            return -sum(
+                sign_counts(data.sorted_column(c), pts) / data.counts[c]
+                for c in range(1, data.n_classes)
+            )
+        m, x0, x1 = kernel.params["m"], data.group(0)[:, 0], data.group(1)[:, 0]
+        ref = (m * x1[rng.integers(0, x1.size, size=budget)]
+               - x0[_distinct_tuples(rng, x0.size, m - 1, budget)].sum(axis=1))
+        ref.sort()
+        return -(sign_counts(ref, pts) / ref.size)
     out = np.empty(points.shape[0])
     for i, point in enumerate(points):
         # draws[c][j]: the class-c rows of tuple j, one fewer in block k
@@ -258,28 +267,6 @@ def block_projection(
         out[i] = math.fsum(evaluate(kernel, [d[j] for d in draws])
                            for j in range(budget)) / budget
     return out
-
-
-def _imbalanced_kendall_projection(
-    data: GroupedSample, m: int, k: int, points: np.ndarray, budget: int, rng
-) -> np.ndarray:
-    """:func:`block_projection` of sgn(x1 - mean of m controls) from the
-    signs of each point against one sorted array, O((budget + points)
-    log budget): the means of ``budget`` m-control tuples (of all, if no
-    more) at the case block; at the control block ``budget`` draws of
-    m x1 - (sum of m - 1 controls), whose kernel at control x is
-    sgn(draw - x)."""
-    x0, x1 = data.group(0)[:, 0], data.group(1)[:, 0]
-    if k and math.comb(x0.size, m) <= budget:
-        ref = np.array([x0[list(c)].mean() for c in combinations(range(x0.size), m)])
-    elif k:
-        ref = x0[_distinct_tuples(rng, x0.size, m, budget)].mean(axis=1)
-    else:
-        ref = (m * x1[rng.integers(0, x1.size, size=budget)]
-               - x0[_distinct_tuples(rng, x0.size, m - 1, budget)].sum(axis=1))
-    ref.sort()
-    signs = sign_counts(ref, points[:, 0]) / ref.size
-    return signs if k else -signs
 
 
 def estimate_zeta1k(
@@ -300,7 +287,10 @@ def estimate_zeta1k(
     estimate.  The control block (k = 0), whose term weighs n1/n0 or
     1/s, is evaluated at ``budget`` controls drawn without replacement
     (all, if no more) before any tuple.  ``budget`` also caps the tuples
-    per point for kernels without a closed projection.  A second-order
+    per point for kernels without a closed projection, and the sorted
+    reference of ``imbalanced_kendall``'s rare block by the rule of
+    :func:`raresig.engine.compute_rit`: every m-control tuple when they
+    number at most ``budget``, else ``budget`` draws.  A second-order
     kernel, whose one-point projections vanish, is refused.
     """
     if kernel.order != "first":

@@ -96,7 +96,9 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     Random streams derived from ``seed``: ``(seed, 1)`` the subsample
     plan (under every null), ``(seed, 2, c)`` permutation chunk c, and
     for zeta_k ``(seed, 5)`` at k = 1, ``(seed, 6)`` at k = 0 and
-    ``(seed, 7, k)`` at k >= 2.
+    ``(seed, 7, k)`` at k >= 2.  A budgeted ``imbalanced-kendall``
+    statistic draws its control tuples from the fixed ``spawn_rng(0)``,
+    which does not follow ``seed``.
 
     The permutation null, chosen or the auto fallback, is
     :func:`raresig.inference.pvalue_permutation`: each chunk of 64

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raresig import DegenerateDataError, RaresigError, ValidationError, _accel, cli
-from raresig.inference import PAIR_PROJECTION_GUARD
+from raresig.inference import PAIR_PROJECTION_GUARD, power_first_order
 from raresig.cli import _emit, ingest_csv, main
 from raresig.pipeline import MethodConfig, run_test
 
@@ -452,6 +452,13 @@ GAP = ["select-s", "power-gap", "--n1", "100", "--xi01", "0.3", "--xi10", "0.3",
        "--mu0", "0.3", "--epsilon", "0.01"]
 FLOOR = [*GAP[:1], "power-floor", *GAP[2:10], "--beta", "0.5"]
 CSV = "<csv>"  # stands for a binary CSV written by the test
+
+
+def test_cli_power_first_order_takes_a_real_ratio(capsys):
+    # the full-sample ratio n0/n1 need not be an integer
+    assert main([*FIRST, "--s", "999.5", "--xi10", "0.3"]) == 0
+    expected = power_first_order(0.1, 100, 1, 1, 0.3, 0.05, s=999.5, xi10=0.3)
+    assert capsys.readouterr().out.strip() == f"{expected:.12g}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,7 @@ def test_bruteforce_guard():
         pytest.param(imbalanced_kendall_kernel(3), 1, 104, id="kernel3-1"),
         pytest.param(dcov_kernel(), 3, 105, id="kernel4-3"),
         pytest.param(ipcov_kernel(0.8), 2, 106, id="kernel5-2"),
+        pytest.param(imbalanced_kendall_kernel(4), 1, 107, id="kernel6-1"),
     ],
 )
 def test_fast_paths_match_bruteforce(kernel, p, seed):
@@ -163,6 +165,25 @@ def test_imbalanced_kendall_budgeted_path_flagged():
     # budgeted value close to the sign statistic's scale, and reproducible
     again = compute_rit(g, imbalanced_kendall_kernel(3), seed=1)
     assert stat.value == again.value
+
+
+def test_imbalanced_kendall_reference_stays_within_the_budget():
+    # 9.7 million control pairs for one case: the statistic draws
+    # IMBALANCED_BUDGET tuples instead of enumerating them
+    rng = np.random.default_rng(10)
+    g = _grouped(rng.standard_normal((4401, 1)), np.r_[np.zeros(4400, np.int64), 1])
+    tracemalloc.start()
+    try:
+        stat = compute_rit(g, imbalanced_kendall_kernel(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stat.algorithm == "budgeted-subsample"
+    assert peak < 16 * 2**20, peak
+    # 1.3 million control triples: more than the budget, so drawn too
+    labels = np.r_[np.zeros(200, np.int64), np.ones(5, np.int64)]
+    g = _grouped(rng.standard_normal((205, 1)), labels)
+    assert compute_rit(g, imbalanced_kendall_kernel(3)).algorithm == "budgeted-subsample"
 
 
 def test_label_swap_negates_first_order_statistics():

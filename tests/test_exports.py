@@ -39,6 +39,10 @@ REMOVED = (
     "SCENARIO_FAMILIES",
     "_gen_logistic_1d",
     "_gen_shift_1d",
+    "kendall_cross_mean",
+    "_imbalanced_kendall",
+    "_imbalanced_kendall_projection",
+    "IMBALANCED_EXACT_GUARD",
 )
 
 
