@@ -5,23 +5,25 @@ integer class labels in ``{0, ..., K}``; class 0 is the majority
 ("control") class and classes 1..K are the rare ("case") classes.
 :func:`group_by_label` partitions the row positions by class and copies
 no row: a :class:`GroupedSample` gathers a class's rows on their first
-read, so a test copies only the rows it reads.
+read, so a test copies only the rows it reads, and sorts a class's first
+feature on its first sorted read.
 
 All containers are frozen and their arrays read-only.  A GroupedSample
-caches the classes it gathers: threads that gather one class at once each
-copy it (same values), so give each thread its own.
+caches the classes it gathers and the columns it sorts: threads that read
+one class at once each copy or sort it (same values), so give each thread
+its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 
 __all__ = [
-    "LabeledSample", "GroupedSample", "group_by_label", "presort", "standardize",
+    "LabeledSample", "GroupedSample", "group_by_label", "standardize",
 ]
 
 
@@ -87,27 +89,18 @@ class LabeledSample:
         """K + 1, where K is the largest label present."""
         return int(self.labels.max()) + 1
 
-    def with_labels(self, labels: np.ndarray) -> "LabeledSample":
-        """Same features under a new label vector (no feature copy)."""
-        out = object.__new__(LabeledSample)
-        y = np.ascontiguousarray(labels, dtype=np.int64)
-        object.__setattr__(out, "features", self.features)
-        object.__setattr__(out, "labels", _freeze(y))
-        return out
-
 
 @dataclass(frozen=True)
 class GroupedSample:
     """Counts and row positions per class over the ``(n, p)`` feature
-    matrix ``source``, whose class-k rows :meth:`group` gathers once."""
+    matrix ``source``, whose class-k rows :meth:`group` gathers once and
+    whose class-k first feature :meth:`sorted_column` sorts once."""
 
     source: np.ndarray = field(repr=False, compare=False)
     counts: tuple
     indices: tuple
-    # every class's first feature, sorted ascending, when :func:`presort`
-    # made this sample for one test
-    sorted_first: tuple | None = field(default=None, repr=False, compare=False)
     _gathered: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _sorted: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.source, np.ndarray) or self.source.ndim != 2:
@@ -140,11 +133,11 @@ class GroupedSample:
         return self._gathered[k]
 
     def sorted_column(self, k: int) -> np.ndarray:
-        """Class k's first feature, sorted ascending: the copy
-        :func:`presort` made, else a fresh sort."""
-        if self.sorted_first is not None:
-            return self.sorted_first[k]
-        return np.sort(self.group(k)[:, 0])
+        """Class k's first feature, sorted ascending, read-only: the sign
+        kernels' statistic and projections in one test share the sort."""
+        if k not in self._sorted:
+            self._sorted[k] = _freeze(np.sort(self.group(k)[:, 0]))
+        return self._sorted[k]
 
     def keep_controls(self, inclusion: np.ndarray) -> GroupedSample:
         """This sample with class 0 cut to the rows the mask ``inclusion``
@@ -177,15 +170,6 @@ def group_by_label(sample: LabeledSample) -> GroupedSample:
             "degenerate partition: need at least one case class besides class 0"
         )
     return GroupedSample(sample.features, tuple(i.size for i in indices), indices)
-
-
-def presort(data: GroupedSample) -> GroupedSample:
-    """``data`` with every class's first feature sorted once, so the
-    sign kernels' statistic and projections in one test share the sorts."""
-    cols = tuple(_freeze(np.sort(g[:, 0])) for g in data.groups)
-    out = replace(data, sorted_first=cols)
-    out._gathered.update(data._gathered)  # the same rows
-    return out
 
 
 def standardize(sample: LabeledSample) -> LabeledSample:

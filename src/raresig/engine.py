@@ -90,16 +90,16 @@ def sign_counts(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _distinct_tuples(rng, n: int, m: int, count: int) -> np.ndarray:
-    """``count`` random m-subsets of range(n), distinct within each row."""
-    out = rng.integers(0, n, size=(count, m))
-    if m > 1:
-        srt = np.sort(out, axis=1)
-        bad = np.flatnonzero((np.diff(srt, axis=1) == 0).any(axis=1))
-        while bad.size:
-            out[bad] = rng.integers(0, n, size=(bad.size, m))
-            srt = np.sort(out[bad], axis=1)
-            still = (np.diff(srt, axis=1) == 0).any(axis=1)
-            bad = bad[still]
+    """``count`` uniform m-subsets of range(n), one a row, by Floyd's
+    algorithm over every row at once: for each top in n - m, ..., n - 1
+    draw t in [0, top] and take top where the row holds t already.  It
+    takes m rounds whatever m / n is; the order within a row is not
+    uniform, which neither a tuple mean nor a kernel symmetric within a
+    block reads."""
+    out = np.empty((count, m), dtype=np.int64)
+    for i, top in enumerate(range(n - m, n)):
+        t = rng.integers(0, top + 1, size=count)
+        out[:, i] = np.where((out[:, :i] == t[:, None]).any(axis=1), top, t)
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .data import GroupedSample, LabeledSample, group_by_label
+from .data import GroupedSample
 from .engine import RitStatistic, _check_sizes, _pooled_statistic, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
@@ -42,7 +42,7 @@ from .multiclass import (
     multi_second_order_variance,
 )
 from .rng import spawn_rng
-from .subsample import _draw_test_plan
+from .subsample import SubsamplePlan, _kept_sample
 
 __all__ = [
     "TestOutcome",
@@ -283,38 +283,41 @@ def _permutation_stats(statistic, labels: np.ndarray, B: int, seed: int) -> np.n
     return stats
 
 
-def _regroup_statistic(pool: LabeledSample, kernel: KernelSpec):
-    """``cases -> statistics`` that relabels the rows of ``pool``, regroups
-    them and recomputes the full-sample statistic, one case set of the
-    chunk at a time: O(n) or more per case set."""
+def _regroup_statistic(x: np.ndarray, kernel: KernelSpec):
+    """``cases -> statistics`` over the rows ``x`` that groups them by
+    each case set of the chunk, the controls being the other rows, and
+    recomputes the full-sample statistic: O(n) or more per case set."""
 
     def statistic(cases: tuple) -> np.ndarray:
-        labels = np.zeros((len(cases[0]), pool.n), dtype=np.int64)
-        for k, idx in enumerate(cases, 1):
-            np.put_along_axis(labels, idx, k, axis=1)
-        return np.array([compute_rit(group_by_label(pool.with_labels(row)), kernel).value
-                         for row in labels])
+        out = []
+        for b in range(len(cases[0])):
+            rare = [idx[b] for idx in cases]
+            indices = (np.setdiff1d(np.arange(x.shape[0]), np.concatenate(rare)), *rare)
+            grouped = GroupedSample(x, tuple(i.size for i in indices), indices)
+            out.append(compute_rit(grouped, kernel).value)
+        return np.array(out)
 
     return statistic
 
 
-def _thinned_pool(
-    sample: LabeledSample, grouped: GroupedSample, kernel: KernelSpec, s: int, seed: int
-) -> tuple:
-    """The plan every null of a subsampled test uses and the rows it
-    keeps, the rare-class rows and the kept controls, in their original
-    order: ``(pool, plan)``."""
-    plan, kept = _draw_test_plan(grouped, kernel, s, seed)
-    rows = np.sort(np.concatenate(kept.indices))
-    return LabeledSample(sample.features[rows], sample.labels[rows]), plan
+def _permutation_pool(data: GroupedSample) -> tuple:
+    """``(x, labels)``: the rows of ``data``, ``source[rows]`` in source
+    order (``source`` itself when every row is kept), and their class
+    labels.  No class is gathered."""
+    rows = np.sort(np.concatenate(data.indices))
+    x = data.source if rows.size == data.source.shape[0] else data.source[rows]
+    labels = np.zeros(rows.size, dtype=np.int64)
+    for k, idx in enumerate(data.indices[1:], 1):
+        labels[np.searchsorted(rows, idx)] = k
+    return x, labels
 
 
 def pvalue_permutation(
-    sample: LabeledSample,
+    data: GroupedSample,
     kernel: KernelSpec,
     B: int = 999,
     seed: int = 0,
-    s: int | None = None,
+    plan: SubsamplePlan | None = None,
 ) -> TestOutcome:
     """Label-permutation p-value with the add-one estimator.
 
@@ -323,16 +326,16 @@ def pvalue_permutation(
     one vectorised draw (see :func:`_permutation_stats`); permuted
     values tying the observed one count toward rejection.
 
-    Under subsampling the test conditions on one thinning plan: the plan
-    ``run_test`` uses under every null (``draw_subsample`` with seed
-    ``spawn_seed(seed, 1)``), whose statistic is the observed one.  The
+    Under subsampling the test conditions on the thinning ``plan``, the
+    one ``run_test`` draws before it picks a null, whose statistic is
+    the observed one (see :func:`raresig.subsample.compute_bit`).  The
     labels are then permuted only within the cases and the kept
     controls, and each value carries the plan's constant
     C(realized, m0) / C(s n1, m0).  The plan depends on the class counts
-    and the seed only, not on the features, so under the null the cases
+    and its seed only, not on the features, so under the null the cases
     and the kept controls are i.i.d. given the plan and their labels are
     exchangeable: the conditional null is exact.  ``metadata
-    ["plan_attempts"]`` is the plan's draw count (None without ``s``).
+    ["plan_attempts"]`` is the plan's draw count (None without a plan).
 
     Most kernels compute one pooled summary of the pool before the loop
     and each chunk of permutations reads only the drawn rows
@@ -348,30 +351,31 @@ def pvalue_permutation(
       n1 x n1 pair blocks of a chunk's case sets in one stacked GEMM,
       O(p n1^2) a permutation.
 
-    ``imbalanced-kendall`` at m >= 2 and ``custom`` kernels relabel,
-    regroup and recompute the statistic per permutation.
+    ``imbalanced-kendall`` at m >= 2 and ``custom`` kernels regroup the
+    rows and recompute the statistic per permutation.
     """
     if B < 19:
         raise ValidationError("need at least 19 permutations")
-    grouped = group_by_label(sample)
-    _check_sizes(grouped, kernel)
-    pool, ratio, attempts = sample, 1.0, None
-    if s is not None:
-        pool, plan = _thinned_pool(sample, grouped, kernel, s, seed)
-        ratio, attempts = plan.ratio(grouped.counts[1], kernel.m0), plan.attempts
-    statistic = _pooled_statistic(pool.features, kernel)
+    _check_sizes(data, kernel)
+    kept, ratio, s, attempts = data, 1.0, None, None
+    if plan is not None:
+        kept = _kept_sample(data, kernel, plan)
+        ratio = plan.ratio(data.counts[1], kernel.m0)
+        s, attempts = plan.s, plan.attempts
+    x, labels = _permutation_pool(kept)
+    statistic = _pooled_statistic(x, kernel)
     batched = statistic is not None
     if not batched:
-        statistic = _regroup_statistic(pool, kernel)
-    stats = ratio * _permutation_stats(statistic, pool.labels, B, seed)
+        statistic = _regroup_statistic(x, kernel)
+    stats = ratio * _permutation_stats(statistic, labels, B, seed)
     t_obs = stats[0]
     count = int((np.abs(stats[1:]) >= abs(t_obs)).sum())
     p = (1 + count) / (B + 1)
-    n1 = grouped.counts[1]
+    n1 = data.counts[1]
     scale = math.sqrt(n1) if kernel.order == "first" else n1
     null_var = float((scale * stats[1:]).var(ddof=1))
     return TestOutcome(float(t_obs), float(scale * t_obs), null_var, p, "permutation",
-                       {"kernel": kernel.kind, "n0": grouped.counts[0], "n1": n1, "B": B,
+                       {"kernel": kernel.kind, "n0": data.counts[0], "n1": n1, "B": B,
                         "s": s, "seed": seed, "batched": batched,
                         "plan_attempts": attempts})
 

@@ -11,18 +11,18 @@ under ``bit`` and n0/n1 under ``rit`` (``bit`` keeping every control):
 every first-order kernel takes sum_k m_k^2 zeta_k / r_k + m_0^2 zeta_0 / s
 from the zeta_k of :func:`raresig.multiclass.estimate_zeta1k` (for a
 binary kernel zeta_1 is xi01 and zeta_0 is xi10), and the
-high-dimensional null 2 xi02 (1 + 1/s)^2.  Under ``bit`` one plan
-is drawn and the controls are thinned once: the statistic and every
-variance estimate read that one thinned sample, and the permutation
-null permutes within it.  Both the command line and the Monte Carlo
-harness call it.
+high-dimensional null 2 xi02 (1 + 1/s)^2.  A test groups the sample
+once and, under ``bit``, draws one plan before it picks a null: the
+statistic, every variance estimate and the permutation null, chosen or
+the auto fallback, read that one grouping and the rows that one plan
+keeps.  Both the command line and the Monte Carlo harness call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .data import LabeledSample, group_by_label, presort
+from .data import LabeledSample, group_by_label
 from .engine import compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .inference import (
@@ -36,7 +36,7 @@ from .inference import (
 from .kernels import kernel_from_name
 from .multiclass import MultiClassSpec, estimate_zeta1k, multi_asymptotic_variance
 from .rng import spawn_seed
-from .subsample import _draw_test_plan, _kept_statistic
+from .subsample import _kept_sample, _kept_statistic, draw_subsample
 
 __all__ = ["MethodConfig", "run_test"]
 
@@ -93,6 +93,10 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     high-dimensional condition ratio, and a budgeted statistic.  The
     first-order null adds ``zetas``, one per class, control first.
 
+    The sample is grouped once and, under ``bit``, one plan is drawn
+    with at least m0 controls before the null is picked; every null, the
+    auto fallback included, reads them.
+
     Random streams derived from ``seed``: ``(seed, 1)`` the subsample
     plan (under every null), ``(seed, 2, c)`` permutation chunk c, and
     for zeta_k ``(seed, 5)`` at k = 1, ``(seed, 6)`` at k = 0 and
@@ -106,7 +110,8 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     every kernel but ``imbalanced-kendall`` at m >= 2 and ``custom``,
     reads a pooled summary at O(n1) a permutation (n1 x n1 pair blocks,
     one stacked GEMM a chunk, for the pairwise kernels) instead of
-    regrouping n rows.
+    regrouping n rows.  It takes the grouping and the plan, as
+    :func:`raresig.subsample.compute_bit` does.
     """
     params = dict(method.kernel_params)
     if method.kernel.replace("-", "_") == "multi_kendall":
@@ -128,19 +133,14 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     if inference == "highdim" and kernel.order != "second":
         raise ValidationError("highdim inference requires a second-order kernel")
 
+    grouped = group_by_label(sample)
+    plan = None if s is None else draw_subsample(grouped, s, spawn_seed(seed, 1), kernel.m0)
     warnings: list = []
     if inference == "permutation":
-        out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
-        return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
+        out = pvalue_permutation(grouped, kernel, method.B, seed, plan)
+        return _finish(out, s, method.B, warnings, plan)
 
-    # under bit the statistic and every variance estimate read the one
-    # thinned sample
-    data, plan = group_by_label(sample), None
-    if s is not None:
-        plan, data = _draw_test_plan(data, kernel, s, seed)
-    if kernel.kind == "rescaled_kendall":
-        # the statistic and every zeta_k share one sort per class
-        data = presort(data)
+    data = grouped if plan is None else _kept_sample(grouped, kernel, plan)
     if inference == "highdim":
         _check_pair_guard(data.counts[1])
     stat = compute_rit(data, kernel) if plan is None else _kept_statistic(data, kernel, plan)
@@ -170,8 +170,8 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             # them; the permutation null still applies
             warnings.append(f"no projection-variance estimate ({exc}); fell back "
                             "to the permutation test")
-            out = pvalue_permutation(sample, kernel, method.B, seed, s=s)
-            return _finish(out, s, method.B, warnings, out.metadata["plan_attempts"])
+            out = pvalue_permutation(grouped, kernel, method.B, seed, plan)
+            return _finish(out, s, method.B, warnings, plan)
         out = pvalue_asymptotic_first(stat, var)
         out = replace(out, metadata={**out.metadata, "zetas": zetas})
 
@@ -180,12 +180,13 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
             "statistic used a budgeted subsample of control blocks "
             f"(budget {stat.meta['budget']})"
         )
-    return _finish(out, s, None, warnings, plan and plan.attempts)
+    return _finish(out, s, None, warnings, plan)
 
 
-def _finish(out: TestOutcome, s, B, warnings: list, attempts) -> TestOutcome:
+def _finish(out: TestOutcome, s, B, warnings: list, plan) -> TestOutcome:
     """The outcome with the run context; a plan's redraws are reported
     here, once, whichever null ran."""
+    attempts = plan and plan.attempts
     if (attempts or 1) > 1:
         warnings.insert(0, f"subsample plan needed {attempts} draws")
     meta = {**out.metadata, "s": s, "B": B, "plan_attempts": attempts,

@@ -427,7 +427,9 @@ def benchmark_complexity(
             n1_local = max(kernel.m1, n // 20)
             labels = np.r_[np.zeros(n - n1_local, np.int64), np.ones(n1_local, np.int64)]
             grouped = group_by_label(LabeledSample(rng.standard_normal((n, p)), labels))
-            calls.append(lambda g=grouped: compute_rit(g, kernel))
+            # a fresh grouping a call, so each gathers and sorts its own rows
+            # as compute_bit's kept sample does
+            calls.append(lambda g=grouped: compute_rit(replace(g), kernel))
     elif mode == "bit":
         if n1 is None or not s_values or n1 < kernel.m1 or min(s_values) < 2:
             raise ValidationError(f"bit benchmarks need n1 >= {kernel.m1} and s_values >= 2")

@@ -26,7 +26,7 @@ from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
 from .multiclass import (_STD_NORMAL, MultiClassSpec, _check_finite, _normal_ppf,
                          _variance_parts)
-from .rng import spawn_rng, spawn_seed
+from .rng import spawn_rng
 
 __all__ = [
     "SubsamplePlan",
@@ -99,29 +99,24 @@ def draw_subsample(
     )
 
 
-def thin_controls(data: GroupedSample, plan: SubsamplePlan) -> GroupedSample:
-    """``data`` with the control block restricted to the included rows."""
+def _kept_sample(
+    data: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan
+) -> GroupedSample:
+    """The cases and the controls ``plan`` keeps, over the same source:
+    the rows every subsampled quantity reads.  Refuses a kernel that does
+    not fit the data (see :func:`raresig.engine.compute_rit`), a plan
+    drawn for another n0 and a plan that keeps fewer than m0 controls."""
+    _check_sizes(data, kernel)
     if plan.n0 != data.counts[0]:
         raise ValidationError(
             f"plan drawn for n0 = {plan.n0}, data has n0 = {data.counts[0]}"
         )
-    return data.keep_controls(plan.inclusion)
-
-
-def _kept_sample(
-    data: GroupedSample, kernel: KernelSpec, plan: SubsamplePlan
-) -> GroupedSample:
-    """The cases and the controls ``plan`` keeps: the rows every
-    subsampled quantity reads.  Refuses a kernel that does not fit the
-    data (see :func:`raresig.engine.compute_rit`) and a plan that keeps
-    fewer than m0 controls."""
-    _check_sizes(data, kernel)
     if plan.realized_count < kernel.m0:
         raise DegenerateDataError(
             f"plan kept {plan.realized_count} controls, kernel needs {kernel.m0}; "
             f"redraw with min_include={kernel.m0}"
         )
-    return thin_controls(data, plan)
+    return data.keep_controls(plan.inclusion)
 
 
 def _kept_statistic(
@@ -148,16 +143,6 @@ def compute_bit(
     included and ``s * n1 == n0``.
     """
     return _kept_statistic(_kept_sample(data, kernel, plan), kernel, plan, seed)
-
-
-def _draw_test_plan(
-    data: GroupedSample, kernel: KernelSpec, s: int, seed: int
-) -> tuple:
-    """``(plan, kept)``: the plan a subsampled test with ``seed`` uses
-    under every null, drawn from ``spawn_seed(seed, 1)`` with at least
-    m0 controls, and the rows it keeps (see :func:`_kept_sample`)."""
-    plan = draw_subsample(data, s, spawn_seed(seed, 1), kernel.m0)
-    return plan, _kept_sample(data, kernel, plan)
 
 
 # ---------------------------------------------------------------------------

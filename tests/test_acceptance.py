@@ -38,7 +38,7 @@ from raresig import (
     pvalue_permutation,
 )
 from raresig.multiclass import MultiClassSpec
-from raresig.rng import spawn_rng
+from raresig.rng import spawn_rng, spawn_seed
 from raresig.simulate import (
     MethodConfig,
     ScenarioSpec,
@@ -231,8 +231,9 @@ def test_criterion_6_second_order_desk_scale():
     alt = ScenarioSpec("second_order_eg1", n=2_050, n1=50, p=50, M=200, seed=607)
     rejected = 0
     for rep in range(alt.M):
-        sample = generate(alt, rep)
-        out = pvalue_permutation(sample, kernel, B=199, seed=607_000 + rep, s=20)
+        g, seed = group_by_label(generate(alt, rep)), 607_000 + rep
+        plan = draw_subsample(g, 20, spawn_seed(seed, 1), kernel.m0)
+        out = pvalue_permutation(g, kernel, B=199, seed=seed, plan=plan)
         rejected += out.p_value <= 0.05
     power = rejected / alt.M
     assert power >= 0.85

@@ -13,8 +13,7 @@ from raresig import (
     group_by_label,
     standardize,
 )
-from raresig.data import presort
-from raresig.subsample import draw_subsample, thin_controls
+from raresig.subsample import draw_subsample
 
 
 def test_group_by_label_partition():
@@ -56,25 +55,33 @@ def test_reconcatenation_via_indices_roundtrips():
 
 
 def test_grouped_views_read_the_source_rows():
-    # grouping keeps positions and gathers a class on its first read;
-    # presort, replace and thinning read the same rows of the one source
+    # grouping keeps positions, gathers a class on its first read and
+    # sorts its first feature on its first sorted read; replace and
+    # thinning read the same rows of the one source, each with its own
+    # cache
     rng = np.random.default_rng(3)
     labels = np.r_[np.zeros(40, np.int64), np.ones(6, np.int64), np.full(5, 2)]
     sample = LabeledSample(rng.standard_normal((51, 3)), rng.permutation(labels))
     g = group_by_label(sample)
     plan = draw_subsample(g, 3, seed=4)
-    for h in (g, presort(g), replace(g, sorted_first=None)):
+    copy = replace(g)
+    for h in (g, copy):
         assert (h.n_classes, h.n, h.p, h.counts) == (3, 51, 3, g.counts)
         assert h.source is sample.features
         assert all(a is b for a, b in zip(h.groups, h.groups))  # kept
         for k in range(3):
             assert_array_equal(h.group(k), sample.features[g.indices[k]])
-    thin = thin_controls(g, plan)
+            col = h.sorted_column(k)
+            assert col is h.sorted_column(k) and not col.flags.writeable
+            assert_array_equal(col, np.sort(sample.features[g.indices[k], 0]))
+    assert all(g.sorted_column(k) is not copy.sorted_column(k) for k in range(3))
+    thin = g.keep_controls(plan.inclusion)
     assert thin.source is sample.features
     assert thin.counts == (plan.realized_count, 6, 5)
     assert_array_equal(thin.indices[0], g.indices[0][plan.inclusion])
     for k in range(3):
         assert_array_equal(thin.group(k), sample.features[thin.indices[k]])
+    assert_array_equal(thin.sorted_column(0), np.sort(thin.group(0)[:, 0]))
 
 
 def test_grouped_sample_keywords_name_the_source():

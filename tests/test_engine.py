@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist, pdist
+from scipy.stats import chisquare
 
 from raresig import (
     DegenerateDataError,
@@ -18,13 +19,16 @@ from raresig import (
     compute_rit_bruteforce,
     custom_kernel,
     dcov_kernel,
+    estimate_zeta1k,
     group_by_label,
     imbalanced_kendall_kernel,
     ipcov_kernel,
     kendall_kernel,
     pearson_kernel,
 )
+from raresig import engine, multiclass
 from raresig._accel import angle_embed
+from raresig.rng import spawn_rng
 
 
 def _grouped(x, labels):
@@ -184,6 +188,37 @@ def test_imbalanced_kendall_reference_stays_within_the_budget():
     labels = np.r_[np.zeros(200, np.int64), np.ones(5, np.int64)]
     g = _grouped(rng.standard_normal((205, 1)), labels)
     assert compute_rit(g, imbalanced_kendall_kernel(3)).algorithm == "budgeted-subsample"
+
+
+def test_budgeted_tuples_are_drawn_when_m_is_close_to_n0(monkeypatch):
+    # 25 of 30 controls, C(30, 25) = 142,506 tuples: more than both caps,
+    # so the statistic and zeta_1 draw them; 25 independent positions are
+    # distinct with probability ~2.6e-7, and a sampler that redraws rows
+    # with a repeat does not finish here
+    rng = np.random.default_rng(12)
+    g = _grouped(rng.standard_normal((35, 1)), np.r_[np.zeros(30, np.int64), np.ones(5, np.int64)])
+    drawn = []
+    sampler = engine._distinct_tuples
+    for module in (engine, multiclass):
+        monkeypatch.setattr(module, "_distinct_tuples",
+                            lambda *a: drawn.append(sampler(*a)) or drawn[-1])
+    kernel = imbalanced_kendall_kernel(25)
+    assert compute_rit(g, kernel).algorithm == "budgeted-subsample"
+    assert estimate_zeta1k(g, kernel, 1, 2000) > 0
+    assert [rows.shape for rows in drawn] == [(engine.IMBALANCED_BUDGET, 25), (2000, 25)]
+    for rows in drawn:
+        srt = np.sort(rows, axis=1)
+        assert srt.min() >= 0 and srt.max() < 30 and (np.diff(srt, axis=1) > 0).all()
+
+
+def test_distinct_tuples_are_uniform_subsets():
+    # every 3-subset of range(6) is equally likely, whatever the order a
+    # row holds it in
+    rows = engine._distinct_tuples(spawn_rng(13), 6, 3, 200_000)
+    codes = np.sort(rows, axis=1) @ np.array([36, 6, 1])
+    _, counts = np.unique(codes, return_counts=True)
+    assert counts.size == math.comb(6, 3)
+    assert chisquare(counts).pvalue > 1e-3
 
 
 def test_label_swap_negates_first_order_statistics():

@@ -2,6 +2,7 @@
 names that were removed stay removed everywhere in the package, and
 importing the package and its CLI loads no scipy module."""
 
+import dataclasses
 import importlib
 import pkgutil
 import subprocess
@@ -43,6 +44,10 @@ REMOVED = (
     "_imbalanced_kendall",
     "_imbalanced_kendall_projection",
     "IMBALANCED_EXACT_GUARD",
+    "_thinned_pool",
+    "_draw_test_plan",
+    "thin_controls",
+    "presort",
 )
 
 
@@ -83,3 +88,10 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_removed_members_stay_removed():
+    # a sample's labels are fixed (a permutation builds GroupedSamples from
+    # positions), and a grouping sorts its columns on first read
+    assert not hasattr(raresig.LabeledSample, "with_labels")
+    assert "sorted_first" not in {f.name for f in dataclasses.fields(raresig.GroupedSample)}

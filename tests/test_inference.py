@@ -21,6 +21,7 @@ from raresig import (
     compute_rit,
     condition_diagnostic,
     dcov_kernel,
+    draw_subsample,
     estimate_xi02,
     estimate_zeta1k,
     group_by_label,
@@ -36,10 +37,10 @@ from raresig import (
     pvalue_asymptotic_highdim,
     pvalue_permutation,
 )
-from raresig import _accel, engine, inference
+from raresig import _accel, engine, inference, subsample
 from raresig._accel import angle_embed
 from raresig.pipeline import run_test
-from raresig.rng import spawn_rng
+from raresig.rng import spawn_rng, spawn_seed
 from raresig.simulate import MethodConfig, ScenarioSpec, run_erp
 
 
@@ -307,7 +308,8 @@ def test_permutation_floor_on_separated_data():
     rng = np.random.default_rng(8)
     x = np.r_[rng.random(40), 10 + rng.random(8)]
     labels = np.r_[np.zeros(40, np.int64), np.ones(8, np.int64)]
-    out = pvalue_permutation(LabeledSample(x[:, None], labels), kendall_kernel(), B=99, seed=0)
+    out = pvalue_permutation(group_by_label(LabeledSample(x[:, None], labels)),
+                             kendall_kernel(), B=99, seed=0)
     assert out.p_value == 1 / 100
     assert out.statistic == 1.0
 
@@ -316,14 +318,15 @@ def test_permutation_requires_enough_replicates():
     rng = np.random.default_rng(9)
     s = LabeledSample(rng.standard_normal((20, 1)), np.r_[np.zeros(15, np.int64), np.ones(5, np.int64)])
     with pytest.raises(ValidationError):
-        pvalue_permutation(s, kendall_kernel(), B=10)
+        pvalue_permutation(group_by_label(s), kendall_kernel(), B=10)
 
 
 def test_permutation_ties_count_toward_rejection():
     # constant features: every permuted statistic equals the observed 0
     x = np.ones((30, 1))
     labels = np.r_[np.zeros(24, np.int64), np.ones(6, np.int64)]
-    out = pvalue_permutation(LabeledSample(x, labels), kendall_kernel(), B=49, seed=1)
+    out = pvalue_permutation(group_by_label(LabeledSample(x, labels)), kendall_kernel(),
+                             B=49, seed=1)
     assert out.p_value == 1.0
 
 
@@ -409,13 +412,18 @@ SUMMARY_KERNELS = {
 }
 
 
-def _pool(sample, kernel, s, seed):
-    """The permuted rows of a test and the plan's constant."""
-    if s is None:
-        return sample, 1.0
-    grouped = group_by_label(sample)
-    pool, plan = inference._thinned_pool(sample, grouped, kernel, s, seed)
-    return pool, plan.ratio(grouped.counts[1], kernel.m0)
+def _plan(grouped, kernel, s, seed):
+    """The plan ``run_test`` draws for a subsampled test with ``seed``,
+    None without ``s``."""
+    return None if s is None else draw_subsample(grouped, s, spawn_seed(seed, 1), kernel.m0)
+
+
+def _pool(grouped, kernel, plan):
+    """The permuted rows of a test, their labels and the plan's constant."""
+    if plan is None:
+        return (*inference._permutation_pool(grouped), 1.0)
+    kept = subsample._kept_sample(grouped, kernel, plan)
+    return (*inference._permutation_pool(kept), plan.ratio(grouped.counts[1], kernel.m0))
 
 
 class _Replay:
@@ -439,14 +447,16 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
     kernel, p, n_rare = SUMMARY_KERNELS[name]
     sample = data.draw(permutation_samples(p=p, n_rare=n_rare))
     B = 39
-    pool, ratio = _pool(sample, kernel, s, seed)
-    summary = engine._pooled_statistic(pool.features, kernel)
+    grouped = group_by_label(sample)
+    plan = _plan(grouped, kernel, s, seed)
+    x, labels, ratio = _pool(grouped, kernel, plan)
+    summary = engine._pooled_statistic(x, kernel)
     chunks = []
     fast = ratio * inference._permutation_stats(
-        lambda cases: chunks.append(cases) or summary(cases), pool.labels, B, seed
+        lambda cases: chunks.append(cases) or summary(cases), labels, B, seed
     )
     slow = ratio * inference._permutation_stats(
-        inference._regroup_statistic(pool, kernel), pool.labels, B, seed
+        inference._regroup_statistic(x, kernel), labels, B, seed
     )
     # the observed labeling is a chunk of one, then one chunk of B; every
     # labeling keeps the class counts: disjoint sorted sets of the
@@ -454,22 +464,22 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
     assert [len(cases[0]) for cases in chunks] == [1, B]
     seen = [tuple(idx[b] for idx in cases)
             for cases in chunks for b in range(len(cases[0]))]
-    counts = list(np.bincount(pool.labels)[1:])
+    counts = list(np.bincount(labels)[1:])
     for cases in seen:
         assert [idx.size for idx in cases] == counts
         rows = np.concatenate(cases)
         assert np.unique(rows).size == rows.size
         assert all(np.all(np.diff(idx) > 0) for idx in cases)
-    assert all(np.array_equal(idx, np.flatnonzero(pool.labels == k))
+    assert all(np.array_equal(idx, np.flatnonzero(labels == k))
                for k, idx in enumerate(seen[0], 1))
     if kernel.kind in ("rescaled_kendall", "multi_kendall"):
         # integer sign sums: bitwise
         assert np.array_equal(fast, slow)
     # rounding of the six-term cancellation, relative to the pair
     # distances
-    atol = 1e-12 * pdist(pool.features).mean()
+    atol = 1e-12 * pdist(x).mean()
     assert_allclose(fast, slow, rtol=1e-9, atol=atol)
-    out = pvalue_permutation(sample, kernel, B=B, seed=seed, s=s)
+    out = pvalue_permutation(grouped, kernel, B=B, seed=seed, plan=plan)
     assert out.metadata["batched"]
     assert out.statistic == fast[0]
     exceed = np.abs(fast[1:]) >= abs(fast[0])
@@ -485,19 +495,19 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
     # one case set drawn in two orders gives the same value, bit for bit,
     # and the i-th drawn position takes the i-th rare label
     rng = np.random.default_rng(seed)
-    rare = np.flatnonzero(pool.labels)
-    drawn = rng.choice(pool.n, rare.size, replace=False)
+    rare = np.flatnonzero(labels)
+    drawn = rng.choice(labels.size, rare.size, replace=False)
     shuffled = drawn.copy()
     for k in range(1, n_rare + 1):
-        slot = np.flatnonzero(pool.labels[rare] == k)
+        slot = np.flatnonzero(labels[rare] == k)
         shuffled[slot] = rng.permutation(drawn[slot])
     replayed = []
     with patch.object(inference, "_ordered_draws", _Replay([drawn, shuffled])):
         twice = inference._permutation_stats(
-            lambda cases: replayed.append(cases) or summary(cases), pool.labels, 2, seed)
+            lambda cases: replayed.append(cases) or summary(cases), labels, 2, seed)
     assert twice[1] == twice[2]
     for k, idx in enumerate(replayed[1], 1):
-        assert np.array_equal(idx[0], np.sort(drawn[pool.labels[rare] == k]))
+        assert np.array_equal(idx[0], np.sort(drawn[labels[rare] == k]))
 
 
 @pytest.mark.parametrize(
@@ -507,11 +517,12 @@ def test_permutation_summary_engines_match_regrouping(name, s, seed, data):
 )
 def test_summary_permutations_never_regroup(monkeypatch, kernel, p):
     # a permutation reads the pooled summary: no regrouping and no full
-    # statistic per permutation, however many permutations run
+    # statistic per permutation, however many permutations run (the
+    # caller groups the sample once, before the test)
     rng = np.random.default_rng(13)
     labels = rng.permutation(np.r_[np.zeros(200, np.int64), np.ones(20, np.int64)])
-    sample = LabeledSample(rng.standard_normal((220, p)), labels)
-    calls = {"group_by_label": 0, "compute_rit": 0}
+    grouped = group_by_label(LabeledSample(rng.standard_normal((220, p)), labels))
+    calls = {"GroupedSample": 0, "compute_rit": 0}
     for module in (inference, engine):
         for name in calls:
             f = getattr(module, name)
@@ -521,9 +532,9 @@ def test_summary_permutations_never_regroup(monkeypatch, kernel, p):
                 return f(*a, **kw)
 
             monkeypatch.setattr(module, name, counted)
-    out = pvalue_permutation(sample, kernel, B=99, seed=3)
+    out = pvalue_permutation(grouped, kernel, B=99, seed=3)
     assert out.metadata["batched"]
-    assert calls == {"group_by_label": 1, "compute_rit": 0}
+    assert calls == {"GroupedSample": 0, "compute_rit": 0}
 
 
 def test_permutation_streams_do_not_depend_on_B():
@@ -545,7 +556,7 @@ def test_permutation_draws_one_generator_per_chunk(monkeypatch):
     monkeypatch.setattr(inference, "spawn_rng", lambda *key: keys.append(key) or spawn(*key))
     rng = np.random.default_rng(15)
     labels = rng.permutation(np.r_[np.zeros(200, np.int64), np.ones(20, np.int64)])
-    pvalue_permutation(LabeledSample(rng.standard_normal((220, 1)), labels),
+    pvalue_permutation(group_by_label(LabeledSample(rng.standard_normal((220, 1)), labels)),
                        kendall_kernel(), B=999, seed=6)
     assert inference.PERMUTATION_CHUNK == 64
     assert keys == [(6, 2, c) for c in range(16)]
@@ -600,7 +611,7 @@ def test_permutation_memory_stays_within_two_pooled_blocks(n1):
     sample = LabeledSample(rng.standard_normal((n, 16)), labels)
     tracemalloc.start()
     try:
-        pvalue_permutation(sample, dcov_kernel(), B=19, seed=1)
+        pvalue_permutation(group_by_label(sample), dcov_kernel(), B=19, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,6 +657,23 @@ def test_dcov_invariant_under_translation_and_rotation(p, data):
     assert_allclose(turned, base, rtol=1e-9, atol=atol)
 
 
+@pytest.mark.parametrize("kernel", [dcov_kernel(), ipcov_kernel()], ids=["dcov", "ipcov"])
+def test_permutation_variance_matches_the_highdim_null(kernel):
+    # on one null sample at (n, n1, p) = (1,050, 50, 50), the variance of
+    # n1 T over the relabelings is the high-dimensional null's
+    # 2 xi02 (1 + n1/n0)^2 within 15%.  At small p, e.g. (300, 20, 5), the
+    # ratio strays by up to 30% across samples: that is the fixed
+    # dimension, where the paper does not claim the high-dimensional null
+    rng = np.random.default_rng(24)
+    labels = rng.permutation(np.r_[np.zeros(1_000, np.int64), np.ones(50, np.int64)])
+    g = group_by_label(LabeledSample(rng.standard_normal((1_050, 50)), labels))
+    xi02 = inference._highdim_summary(g, kernel, compute_rit(g, kernel))[0]
+    null = inference._highdim_variance(kernel.block_orders, xi02, g.counts[0] / g.counts[1])
+    for seed in range(5):
+        out = pvalue_permutation(g, kernel, B=3999, seed=seed)
+        assert 0.85 <= out.variance_estimate / null <= 1.15
+
+
 def test_permutation_null_pvalues_roughly_uniform():
     rng = np.random.default_rng(12)
     pvals = []
@@ -654,7 +682,8 @@ def test_permutation_null_pvalues_roughly_uniform():
         labels = np.r_[np.zeros(32, np.int64), np.ones(8, np.int64)]
         pvals.append(
             pvalue_permutation(
-                LabeledSample(x[:, None], labels), kendall_kernel(), B=39, seed=rep
+                group_by_label(LabeledSample(x[:, None], labels)), kendall_kernel(),
+                B=39, seed=rep,
             ).p_value
         )
     assert 0.3 < np.mean(pvals) < 0.7

@@ -21,7 +21,7 @@ from raresig.inference import condition_diagnostic, estimate_xi02
 from raresig.kernels import dcov_kernel, kernel_from_name
 from raresig.pipeline import MethodConfig, run_test
 from raresig.rng import spawn_seed
-from raresig.simulate import evaluate_replication
+from raresig.simulate import benchmark_complexity, evaluate_replication
 from raresig.subsample import draw_subsample
 
 SEED = 5
@@ -45,6 +45,13 @@ def _sample(kind: str) -> LabeledSample:
         x[labels == 1] += 0.7
         x[labels == 2] -= 0.4
     return LabeledSample(x, labels)
+
+
+def _kept(grouped, kernel, s):
+    """The rows a subsampled test with ``SEED`` reads: the cases and the
+    controls its plan keeps."""
+    plan = draw_subsample(grouped, s, spawn_seed(SEED, 1), kernel.m0)
+    return subsample._kept_sample(grouped, kernel, plan)
 
 
 def _write(path, sample: LabeledSample) -> str:
@@ -206,8 +213,7 @@ def test_highdim_builds_the_pair_projection_once(monkeypatch):
     monkeypatch.setattr(_accel, "cross_rowsum", counting_cross)
     for kind, s in itertools.product(SECOND_ORDER, (None, 3)):
         kernel = kernel_from_name(kind)
-        data = (grouped if s is None
-                else subsample._draw_test_plan(grouped, kernel, s, SEED)[1])
+        data = grouped if s is None else _kept(grouped, kernel, s)
         within.clear()
         cross.clear()
         method = MethodConfig(kernel=kind, mode="bit" if s else "rit", s=s,
@@ -388,25 +394,57 @@ def test_plan_redraws_are_reported_once_under_every_null():
     assert any("fell back" in w for w in out.metadata["warnings"])
 
 
+def _spy_calls(monkeypatch, *functions) -> dict:
+    """The calls of each function from here on, wherever a raresig module
+    looks it up, by name."""
+    calls = {f.__name__: 0 for f in functions}
+    for original in functions:
+        def counting(*args, name=original.__name__, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("raresig") and getattr(mod, original.__name__, None) is original:
+                monkeypatch.setattr(mod, original.__name__, counting)
+    return calls
+
+
 @pytest.mark.parametrize("kernel,inference", [
     ("kendall", "asymptotic"), ("multi_kendall", "asymptotic"), ("dcov", "highdim"),
 ])
 def test_bit_thins_the_controls_once(kernel, inference, monkeypatch):
-    # the statistic and every variance estimate read one thinned sample
-    calls = []
-    original = subsample.thin_controls
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("raresig") and getattr(mod, "thin_controls", None) is original:
-            monkeypatch.setattr(mod, "thin_controls", counting)
+    # the statistic and every variance estimate read one grouping and the
+    # rows of one plan
+    calls = _spy_calls(monkeypatch, data.group_by_label, subsample.draw_subsample)
     sample = _sample({"kendall": "scalar", "multi_kendall": "three"}.get(kernel, "vector"))
     method = MethodConfig(kernel=kernel, mode="bit", s=3, inference=inference)
     run_test(sample, method, SEED)
-    assert len(calls) == 1
+    assert calls == {"group_by_label": 1, "draw_subsample": 1}
+
+
+@pytest.mark.parametrize("mode", ["rit", "bit"])
+@pytest.mark.parametrize("kernel,inference", [
+    ("kendall", "permutation"), ("imbalanced_kendall", "permutation"), ("kendall", "auto"),
+], ids=["pooled", "regrouped", "fallback"])
+def test_every_null_groups_once_and_draws_at_most_one_plan(kernel, inference, mode,
+                                                           monkeypatch):
+    # the permutation null, chosen or the auto fallback, reads the grouping
+    # and the plan the other nulls read: one case among 300 controls has no
+    # zeta_1, so auto falls back; the regrouping null builds each relabelled
+    # sample from its positions
+    if inference == "auto":
+        rng = np.random.default_rng(9)
+        sample = LabeledSample(rng.standard_normal(301), np.r_[np.zeros(300, np.int64), 1])
+    else:
+        sample = _sample("scalar")
+    params = {"m": 2} if kernel == "imbalanced_kendall" else {}
+    method = MethodConfig(kernel=kernel, mode=mode, s=10 if mode == "bit" else None,
+                          inference=inference, B=B, kernel_params=params)
+    calls = _spy_calls(monkeypatch, data.group_by_label, subsample.draw_subsample)
+    out = run_test(sample, method, SEED)
+    assert out.method == "permutation"
+    assert any("fell back" in w for w in out.metadata["warnings"]) == (inference == "auto")
+    assert calls == {"group_by_label": 1, "draw_subsample": int(mode == "bit")}
 
 
 def _spy_gathers(monkeypatch) -> list:
@@ -440,7 +478,7 @@ def test_bit_test_gathers_only_kept_rows(kernel, kind, inference, monkeypatch):
     sample = _sample(kind)
     params = {"n_rare": 2} if kind == "three" else {}
     grouped = group_by_label(sample)
-    _, kept = subsample._draw_test_plan(grouped, kernel_from_name(kernel, **params), 3, SEED)
+    kept = _kept(grouped, kernel_from_name(kernel, **params), 3)
     rows = _spy_gathers(monkeypatch)
     run_test(sample, MethodConfig(kernel=kernel, mode="bit", s=3, inference=inference), SEED)
     gathered = np.concatenate([np.zeros(0, np.int64), *rows])
@@ -509,8 +547,9 @@ def test_sign_tests_sort_each_column_once(kernel, mode, sorts, monkeypatch):
 
 
 def test_statistic_sorts_on_every_call(monkeypatch):
-    # outside run_test nothing keeps a sorted copy, so each call (and each
-    # timed trial of benchmark_complexity) pays for its own sort
+    # a grouping keeps its sorted columns, so a second statistic on it
+    # sorts nothing; each timed call of benchmark_complexity takes a fresh
+    # grouping, so every trial pays for its own sort
     calls = []
     original = np.sort
 
@@ -523,4 +562,7 @@ def test_statistic_sorts_on_every_call(monkeypatch):
     kernel = kernel_from_name("kendall")
     first = compute_rit(data, kernel)
     assert compute_rit(data, kernel).value == first.value
-    assert calls == [data.counts[0]] * 2
+    assert calls == [data.counts[0]]
+    calls.clear()
+    benchmark_complexity("kendall", sizes=(400,), trials=3)
+    assert calls == [380] * 4  # the warm-up and three trials
