@@ -42,7 +42,6 @@ from .kernels import (
     pearson_kernel,
 )
 from .multiclass import (
-    MultiClassSpec,
     block_projection,
     estimate_zeta1k,
     multi_asymptotic_variance,

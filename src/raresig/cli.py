@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -70,7 +71,8 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     a selected cell is empty, unparseable or (a feature) non-finite; the
     second return value counts them.  A label must parse to a finite
     integer in [0, 2**63), else :class:`ValidationError`; so is a file
-    that is not UTF-8 text, and a feature list that names the label.
+    that is not UTF-8 text, and a label or feature column named twice in
+    the header or selected twice (a feature list that names the label).
 
     A clean body (the rules drop no row and raise nothing) is parsed by
     one ``np.loadtxt`` call; any other body is reparsed row by row,
@@ -91,21 +93,25 @@ def ingest_csv(path: str, label_col: str, feature_cols=None) -> Ingested:
     del raw, text
     if not header:
         raise ValidationError(f"{path}: missing header row")
-    if label_col not in header:
+    in_header = Counter(header)
+    if label_col not in in_header:
         raise ValidationError(
             f"label column {label_col!r} not found; available: {', '.join(header)}"
         )
-    label_idx = header.index(label_col)
     if feature_cols is None:
         feature_cols = [c for c in header if c != label_col]
-    missing = [c for c in feature_cols if c not in header]
+    missing = [c for c in feature_cols if c not in in_header]
     if missing:
         raise ValidationError(f"feature columns not found: {', '.join(missing)}")
     if not feature_cols:
         raise ValidationError("no feature columns selected")
-    if label_col in feature_cols:
-        raise ValidationError(f"label column {label_col!r} cannot be a feature")
-    feat_idx = [header.index(c) for c in feature_cols]
+    listed = Counter([label_col, *feature_cols])
+    twice = [c for c in listed if in_header[c] > 1 or listed[c] > 1]
+    if twice:
+        raise ValidationError("each selected column must be named once in the header "
+                              f"and selected once: {', '.join(map(repr, twice))}")
+    column = {c: i for i, c in enumerate(header)}
+    label_idx, feat_idx = column[label_col], [column[c] for c in feature_cols]
 
     parsed = _load_clean(path, len(lines), body, records, feat_idx, label_idx,
                          len(header))
@@ -374,6 +380,8 @@ def _preset_table_d4(args) -> list:
 
 
 def _run_simulate(args) -> None:
+    if any(v < 1 for v in args.n1s or ()):
+        raise ValidationError("--n1s entries must be at least 1")
     fam = args.family.replace("-", "_")
     if fam == "figure1":
         rows = figure1_phenomenon(

@@ -33,8 +33,8 @@ from .engine import RitStatistic, _check_sizes, _pooled_statistic, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import SECOND_ORDER_KINDS, KernelSpec
 from .multiclass import (
-    MultiClassSpec,
     _check_finite,
+    _check_power_inputs,
     _normal_cdf,
     _normal_ppf,
     _normal_sf,
@@ -210,8 +210,7 @@ def _highdim_variance(orders: tuple, xi02: float, s: int | None) -> float:
     identities (Hoeffding 1948) zeta_00 = xi02, as a control pair projects
     like a case pair, and zeta_01 = xi02 / 4, as a case and a control
     project to -h/2.  At m0 = m1 = 2 it is 2 xi02 (1 + 1/s)^2."""
-    spec = MultiClassSpec(1, orders, (1.0,))
-    return multi_second_order_variance(spec, [xi02], {}, s, xi02, [xi02 / 4.0])
+    return multi_second_order_variance(orders, (1,), [xi02], {}, s, xi02, [xi02 / 4.0])
 
 
 def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
@@ -400,16 +399,14 @@ def power_first_order(mu0: float, n1: int, m0: int, m1: int, xi01: float, alpha:
     """Two-sided power of the first-order test against mean shift ``mu0``.
 
     The variance of the statistic is the K = 1 case of
-    :func:`raresig.multiclass.multi_asymptotic_variance` over n1.  Pass
-    the sampling ratio ``s`` (and ``xi10``) for the subsampled test and
-    s = n0/n1 for the full-sample test at a finite ratio; None is the
-    limit n1/n0 -> 0.  At ``mu0 = 0`` the value is exactly ``alpha``.
+    :func:`raresig.multiclass.multi_asymptotic_variance` at orders
+    ``(m0, m1)`` and size ``n1``, over n1.  Pass the sampling ratio ``s``
+    (and ``xi10``) for the subsampled test and s = n0/n1 for the
+    full-sample test at a finite ratio; None is the limit n1/n0 -> 0.
+    At ``mu0 = 0`` the value is exactly ``alpha``.
     """
-    _check_finite(mu0=mu0)
-    if xi01 <= 0 or n1 < 1:
-        raise ValidationError("need xi01 > 0 and n1 >= 1")
-    spec = MultiClassSpec(1, (m0, m1), (1.0,))
-    var = multi_asymptotic_variance(spec, [xi10, xi01], s=s) / n1
+    _check_power_inputs(xi01, mu0)
+    var = multi_asymptotic_variance((m0, m1), (n1,), [xi10, xi01], s=s) / n1
     return _two_sided_power(mu0 / math.sqrt(var), alpha)
 
 

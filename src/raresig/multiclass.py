@@ -1,13 +1,13 @@
 """The asymptotic theory of the statistic with several rare classes
 against one control class; the binary test is its K = 1 case.
 
-:class:`MultiClassSpec` holds the class structure (block orders and size
-ratios).  :func:`multi_asymptotic_variance` is the one first-order
-variance, sum_k m_k^2 zeta_k / r_k + m_0^2 zeta_0 / s, at any K and any
-ratios, the controls entering at the sampling ratio s, or n0/n1 for the
-full sample.  :func:`multi_second_order_variance` is the one
-second-order formula, the variance of n1 times the statistic of a
-degenerate kernel, behind the high-dimensional null.
+:func:`multi_asymptotic_variance` is the one first-order variance,
+sum_k m_k^2 zeta_k / r_k + m_0^2 zeta_0 / s, the controls entering at
+the sampling ratio s, or n0/n1 for the full sample, and
+:func:`multi_second_order_variance` the one second-order formula behind
+the high-dimensional null.  Both take the kernel's block orders m_k
+(control first) and the rare-class sizes n_1, ..., n_K, whose ratios
+r_k = n_k / n_1 weight the terms, and check them.
 :func:`block_projection` is the kernel's projection onto one
 observation of any block, and :func:`estimate_zeta1k` its variance.
 The statistic itself, at any K, is :func:`raresig.engine.compute_rit`.
@@ -20,7 +20,7 @@ package loads no scipy module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from itertools import combinations
 from statistics import NormalDist
 
@@ -33,7 +33,6 @@ from .kernels import KernelSpec, evaluate
 from .rng import spawn_rng
 
 __all__ = [
-    "MultiClassSpec",
     "multi_asymptotic_variance",
     "multi_second_order_variance",
     "block_projection",
@@ -61,40 +60,6 @@ def _normal_ppf(q: float) -> float:
     return _STD_NORMAL.inv_cdf(q)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiClassSpec:
-    """Shape of a multi-class problem: rare-class count, block orders
-    and size ratios r_k = n_k / n_1, which weight the one first-order
-    variance at any sizes (see :func:`multi_asymptotic_variance`)."""
-
-    n_rare: int
-    block_orders: tuple
-    ratios: tuple
-
-    def __post_init__(self) -> None:
-        if self.n_rare < 1:
-            raise ValidationError("need at least one rare class")
-        if len(self.block_orders) != self.n_rare + 1:
-            raise ValidationError("block_orders must cover control plus rare classes")
-
-    @classmethod
-    def from_grouped(
-        cls, data: GroupedSample, block_orders: tuple | None = None
-    ) -> "MultiClassSpec":
-        """Derive the class structure from counts, at any rare-class
-        sizes: a far rarer class 1 only shrinks the other classes' terms
-        m_k^2 zeta_k / r_k, and needs no formula of its own."""
-        k = data.n_classes - 1
-        orders = tuple(block_orders) if block_orders else (1,) * (k + 1)
-        for cls_idx, m in enumerate(orders):
-            if data.counts[cls_idx] < m:
-                raise ValidationError(
-                    f"class {cls_idx} has {data.counts[cls_idx]} rows, needs {m}"
-                )
-        n1 = data.counts[1]
-        return cls(k, orders, tuple(data.counts[i] / n1 for i in range(1, k + 1)))
-
-
 # ---------------------------------------------------------------------------
 # asymptotic variance and projection-variance estimation
 # ---------------------------------------------------------------------------
@@ -107,33 +72,56 @@ def _check_finite(**values) -> None:
         raise ValidationError(f"{', '.join(bad)} must be finite")
 
 
-def _check_variance_inputs(s, zetas) -> None:
-    """Refuse a ratio s that is not positive and finite and a negative or
-    non-finite projection variance (None: a zeta the formula does not read)."""
+def _check_power_inputs(xi01: float, mu0: float, **levels: float) -> None:
+    """The first-order power calculators' check besides the variance
+    formula's (orders, n1, finite non-negative zetas): a finite mu0,
+    xi01 > 0 (a degenerate kernel has no first-order power), and each
+    level in (0, 1)."""
+    _check_finite(mu0=mu0)
+    if xi01 <= 0:
+        raise ValidationError("need xi01 > 0; degenerate kernels have no first-order power")
+    for name, level in levels.items():
+        if not 0 < level < 1:
+            raise ValidationError(f"{name} must lie in (0, 1)")
+
+
+def _check_variance_inputs(block_orders, rare_sizes, s, zetas, lists) -> tuple:
+    """The ratios r_k = n_k / n_1, after refusing what the variance
+    formulas cannot read: orders (control first) other than one integer
+    >= 1 per class, sizes other than one positive finite value per rare
+    class, a ``(name, list, per)`` of ``lists`` without one entry per
+    ``per`` ("class" or "rare class"), an s that is not positive and
+    finite, and a zeta that is negative or not finite (None: not read)."""
+    k = len(rare_sizes)
+    if k < 1 or len(block_orders) != k + 1:
+        raise ValidationError("need a block order per class and a size per rare class")
+    for name, values, per in lists:
+        if len(values) != k + (per == "class"):
+            raise ValidationError(f"need one {name} per {per}")
+    if any(not isinstance(m, numbers.Integral) or m < 1 for m in block_orders):
+        raise ValidationError(f"block orders {tuple(block_orders)} must be integers >= 1")
+    if any(not 0 < n < math.inf for n in rare_sizes):
+        raise ValidationError(f"rare sizes {tuple(rare_sizes)} must be positive and finite")
     if s is not None and not 0 < s < math.inf:
         raise ValidationError("the sampling ratio s must be positive and finite")
     if any(z is not None and not 0 <= z < math.inf for z in zetas):
         raise ValidationError("projection variances must be finite and non-negative")
+    return tuple(n / rare_sizes[0] for n in rare_sizes)
 
 
-def multi_asymptotic_variance(
-    spec: MultiClassSpec, zetas, s: int | None = None
-) -> float:
+def multi_asymptotic_variance(block_orders, rare_sizes, zetas, s=None) -> float:
     """Asymptotic variance of sqrt(n1) times the statistic of a first-order
     kernel (a binary kernel is the K = 1 case).
 
-    ``zetas[k]`` is the one-observation projection variance for class k,
-    index 0 the control class.  The variance is the sum of
-    m_k^2 zeta_k / r_k over the rare classes plus m_0^2 zeta_0 / s, s the
-    sampling ratio or n0/n1 for the full sample; None, the limit
-    n1/n0 -> 0, reads no zeta_0.  Every term but class 1's vanishes as
-    its r_k grows.
+    ``block_orders`` are the kernel's m_k and ``zetas[k]`` the
+    one-observation projection variances, index 0 the control class;
+    ``rare_sizes`` are n_1, ..., n_K, read as the ratios r_k = n_k / n_1.
+    The variance is the sum of m_k^2 zeta_k / r_k over the rare classes
+    plus m_0^2 zeta_0 / s, s the sampling ratio or n0/n1 for the full
+    sample; None, the limit n1/n0 -> 0, reads no zeta_0.  Every term but
+    class 1's vanishes as its r_k grows.
     """
-    zetas = list(zetas)
-    if len(zetas) != spec.n_rare + 1:
-        raise ValidationError("need one zeta per class (control first)")
-    _check_variance_inputs(s, zetas)
-    total, control = _variance_parts(spec, zetas)
+    total, control = _variance_parts(block_orders, rare_sizes, zetas, s)
     if total <= 0:
         raise DegenerateDataError(
             "degenerate: all first-order projection variances vanish; "
@@ -147,27 +135,30 @@ def multi_asymptotic_variance(
     return float(total)
 
 
-def _variance_parts(spec: MultiClassSpec, zetas: list) -> tuple:
-    """The two parts of :func:`multi_asymptotic_variance`: the rare sum
-    sum_k m_k^2 zeta_k / r_k and the control part times s,
-    m_0^2 zeta_0 (None without zeta_0)."""
-    m = spec.block_orders
-    rare = math.fsum(m[k] ** 2 * zetas[k] / spec.ratios[k - 1]
-                     for k in range(1, spec.n_rare + 1))
+def _variance_parts(block_orders, rare_sizes, zetas, s=None) -> tuple:
+    """The two parts of :func:`multi_asymptotic_variance`, after its input
+    check at ratio ``s``: the rare sum sum_k m_k^2 zeta_k / r_k and the
+    control part times s, m_0^2 zeta_0 (None without zeta_0)."""
+    zetas = list(zetas)
+    ratios = _check_variance_inputs(block_orders, rare_sizes, s, zetas,
+                                    [("zeta", zetas, "class")])
+    m = block_orders
+    rare = math.fsum(m[k] ** 2 * zetas[k] / ratios[k - 1] for k in range(1, len(m)))
     return rare, None if zetas[0] is None else m[0] ** 2 * zetas[0]
 
 
 def multi_second_order_variance(
-    spec: MultiClassSpec,
+    block_orders,
+    rare_sizes,
     zeta2_diag,
     zeta2_cross,
-    s: int | None = None,
+    s: float | None = None,
     zeta2_control: float | None = None,
     zeta2_control_cross=None,
 ) -> float:
     """Asymptotic variance of n1 times the statistic of a degenerate
     kernel, one whose first-order projections all vanish (the binary
-    test is the K = 1 case).
+    test is the K = 1 case), at block orders m_k and rare sizes n_k.
 
     ``zeta2_diag[k-1]`` is the variance of the projection onto two
     class-k observations and ``zeta2_cross[(k1, k2)]`` (k1 < k2) onto
@@ -178,20 +169,19 @@ def multi_second_order_variance(
     m_k^2 (m_k-1)^2 zeta_kk / (2 r_k^2) plus the sum over pairs of
     m_k1^2 m_k2^2 zeta_k1k2 / (r_k1 r_k2).
     """
-    kk = spec.n_rare
     zeta2_diag = list(zeta2_diag)
-    if len(zeta2_diag) != kk:
-        raise ValidationError("need one zeta2_diag per rare class")
     cross = dict(zeta2_cross)
+    lists = [("zeta2_diag", zeta2_diag, "rare class")]
     if s is not None:
         if zeta2_control is None or zeta2_control_cross is None:
             raise ValidationError("subsampled variance needs both control zetas")
-        if len(zeta2_control_cross) != kk:
-            raise ValidationError("need one zeta2_control_cross per rare class")
+        lists.append(("zeta2_control_cross", zeta2_control_cross, "rare class"))
         cross.update({(0, k): z for k, z in enumerate(zeta2_control_cross, 1)})
-    m, r, diag = spec.block_orders, (s, *spec.ratios), [zeta2_control, *zeta2_diag]
-    _check_variance_inputs(s, [*diag, *cross.values()])
-    classes = range(0 if s is not None else 1, kk + 1)
+    diag = [zeta2_control, *zeta2_diag]
+    ratios = _check_variance_inputs(block_orders, rare_sizes, s,
+                                    [*diag, *cross.values()], lists)
+    m, r = block_orders, (s, *ratios)
+    classes = range(0 if s is not None else 1, len(m))
     total = math.fsum(
         [m[k] ** 2 * (m[k] - 1) ** 2 * diag[k] / (2.0 * r[k] ** 2) for k in classes]
         + [m[a] ** 2 * m[b] ** 2 * cross[(a, b)] / (r[a] * r[b])

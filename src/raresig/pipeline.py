@@ -34,7 +34,7 @@ from .inference import (
     pvalue_permutation,
 )
 from .kernels import kernel_from_name
-from .multiclass import MultiClassSpec, estimate_zeta1k, multi_asymptotic_variance
+from .multiclass import estimate_zeta1k, multi_asymptotic_variance
 from .rng import spawn_seed
 from .subsample import _kept_sample, _kept_statistic, draw_subsample
 
@@ -159,10 +159,8 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
                                      spawn_seed(seed, 7, k) if k > 1
                                      else spawn_seed(seed, 6 - k), basis=method.xi_basis)
                      for k in range(data.n_classes)]
-            var = multi_asymptotic_variance(
-                MultiClassSpec.from_grouped(data, kernel.block_orders), zetas,
-                s=stat.meta["s"],
-            )
+            var = multi_asymptotic_variance(kernel.block_orders, data.counts[1:], zetas,
+                                            s=stat.meta["s"])
         except DegenerateDataError as exc:
             if method.inference != "auto":
                 raise

@@ -24,8 +24,7 @@ from .data import GroupedSample
 from .engine import RitStatistic, _check_sizes, compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .kernels import KernelSpec
-from .multiclass import (_STD_NORMAL, MultiClassSpec, _check_finite, _normal_ppf,
-                         _variance_parts)
+from .multiclass import _STD_NORMAL, _check_power_inputs, _normal_ppf, _variance_parts
 from .rng import spawn_rng
 
 __all__ = [
@@ -166,20 +165,6 @@ def select_s_variance(n1: int, epsilon: float) -> int:
     return _clamp_s(1.0 / (n1 * epsilon))
 
 
-def _check_rule_inputs(n1: int, xi01: float, xi10: float, mu0: float,
-                       **levels: float) -> None:
-    """The input check of the power rules: finite xi01, xi10 and mu0,
-    n1 >= 1, xi01 > 0 (a degenerate kernel has no first-order power),
-    xi10 >= 0, and each level in (0, 1)."""
-    _check_finite(xi01=xi01, xi10=xi10, mu0=mu0)
-    if n1 < 1 or xi01 <= 0 or xi10 < 0:
-        raise ValidationError("the power rules need n1 >= 1, xi01 > 0 (not "
-                              "applicable to degenerate kernels) and xi10 >= 0")
-    for name, level in levels.items():
-        if not 0 < level < 1:
-            raise ValidationError(f"{name} must lie in (0, 1)")
-
-
 def select_s_power_floor(
     n1: int,
     m0: int,
@@ -196,9 +181,9 @@ def select_s_power_floor(
     Infeasible (raises) when even the full-sample variance exceeds what
     the power target allows at this ``n1``.
     """
-    _check_rule_inputs(n1, xi01, xi10, mu0, alpha=alpha, beta=beta)
+    _check_power_inputs(xi01, mu0, alpha=alpha, beta=beta)
     d = _normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta)
-    full, control = _variance_parts(MultiClassSpec(1, (m0, m1), (1.0,)), [xi10, xi01])
+    full, control = _variance_parts((m0, m1), (n1,), [xi10, xi01])
     denom = n1 * mu0 * mu0 / (d * d) - full
     if denom <= 0:
         raise ValidationError(
@@ -219,11 +204,11 @@ def select_s_power_gap(
 ) -> int:
     """Smallest s keeping the power gap between the subsampled and
     full-sample tests within ``epsilon`` (first-order expansion)."""
-    _check_rule_inputs(n1, xi01, xi10, mu0, alpha=alpha)
+    _check_power_inputs(xi01, mu0, alpha=alpha)
     if not 0 < epsilon < math.inf:
         raise ValidationError("epsilon must be positive and finite")
     mu = abs(mu0)
-    full, control = _variance_parts(MultiClassSpec(1, (m0, m1), (1.0,)), [xi10, xi01])
+    full, control = _variance_parts((m0, m1), (n1,), [xi10, xi01])
     phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2) - mu * math.sqrt(n1 / full))
     return _clamp_s(math.sqrt(n1) * control * mu * phi_term
                     / (2.0 * epsilon * full**1.5))

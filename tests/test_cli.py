@@ -145,6 +145,36 @@ def test_ingest_reparses_only_the_rejected_block(tmp_path, monkeypatch):
     assert sample.labels.tolist() == [0, 1, 0, 1]
 
 
+
+@pytest.mark.parametrize("header, features, name", [
+    (["x0", "x0", "label"], None, "x0"),
+    (["x", "label", "label"], None, "label"),
+    (["x0", "x1", "label"], ["x0", "x0"], "x0"),
+    (["x0", "x1", "x1", "label"], ["x1"], "x1"),
+], ids=["feature-in-header-twice", "label-in-header-twice", "feature-listed-twice",
+        "selected-feature-in-header-twice"])
+@pytest.mark.parametrize("bad_row", [False, True], ids=["clean", "one-bad-row"])
+def test_ingest_refuses_an_ambiguous_column(tmp_path, capsys, header, features, name,
+                                            bad_row):
+    # a name that resolves to two columns, or one column read twice, is
+    # refused before either reader runs
+    rows = [[f"{i}.5"] * (len(header) - 1) + [i % 2] for i in range(6)]
+    rows += [["oops"] * (len(header) - 1) + [1]] if bad_row else []
+    path = _write_csv(tmp_path / "dup.csv", header, rows)
+    with pytest.raises(ValidationError, match=repr(name)):
+        ingest_csv(path, "label", features)
+    listed = ["--features", ",".join(features)] if features else []
+    assert main(["test", "--input", path, *listed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err and len(err.splitlines()) == 1
+
+
+def test_ingest_allows_a_repeated_name_among_unselected_columns(tmp_path):
+    rows = [["1.5", "a", "b", "0"], ["2.5", "c", "d", "1"]]
+    path = _write_csv(tmp_path / "ok.csv", ["x", "note", "note", "label"], rows)
+    sample, dropped = ingest_csv(path, "label", ["x"])
+    assert dropped == 0 and sample.features[:, 0].tolist() == [1.5, 2.5]
+
 def test_run_test_reports_the_reader(tmp_path, capsys):
     rows = [[f"{v:.6f}", 0] for v in np.random.default_rng(2).standard_normal(60)]
     rows += [[f"{v + 1:.6f}", 1] for v in np.random.default_rng(3).standard_normal(8)]
@@ -544,6 +574,29 @@ def test_cli_refuses_bad_input_with_one_error_line(argv, separated_csv, capsys):
     assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
 
+_GAP_AT = ["select-s", "power-gap", "--n1", "50", "--xi01", "0.33", "--xi10", "0.33",
+           "--mu0", "0.3", "--epsilon", "0.01"]
+_FLOOR_AT = [*_GAP_AT[:1], "power-floor", *_GAP_AT[2:10], "--beta", "0.8"]
+_FIRST_AT = ["power", "first-order", "--mu0", "0.1", "--n1", "50", "--xi01", "0.33"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_GAP_AT, "--m1", "0"],
+    [*_FIRST_AT, "--m1", "-1"],
+    [*_FLOOR_AT, "--m0", "-1"],
+    [*_FLOOR_AT, "--m1", "0"],
+    [*_FIRST_AT, "--m1", "0"],
+], ids=["power-gap-m1-0", "first-order-m1-neg", "power-floor-m0-neg", "power-floor-m1-0",
+        "first-order-m1-0"])
+def test_cli_calculators_refuse_a_block_order_below_one(argv, capsys):
+    # the variance formula checks the orders: no traceback, no answer for
+    # another order, and no exit 3 as if the data were at fault
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+    assert "block orders" in out.err
+
 @pytest.mark.parametrize("argv, expected", [([*FIRST, "--alpha", "1e-320"], "0"),
                                             ([*LOCAL, "--alpha", "1e-320"], "inf")],
                          ids=["first-order", "local-threshold"])
@@ -654,6 +707,7 @@ def test_emit_refuses_non_finite_json(capsys):
         ["--family", "table3_kendall_eg1", "--M", "0"],
         ["--family", "table_d4_dcov_eg1", "--M", "2", "--s", "0"],
         ["--family", "figure1", "--M", "0"],
+        ["--family", "table3_kendall_eg1", "--M", "2", "--n1s", "0"],
     ],
 )
 def test_cli_simulate_refuses_an_explicit_zero(argv, capsys):

@@ -19,6 +19,7 @@ MODULES = ["raresig"] + sorted(
 
 # names earlier versions defined, now gone from every raresig module
 REMOVED = (
+    "MultiClassSpec",
     "compute_multi_rit",
     "compute_multi_rit_bruteforce",
     "full_statistic",

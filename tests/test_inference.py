@@ -14,7 +14,6 @@ from scipy.stats import chisquare, norm
 from raresig import (
     DegenerateDataError,
     LabeledSample,
-    MultiClassSpec,
     RaresigError,
     RitStatistic,
     ValidationError,
@@ -265,8 +264,7 @@ def test_first_order_pvalue_kendall_example():
 
 def test_first_order_pvalue_with_subsampling_variance():
     stat = _stat(0.1, kendall_kernel(), 10_000, 100)
-    spec = MultiClassSpec(1, (1, 1), (1.0,))
-    var = multi_asymptotic_variance(spec, [1 / 3, 1 / 3], s=5)
+    var = multi_asymptotic_variance((1, 1), (1,), [1 / 3, 1 / 3], s=5)
     out = pvalue_asymptotic_first(stat, var)
     assert out.variance_estimate == var
     assert_allclose(out.p_value, 2 * norm.sf(1.0 / math.sqrt(1 / 3 + 1 / 15)), rtol=1e-12)

@@ -10,7 +10,6 @@ from scipy.stats import norm
 from raresig import (
     DegenerateDataError,
     LabeledSample,
-    MultiClassSpec,
     ValidationError,
     compute_bit,
     compute_rit,
@@ -136,49 +135,49 @@ def test_zeta1k_constant_class_is_zero():
 
 
 def test_variance_formula_reference_values():
-    spec = MultiClassSpec(2, (1, 1, 1), (1.0, 1.0))
+    orders, sizes = (1, 1, 1), (1, 1)
     assert_allclose(
-        multi_asymptotic_variance(spec, [None, 1 / 3, 1 / 3]), 2 / 3, atol=1e-15
+        multi_asymptotic_variance(orders, sizes, [None, 1 / 3, 1 / 3]), 2 / 3, atol=1e-15
     )
     # goes to the full-sample value as s grows
-    with_s = multi_asymptotic_variance(spec, [4 / 3, 1 / 3, 1 / 3], s=10**9)
+    with_s = multi_asymptotic_variance(orders, sizes, [4 / 3, 1 / 3, 1 / 3], s=10**9)
     assert_allclose(with_s, 2 / 3, atol=1e-8)
     # every rare term is divided by its ratio, and only class 1's is left
     # as the other classes outgrow it
     for ratio, expected in ((10.0, 1 / 3 + 1 / 30), (1e12, 1 / 3)):
-        wide = MultiClassSpec(2, (1, 1, 1), (1.0, ratio))
-        assert_allclose(multi_asymptotic_variance(wide, [None, 1 / 3, 1 / 3]),
+        wide = (1, ratio)
+        assert_allclose(multi_asymptotic_variance(orders, wide, [None, 1 / 3, 1 / 3]),
                         expected, rtol=1e-11)
-        assert_allclose(multi_asymptotic_variance(wide, [4 / 3, 1 / 3, 1 / 3], s=5),
+        assert_allclose(multi_asymptotic_variance(orders, wide, [4 / 3, 1 / 3, 1 / 3], s=5),
                         expected + 4 / 15, rtol=1e-11)
     for s in (0, -2, math.nan, math.inf):
         with pytest.raises(ValidationError, match="s must be positive"):
-            multi_asymptotic_variance(spec, [1 / 3, 1 / 3, 1 / 3], s=s)
+            multi_asymptotic_variance(orders, sizes, [1 / 3, 1 / 3, 1 / 3], s=s)
     for zetas, s in (([None, 1 / 3, -1.0], None), ([-1.0, 1 / 3, 1 / 3], 5)):
         with pytest.raises(ValidationError, match="non-negative"):
-            multi_asymptotic_variance(spec, zetas, s=s)
+            multi_asymptotic_variance(orders, sizes, zetas, s=s)
 
 
 def test_variance_formula_binary_reduction():
-    spec = MultiClassSpec(1, (1, 1), (1.0,))
-    assert multi_asymptotic_variance(spec, [None, 0.25]) == 0.25
+    orders, sizes = (1, 1), (1,)
+    assert multi_asymptotic_variance(orders, sizes, [None, 0.25]) == 0.25
     # m1^2 xi01 + m0^2 xi10 / s under subsampling
-    assert_allclose(multi_asymptotic_variance(spec, [1 / 3, 1 / 3], s=5),
+    assert_allclose(multi_asymptotic_variance(orders, sizes, [1 / 3, 1 / 3], s=5),
                     1 / 3 + 1 / 15, atol=1e-12)
 
 
 def test_variance_degenerate_error_and_second_order_report():
-    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0))
+    orders, sizes = (2, 2, 2), (1, 1)
     with pytest.raises(DegenerateDataError, match="second_order"):
-        multi_asymptotic_variance(spec, [None, 0.0, 0.0])
+        multi_asymptotic_variance(orders, sizes, [None, 0.0, 0.0])
     value = multi_second_order_variance(
-        spec, zeta2_diag=[0.5, 0.25], zeta2_cross={(1, 2): 0.1}
+        orders, sizes, zeta2_diag=[0.5, 0.25], zeta2_cross={(1, 2): 0.1}
     )
     # 4*1*0.5/2 + 4*1*0.25/2 + 16*0.1 reference arithmetic
     expected = (4 * 0.5) / 2 + (4 * 0.25) / 2 + 16 * 0.1
     assert_allclose(value, expected, atol=1e-15)
     with_s = multi_second_order_variance(
-        spec, [0.5, 0.25], {(1, 2): 0.1}, s=4, zeta2_control=0.3,
+        orders, sizes, [0.5, 0.25], {(1, 2): 0.1}, s=4, zeta2_control=0.3,
         zeta2_control_cross=[0.2, 0.2],
     )
     expected_s = expected + 4 * 0.3 / (2 * 16) + (16 * 0.2 / 4) * 2
@@ -187,12 +186,12 @@ def test_variance_degenerate_error_and_second_order_report():
 
 def test_second_order_variance_divides_every_rare_term_by_its_ratio():
     # K = 2 with r = (1, 3): the rare terms carry r_k with or without s
-    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 3.0))
+    orders, sizes = (2, 2, 2), (1, 3)
     rare = 4 * 0.5 / 2 + 4 * 0.25 / (2 * 9) + 16 * 0.1 / 3
-    assert_allclose(multi_second_order_variance(spec, [0.5, 0.25], {(1, 2): 0.1}),
+    assert_allclose(multi_second_order_variance(orders, sizes, [0.5, 0.25], {(1, 2): 0.1}),
                     rare, rtol=1e-15)
     with_s = multi_second_order_variance(
-        spec, [0.5, 0.25], {(1, 2): 0.1}, s=4, zeta2_control=0.3,
+        orders, sizes, [0.5, 0.25], {(1, 2): 0.1}, s=4, zeta2_control=0.3,
         zeta2_control_cross=[0.2, 0.4],
     )
     control = 4 * 0.3 / (2 * 16) + 16 * 0.2 / 4 + 16 * 0.4 / (4 * 3)
@@ -200,28 +199,63 @@ def test_second_order_variance_divides_every_rare_term_by_its_ratio():
 
 
 def test_second_order_variance_validates_its_inputs():
-    spec = MultiClassSpec(2, (2, 2, 2), (1.0, 1.0))
+    orders, sizes = (2, 2, 2), (1, 1)
     with pytest.raises(ValidationError, match="per rare class"):
-        multi_second_order_variance(spec, [0.5], {(1, 2): 0.1})
+        multi_second_order_variance(orders, sizes, [0.5], {(1, 2): 0.1})
     with pytest.raises(ValidationError, match="control"):
-        multi_second_order_variance(spec, [0.5, 0.5], {(1, 2): 0.1}, s=3,
+        multi_second_order_variance(orders, sizes, [0.5, 0.5], {(1, 2): 0.1}, s=3,
                                     zeta2_control=0.3)
     with pytest.raises(ValidationError, match="per rare class"):
-        multi_second_order_variance(spec, [0.5, 0.5], {(1, 2): 0.1}, s=3,
+        multi_second_order_variance(orders, sizes, [0.5, 0.5], {(1, 2): 0.1}, s=3,
                                     zeta2_control=0.3, zeta2_control_cross=[0.2])
     with pytest.raises(DegenerateDataError):
-        multi_second_order_variance(spec, [0.0, 0.0], {(1, 2): 0.0})
+        multi_second_order_variance(orders, sizes, [0.0, 0.0], {(1, 2): 0.0})
     with pytest.raises(ValidationError, match="s must be positive"):
-        multi_second_order_variance(spec, [0.5, 0.5], {(1, 2): 0.1}, s=0,
+        multi_second_order_variance(orders, sizes, [0.5, 0.5], {(1, 2): 0.1}, s=0,
                                     zeta2_control=0.3, zeta2_control_cross=[0.2, 0.2])
     for diag, cross, control_cross in (([0.5, -0.5], 0.1, [0.2, 0.2]),
                                        ([0.5, 0.5], -0.1, [0.2, 0.2]),
                                        ([0.5, 0.5], 0.1, [0.2, -0.2])):
         with pytest.raises(ValidationError, match="non-negative"):
-            multi_second_order_variance(spec, diag, {(1, 2): cross}, s=3,
+            multi_second_order_variance(orders, sizes, diag, {(1, 2): cross}, s=3,
                                         zeta2_control=0.3,
                                         zeta2_control_cross=control_cross)
 
+
+
+@pytest.mark.parametrize(
+    "orders, sizes, match",
+    [
+        ((1, 0), (5,), "integers >= 1"),
+        ((-1, 1), (5,), "integers >= 1"),
+        ((1, 1.5), (5,), "integers >= 1"),
+        ((1, 1), (0,), "positive and finite"),
+        ((1, 1), (math.inf,), "positive and finite"),
+        ((1, 1, 1), (5,), "size per rare class"),
+        ((1, 1), (5, 5), "size per rare class"),
+        ((1,), (), "size per rare class"),
+    ],
+    ids=["order-0", "order-neg", "order-float", "size-0", "size-inf", "orders-long",
+         "sizes-long", "no-rare-class"],
+)
+def test_variance_formulas_refuse_bad_orders_and_sizes(orders, sizes, match):
+    with pytest.raises(ValidationError, match=match):
+        multi_asymptotic_variance(orders, sizes, [1 / 3] * len(orders), s=5)
+    with pytest.raises(ValidationError, match=match):
+        multi_second_order_variance(orders, sizes, [0.5] * len(sizes), {}, s=5,
+                                    zeta2_control=0.5,
+                                    zeta2_control_cross=[0.1] * len(sizes))
+
+
+def test_variance_formulas_refuse_lists_of_the_wrong_length():
+    for zetas in ([1 / 3, 1 / 3], [1 / 3] * 4):
+        with pytest.raises(ValidationError, match="one zeta per class"):
+            multi_asymptotic_variance((1, 1, 1), (5, 5), zetas, s=5)
+    with pytest.raises(ValidationError, match="one zeta2_diag per rare class"):
+        multi_second_order_variance((2, 2, 2), (5, 5), [0.5] * 3, {(1, 2): 0.1})
+    with pytest.raises(ValidationError, match="one zeta2_control_cross per rare class"):
+        multi_second_order_variance((2, 2, 2), (5, 5), [0.5, 0.5], {(1, 2): 0.1}, s=3,
+                                    zeta2_control=0.3, zeta2_control_cross=[0.2] * 3)
 
 def test_normal_helpers_match_scipy():
     # the normal tail, distribution and quantile the p-values and power

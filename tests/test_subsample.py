@@ -22,7 +22,7 @@ from raresig import (
     select_s_power_gap,
     select_s_variance,
 )
-from raresig.multiclass import MultiClassSpec, _variance_parts
+from raresig.multiclass import _variance_parts
 
 
 def _grouped(n0, n1, rng, p=1):
@@ -220,9 +220,8 @@ def test_select_s_power_gap_against_numeric_inversion():
 def test_power_rules_read_the_variance_parts_without_rounding():
     # the rules' m1^2 xi01 and m0^2 xi10 are the two parts of the K = 1
     # first-order variance, exact even when xi10 is tiny next to xi01
-    spec = MultiClassSpec(1, (2, 1), (1.0,))
     for xi10 in (0.0, 1e-18, 1 / 3, 7.0):
-        assert _variance_parts(spec, [xi10, 1 / 3]) == (1 / 3, 4 * xi10)
+        assert _variance_parts((2, 1), (1,), [xi10, 1 / 3]) == (1 / 3, 4 * xi10)
 
 
 def test_select_s_monotonicity():
