@@ -15,7 +15,6 @@ from .engine import RitStatistic, compute_classical, compute_rit, compute_rit_br
 from .errors import DegenerateDataError, RaresigError, ValidationError
 from .inference import (
     TestOutcome,
-    condition_diagnostic,
     estimate_xi02,
     local_power_threshold,
     power_first_order,

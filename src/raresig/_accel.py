@@ -8,14 +8,14 @@ of the mapped rows on, else ``cdist``.  ipcov's rows are its unit rows
 at radius 1/2, whose distance is sin(theta/2), and it maps each distance
 to theta/2 = arcsin(.), keeping relative accuracy near 0, and doubles sums.
 ``_pair_metric`` maps a kernel to its rows and that map; every O(n^2 p)
-quantity is built from five primitives over the block: the within-block
-total, the within totals of many subsets of one pool, per-row cross and
-within sums, and the dense within matrix.  A cross total is
+quantity is built from four primitives over the block: the within-block
+total of d or of a map of d, the within totals of many subsets of one
+pool, and per-row cross and within sums.  A cross total is
 ``math.fsum`` of the per-row cross sums, which the callers keep.  Each
 pass maps its rows, each value once, and builds its right operand once,
 then runs over blocks of about ``_BLOCK_BYTES`` of distances: memory is
-O(block budget + mapped rows) outside the dense matrix, and totals
-combine per-row or per-block sums with ``math.fsum`` (reproducible).
+O(block budget + mapped rows), and totals combine per-row or per-block
+sums with ``math.fsum`` (reproducible).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import KernelSpec
 
-__all__ = ["within_sum", "pooled_pair_sums", "cross_rowsum", "pair_matrix", "angle_embed"]
+__all__ = ["within_sum", "pooled_pair_sums", "cross_rowsum", "centred_pair_moments",
+           "angle_embed"]
 
 _BLOCK_BYTES = 2 << 20  # a block: 512 x 512 distances, or 16 x 16,384
 # blocks are one GEMM from 8 columns on (dcov, 512 x 2,050 block: cdist
@@ -259,9 +260,21 @@ def _within_rowsum(a: np.ndarray, f) -> np.ndarray:
     return _twice(f, out)
 
 
-def pair_matrix(kernel: KernelSpec, a: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix of d within ``a``, diagonal zeroed."""
+def centred_pair_moments(kernel: KernelSpec, a: np.ndarray):
+    """``(r, q)`` for d centred at its mean c over the unordered row pairs
+    of ``a``: r holds each row's sum of d - c to the other rows, and q is
+    the sum of (d - c)^2 over the pairs, from :func:`_within_rowsum` and
+    :func:`_within_total` of the rows mapped once."""
     rows, f = _pair_metric(kernel)
-    a = rows(a)
-    d = _distances(a, a, f, 0)
-    return d if f is None else np.multiply(d, 2.0, out=d)  # whole angles
+    u, n = rows(a), a.shape[0]
+    r = _within_rowsum(u, f)
+    c = math.fsum(r) / (n * (n - 1)) if n > 1 else 0.0
+
+    def squares(d):
+        if f is not None:
+            d = np.multiply(f(d), 2.0, out=d)  # whole angles
+        d -= c
+        return np.square(d, out=d)
+
+    # _twice doubles the sum of any map
+    return r - (n - 1) * c, _within_total(u, squares) / 2.0

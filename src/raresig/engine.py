@@ -237,9 +237,8 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
     its m-control tuples when they number at most ``IMBALANCED_BUDGET``,
     else reads that many tuples drawn from ``spawn_rng(seed)``, a
     budgeted path flagged in ``meta['budgeted']``.  ``seed`` matters to
-    no other path.  The pairwise path keeps
-    ``meta['s00']`` and each case's sum to the controls,
-    ``meta['case_rowsums']``, for the high-dimensional null.  A
+    no other path.  The pairwise path keeps each case's sum to the
+    controls, ``meta['case_rowsums']``, for the high-dimensional null.  A
     ``custom`` kernel is enumerated (:func:`compute_rit_bruteforce`).
     """
     _check_sizes(data, kernel)
@@ -270,7 +269,7 @@ def compute_rit(data: GroupedSample, kernel: KernelSpec, seed: int = 0) -> RitSt
         value = _rit_from_sums(n0, n1, s00, math.fsum(r),
                                2.0 * _accel.within_sum(kernel, x1))
         algorithm = "pairwise-sums"
-        meta = {"s00": s00, "case_rowsums": r}
+        meta = {"case_rowsums": r}
     elif kernel.kind == "custom":
         return compute_rit_bruteforce(data, kernel)
     else:

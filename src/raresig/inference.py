@@ -14,8 +14,8 @@ its variance, 2 xi02 (1 + 1/s)^2, is the K = 1
 identities of :func:`_highdim_variance`.  xi02, the variance
 over case pairs of the projection
 h = 2 (D(x) + D(y) - d(x, y) - gamma), does not move with the constant
-gamma, so it reads no control pair; only the condition ratio applies
-gamma, from the statistic's within-control sum.  The permutation test
+gamma, so it reads no control pair, and it is a sum of pair moments, so
+it holds no n1 x n1 array (:func:`estimate_xi02`).  The permutation test
 covers everything else (notably second-order kernels at fixed
 dimension, whose weighted chi-square null has unknown weights).
 """
@@ -31,7 +31,7 @@ from . import _accel
 from .data import GroupedSample
 from .engine import RitStatistic, _check_sizes, _pooled_statistic, compute_rit
 from .errors import DegenerateDataError, ValidationError
-from .kernels import SECOND_ORDER_KINDS, KernelSpec
+from .kernels import KernelSpec
 from .multiclass import (
     _check_finite,
     _check_power_inputs,
@@ -47,7 +47,6 @@ from .subsample import SubsamplePlan, _kept_sample
 __all__ = [
     "TestOutcome",
     "estimate_xi02",
-    "condition_diagnostic",
     "pvalue_asymptotic_first",
     "pvalue_asymptotic_highdim",
     "pvalue_permutation",
@@ -56,16 +55,7 @@ __all__ = [
     "local_power_threshold",
 ]
 
-# Conditional expectation of the six-term second-order kernels given the
-# two case slots: each case pairs with both control slots, so the plug-in
-# combination D(x)+D(y)-|x-y|-gamma enters twice.
-_PAIR_PROJECTION_SCALE = 2.0
-
 _TINY_P = 5e-324  # keep p-values in (0, 1]
-
-# most cases the pair projection takes: its n1 x n1 arrays, through the
-# condition ratio, peak at about 25 n1^2 bytes (625 MB at the guard)
-PAIR_PROJECTION_GUARD = 5_000
 
 # relabelings per generator and per call of the statistic
 PERMUTATION_CHUNK = 64
@@ -88,20 +78,18 @@ class TestOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _check_pair_guard(n1: int) -> None:
-    """Refuse more than ``PAIR_PROJECTION_GUARD`` cases, before any pair
-    sum of a high-dimensional null is taken."""
-    if n1 > PAIR_PROJECTION_GUARD:
-        raise ValidationError(f"{n1} cases exceed the pair-projection guard "
-                              f"{PAIR_PROJECTION_GUARD}; use permutation inference")
+def estimate_xi02(data: GroupedSample, kernel: KernelSpec, case_rowsums=None) -> float:
+    """Variance over case pairs of the plug-in two-case projection
+    h(x, y) = 2 (D(x) + D(y) - d(x, y)) up to a constant, with D the mean
+    of d to the controls from each case's sum to them (``case_rowsums``,
+    computed when None).  It reads no control pair and holds no n1 x n1
+    array: O(p n0 n1 + p n1^2) time, O(n1) memory beyond the block budget.
 
-
-def _pair_projection(data: GroupedSample, kernel: KernelSpec, case_rowsums=None):
-    """h0[i, j] = 2 (D(x_i) + D(x_j) - d(x_i, x_j)) over case pairs, zero
-    diagonal: the plug-in two-case projection without its constant
-    -2 gamma, with D the mean of d to the controls from each case's sum
-    to them (``case_rowsums``, computed when None).  More than
-    ``PAIR_PROJECTION_GUARD`` cases are refused before any pair is summed.
+    With D' = D - mean D, and r and q the row sums and the square sum of
+    d' = d - mean d over case pairs (:func:`_accel.centred_pair_moments`),
+    e = D'(x) + D'(y) - d' is h / 2 shifted; over the N pairs
+    sum e = (n1 - 1) sum D' - sum r / 2 and
+    sum e^2 = (n1 - 2) sum D'^2 + (sum D')^2 - 2 sum D' r + q.
     """
     if kernel.order != "second":
         raise ValidationError("the pair projection applies to second-order kernels only")
@@ -110,70 +98,17 @@ def _pair_projection(data: GroupedSample, kernel: KernelSpec, case_rowsums=None)
         raise DegenerateDataError(
             "need at least three cases (two give a single pair, no variance)"
         )
-    _check_pair_guard(n1)
     cases = data.group(1)
     if case_rowsums is None:
         case_rowsums = _accel.cross_rowsum(kernel, cases, data.group(0))
-    d = case_rowsums / data.counts[0]
-    h = _accel.pair_matrix(kernel, cases)
-    np.subtract(d[:, None] + d[None, :], h, out=h)
-    h *= _PAIR_PROJECTION_SCALE
-    np.fill_diagonal(h, 0.0)
-    return h
-
-
-def _xi02_from(h0: np.ndarray) -> float:
-    return float(h0[~np.tri(h0.shape[0], dtype=bool)].var(ddof=1))
-
-
-def _condition_ratio_from(h0: np.ndarray, gamma: float) -> float:
-    """The condition ratio of the projection h = h0 - 2 gamma (off the
-    diagonal), with gamma the mean of d over all n0^2 ordered control
-    pairs.  ``h0`` is shifted in place into h, so that one n1 x n1
-    projection is live."""
-    n1 = h0.shape[0]
-    h = h0
-    h -= _PAIR_PROJECTION_SCALE * gamma
-    np.fill_diagonal(h, 0.0)
-    off = ~np.eye(n1, dtype=bool)
-    eh2 = float((h[off] ** 2).mean())
-    eh4 = float((h[off] ** 4).mean())
-    g = (h @ h) / n1
-    eg2 = float((g[off] ** 2).mean())
-    if eh2 <= 0:
-        raise DegenerateDataError("pair projection is identically zero")
-    return (eg2 + eh4 / n1) / (eh2 * eh2)
-
-
-def _highdim_summary(data: GroupedSample, kernel: KernelSpec, stat: RitStatistic):
-    """``(xi02, condition ratio)`` from the pair sums that ``stat``, the
-    pairwise statistic of ``data``, keeps."""
-    h0 = _pair_projection(data, kernel, stat.meta["case_rowsums"])
-    xi02 = _xi02_from(h0)
-    return xi02, _condition_ratio_from(h0, stat.meta["s00"] / data.counts[0] ** 2)
-
-
-def estimate_xi02(data: GroupedSample, kernel: KernelSpec) -> float:
-    """Variance over case pairs of the plug-in two-case projection,
-    integrated over the controls (they dominate the data and share the
-    case law under the null).  It reads no control pair: O(p n0 n1 +
-    p n1^2)."""
-    return _xi02_from(_pair_projection(data, kernel))
-
-
-def condition_diagnostic(data: GroupedSample, kernel: KernelSpec) -> float:
-    """Plug-in estimate of the high-dimensional CLT condition ratio.
-
-    Small values support the normal null used by
-    :func:`pvalue_asymptotic_highdim`; the ratio is
-    ``(E[G^2] + E[h^4]/n1) / E[h^2]^2`` with
-    ``G(x,y) = E[h(X,x) h(X,y)]``, all moments taken over case pairs.
-    It reads the pair sums of :func:`raresig.engine.compute_rit`.
-    """
-    if kernel.kind not in SECOND_ORDER_KINDS:
-        raise ValidationError(f"{kernel.kind} has no pair function")
-    _check_pair_guard(data.counts[1])
-    return _highdim_summary(data, kernel, compute_rit(data, kernel))[1]
+    dev = case_rowsums / data.counts[0]
+    dev -= dev.mean()
+    r, q = _accel.centred_pair_moments(kernel, cases)
+    pairs, total = n1 * (n1 - 1) // 2, math.fsum(dev)
+    s1 = (n1 - 1) * total - math.fsum(r) / 2.0
+    s2 = math.fsum([(n1 - 2) * math.fsum(dev * dev), total * total,
+                    -2.0 * math.fsum(dev * r), q])
+    return 4.0 * (s2 - s1 * s1 / pairs) / (pairs - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +152,8 @@ def pvalue_asymptotic_highdim(stat: RitStatistic, xi02: float) -> TestOutcome:
     """Two-sided normal p-value for n1 * T, whose variance is
     :func:`_highdim_variance` at the statistic's control ratio
     ``stat.meta["s"]``.  Valid when the dimension grows with the sample;
-    the caller asserts that (see :func:`condition_diagnostic`)."""
+    the caller asserts that: at fixed dimension use
+    :func:`pvalue_permutation`."""
     if stat.kernel.order != "second":
         raise ValidationError("asymptotic_highdim applies to second-order kernels only")
     variance = _highdim_variance(stat.kernel.block_orders, xi02, stat.meta["s"])

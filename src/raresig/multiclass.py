@@ -91,7 +91,8 @@ def _check_variance_inputs(block_orders, rare_sizes, s, zetas, lists) -> tuple:
     >= 1 per class, sizes other than one positive finite value per rare
     class, a ``(name, list, per)`` of ``lists`` without one entry per
     ``per`` ("class" or "rare class"), an s that is not positive and
-    finite, and a zeta that is negative or not finite (None: not read)."""
+    finite, and among ``zetas``, the ones the formula reads, one that is
+    not a real number, negative or not finite."""
     k = len(rare_sizes)
     if k < 1 or len(block_orders) != k + 1:
         raise ValidationError("need a block order per class and a size per rare class")
@@ -104,8 +105,8 @@ def _check_variance_inputs(block_orders, rare_sizes, s, zetas, lists) -> tuple:
         raise ValidationError(f"rare sizes {tuple(rare_sizes)} must be positive and finite")
     if s is not None and not 0 < s < math.inf:
         raise ValidationError("the sampling ratio s must be positive and finite")
-    if any(z is not None and not 0 <= z < math.inf for z in zetas):
-        raise ValidationError("projection variances must be finite and non-negative")
+    if any(not isinstance(z, numbers.Real) or not 0 <= z < math.inf for z in zetas):
+        raise ValidationError("projection variances must be real, finite and non-negative")
     return tuple(n / rare_sizes[0] for n in rare_sizes)
 
 
@@ -129,8 +130,6 @@ def multi_asymptotic_variance(block_orders, rare_sizes, zetas, s=None) -> float:
             "permutation for testing"
         )
     if s is not None:
-        if control is None:
-            raise ValidationError("the control term (ratio s) needs zeta_0 (xi10)")
         total += control / s
     return float(total)
 
@@ -138,9 +137,11 @@ def multi_asymptotic_variance(block_orders, rare_sizes, zetas, s=None) -> float:
 def _variance_parts(block_orders, rare_sizes, zetas, s=None) -> tuple:
     """The two parts of :func:`multi_asymptotic_variance`, after its input
     check at ratio ``s``: the rare sum sum_k m_k^2 zeta_k / r_k and the
-    control part times s, m_0^2 zeta_0 (None without zeta_0)."""
+    control part times s, m_0^2 zeta_0 (None without zeta_0, which the
+    check requires when s is given)."""
     zetas = list(zetas)
-    ratios = _check_variance_inputs(block_orders, rare_sizes, s, zetas,
+    read = zetas[1:] if s is None and zetas and zetas[0] is None else zetas
+    ratios = _check_variance_inputs(block_orders, rare_sizes, s, read,
                                     [("zeta", zetas, "class")])
     m = block_orders
     rare = math.fsum(m[k] ** 2 * zetas[k] / ratios[k - 1] for k in range(1, len(m)))
@@ -178,10 +179,11 @@ def multi_second_order_variance(
         lists.append(("zeta2_control_cross", zeta2_control_cross, "rare class"))
         cross.update({(0, k): z for k, z in enumerate(zeta2_control_cross, 1)})
     diag = [zeta2_control, *zeta2_diag]
+    first = 0 if s is not None else 1  # the control class joins under s only
     ratios = _check_variance_inputs(block_orders, rare_sizes, s,
-                                    [*diag, *cross.values()], lists)
+                                    [*diag[first:], *cross.values()], lists)
     m, r = block_orders, (s, *ratios)
-    classes = range(0 if s is not None else 1, len(m))
+    classes = range(first, len(m))
     total = math.fsum(
         [m[k] ** 2 * (m[k] - 1) ** 2 * diag[k] / (2.0 * r[k] ** 2) for k in classes]
         + [m[a] ** 2 * m[b] ** 2 * cross[(a, b)] / (r[a] * r[b])

@@ -27,8 +27,7 @@ from .engine import compute_rit
 from .errors import DegenerateDataError, ValidationError
 from .inference import (
     TestOutcome,
-    _check_pair_guard,
-    _highdim_summary,
+    estimate_xi02,
     pvalue_asymptotic_first,
     pvalue_asymptotic_highdim,
     pvalue_permutation,
@@ -89,9 +88,9 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
     ``metadata`` of the outcome carries ``n0``, ``n1``, ``s``, ``B``
     (permutation only, else None), ``plan_attempts`` (the draws the
     subsample plan needed; None under ``rit``) and ``warnings``: plan
-    redraws (once, under every null), the auto fallback, the
-    high-dimensional condition ratio, and a budgeted statistic.  The
-    first-order null adds ``zetas``, one per class, control first.
+    redraws (once, under every null), the auto fallback and a budgeted
+    statistic.  The first-order null adds ``zetas``, one per class,
+    control first.
 
     The sample is grouped once and, under ``bit``, one plan is drawn
     with at least m0 controls before the null is picked; every null, the
@@ -141,17 +140,11 @@ def run_test(sample: LabeledSample, method: MethodConfig, seed: int) -> TestOutc
         return _finish(out, s, method.B, warnings, plan)
 
     data = grouped if plan is None else _kept_sample(grouped, kernel, plan)
-    if inference == "highdim":
-        _check_pair_guard(data.counts[1])
     stat = compute_rit(data, kernel) if plan is None else _kept_statistic(data, kernel, plan)
 
     if inference == "highdim":
-        xi02, ratio = _highdim_summary(data, kernel, stat)
-        warnings.append(
-            f"high-dimensional normality diagnostic ratio {ratio:.3g} "
-            "(values near zero support the normal null)"
-        )
-        out = pvalue_asymptotic_highdim(stat, xi02)
+        out = pvalue_asymptotic_highdim(
+            stat, estimate_xi02(data, kernel, stat.meta["case_rowsums"]))
     else:
         # one zeta per class; the controls enter at ratio s, or n0/n1
         try:

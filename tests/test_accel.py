@@ -103,12 +103,18 @@ def test_within_rowsum_matches_dense(kind, a):
 
 @fast
 @given(kinds, feature_rows())
-def test_pair_matrix_matches_dense(kind, a):
-    got = _accel.pair_matrix(KERNELS[kind], a)
-    want = _dense(kind, a, a)
-    np.fill_diagonal(want, 0.0)
-    assert np.all(np.diag(got) == 0.0)
-    assert_allclose(got, want, rtol=1e-12)
+def test_centred_pair_moments_match_dense(kind, a):
+    r, q = _accel.centred_pair_moments(KERNELS[kind], a)
+    pairs = _within_ref(kind, a)
+    c = pairs.mean() if pairs.size else 0.0
+    dev = _dense(kind, a, a) - c
+    np.fill_diagonal(dev, 0.0)
+    # centred sums may cancel to near 0: bound the error by the terms
+    scale = np.abs(pairs).max(initial=0.0)
+    assert r.shape == (a.shape[0],)
+    assert_allclose(r, dev.sum(axis=1), rtol=1e-12, atol=1e-12 * a.shape[0] * scale)
+    assert_allclose(q, ((pairs - c) ** 2).sum(), rtol=1e-12,
+                    atol=1e-12 * pairs.size * scale**2)
 
 
 @st.composite
@@ -178,7 +184,8 @@ def test_gemm_block_recomputes_cancelling_distances(p):
     x[1] = x[0] + 1e-6 * rng.standard_normal(p) / np.sqrt(p)
     x[2] = x[1]
     want = cdist(x, x)
-    got = _accel.pair_matrix(KERNELS["dcov"], x)
+    u = _accel._dcov_rows(x)
+    got = _accel._distances(u, u, diag=0)
     assert got[1, 2] == 0.0 and np.all(np.diag(got) == 0.0)
     assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert_allclose(_accel.pooled_pair_sums(KERNELS["dcov"], x)[0], want.sum(axis=1),
@@ -235,7 +242,8 @@ for n, p in ((1537, 20), (700, 50), (83, 300), (1050, 50)):
         idx.sort(axis=1)
         r, sums = _accel.pooled_pair_sums(k, x)
         for v in (r, _accel.cross_rowsum(k, x[:37], x),
-                  _accel.pair_matrix(k, x[:600]), _accel.within_sum(k, x), sums(idx)):
+                  *_accel.centred_pair_moments(k, x[:600]), _accel.within_sum(k, x),
+                  sums(idx)):
             h.update(np.asarray(v).tobytes())
 print(h.hexdigest())
 """

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raresig import DegenerateDataError, RaresigError, ValidationError, _accel, cli
-from raresig.inference import PAIR_PROJECTION_GUARD, power_first_order
+from raresig import DegenerateDataError, RaresigError, ValidationError, cli
+from raresig.inference import power_first_order
 from raresig.cli import _emit, ingest_csv, main
 from raresig.pipeline import MethodConfig, run_test
 
@@ -406,23 +406,22 @@ def test_threads_environment_variable_is_not_read(separated_csv, capsys, monkeyp
     assert result["statistic"] == 1.0
 
 
-def test_highdim_refuses_more_cases_than_the_guard(tmp_path, capsys, monkeypatch):
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_highdim_runs_at_ten_thousand_cases(tmp_path, capsys):
+    # xi02 holds no n1 x n1 array, so 10,000 cases need no guard
     rng = np.random.default_rng(4)
-    rows = [[f"{v:.4f}", 0] for v in rng.standard_normal(10)]
-    rows += [[f"{v:.4f}", 1] for v in rng.standard_normal(PAIR_PROJECTION_GUARD + 1)]
-    path = _write_csv(tmp_path / "many.csv", ["x", "label"], rows)
-    built = []
-    monkeypatch.setattr(_accel, "pair_matrix", lambda *a: built.append(a))
-    summed = []  # the guard refuses before the statistic sums any pair
-    for name in ("within_sum", "cross_rowsum"):
-        f = getattr(_accel, name)
-        monkeypatch.setattr(_accel, name,
-                            lambda *a, name=name, f=f: summed.append(name) or f(*a))
-    argv = ["test", "--input", path, "--kernel", "dcov", "--inference", "highdim"]
-    assert main(argv) == 2
-    assert "pair-projection guard" in capsys.readouterr().err
-    assert built == []
-    assert summed == []
+    rows = [[f"{a:.4f}", f"{b:.4f}", 0] for a, b in rng.standard_normal((200, 2))]
+    rows += [[f"{a:.4f}", f"{b:.4f}", 1] for a, b in rng.standard_normal((10_000, 2))]
+    path = _write_csv(tmp_path / "many.csv", ["x", "y", "label"], rows)
+    code = main(["test", "--input", path, "--kernel", "dcov", "--inference", "highdim"])
+    out = capsys.readouterr().out
+    assert code == 0
+    result = json.loads(out, parse_constant=_reject_constant)
+    assert result["method"] == "asymptotic_highdim" and result["n1"] == 10_000
+    assert 0 < result["p_value"] <= 1 and result["warnings"] == []
 
 
 # ---------------------------------------------------------------------------

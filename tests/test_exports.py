@@ -49,6 +49,15 @@ REMOVED = (
     "_draw_test_plan",
     "thin_controls",
     "presort",
+    "condition_diagnostic",
+    "pair_matrix",
+    "_pair_projection",
+    "_xi02_from",
+    "_condition_ratio_from",
+    "_highdim_summary",
+    "PAIR_PROJECTION_GUARD",
+    "_check_pair_guard",
+    "_PAIR_PROJECTION_SCALE",
 )
 
 

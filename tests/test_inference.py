@@ -18,7 +18,6 @@ from raresig import (
     RitStatistic,
     ValidationError,
     compute_rit,
-    condition_diagnostic,
     dcov_kernel,
     draw_subsample,
     estimate_xi02,
@@ -132,42 +131,25 @@ def test_xi02_pooled_reference_option():
     assert estimate_xi02(g, ipcov_kernel()) > 0
 
 
-def test_condition_diagnostic_positive_and_finite():
-    rng = np.random.default_rng(7)
-    g = _grouped(300, 50, rng, p=30)
-    ratio = condition_diagnostic(g, dcov_kernel())
-    assert 0 < ratio < 10
-
-
-def test_condition_diagnostic_rejects_unknown_reference():
-    g = _grouped(100, 20, np.random.default_rng(6), p=5)
-    with pytest.raises(TypeError):
-        condition_diagnostic(g, dcov_kernel(), reference="controls")
-
-
-def test_condition_diagnostic_single_pair_errors():
-    g = _grouped(20, 2, np.random.default_rng(5), p=2)
-    with pytest.raises(DegenerateDataError, match="single pair"):
-        condition_diagnostic(g, dcov_kernel())
-
-
-def test_pair_projection_guard_refuses_before_summing(monkeypatch):
-    g = _grouped(10, inference.PAIR_PROJECTION_GUARD + 1, np.random.default_rng(8))
-    calls = []
-    monkeypatch.setattr(_accel, "pair_matrix", lambda *a: calls.append("pair_matrix"))
-    monkeypatch.setattr(_accel, "cross_rowsum", lambda *a: calls.append("cross_rowsum"))
-    with pytest.raises(ValidationError, match="guard"):
-        estimate_xi02(g, dcov_kernel())
-    assert calls == []
-    monkeypatch.undo()
-    # condition_diagnostic refuses before its statistic sums any pair
-    for name in ("pair_matrix", "within_sum", "cross_rowsum"):
-        f = getattr(_accel, name)
-        monkeypatch.setattr(_accel, name,
-                            lambda *a, name=name, f=f: calls.append(name) or f(*a))
-    with pytest.raises(ValidationError, match="guard"):
-        condition_diagnostic(g, dcov_kernel())
-    assert calls == []
+@pytest.mark.parametrize("kernel", [dcov_kernel(), ipcov_kernel()], ids=["dcov", "ipcov"])
+def test_xi02_from_the_statistic_row_sums_holds_no_case_pair_array(kernel):
+    # n = 20,000, n1 = 5,000, p = 50: an n1 x n1 array alone is 200 MB,
+    # while xi02 from the row sums the statistic keeps, the case rows
+    # gathered included, stays below 4x the 8 MB input
+    rng = np.random.default_rng(25)
+    labels = rng.permutation(np.r_[np.zeros(15_000, np.int64), np.ones(5_000, np.int64)])
+    sample = LabeledSample(rng.standard_normal((20_000, 50)), labels)
+    g = group_by_label(sample)
+    rowsums = _accel.cross_rowsum(kernel, g.group(1), g.group(0))
+    g = group_by_label(sample)
+    tracemalloc.start()
+    try:
+        xi02 = estimate_xi02(g, kernel, rowsums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < xi02 < math.inf
+    assert peak < 4 * sample.features.nbytes
 
 
 # angle_embed rows with c_sigma2 = 0.7 for ipcov
@@ -175,6 +157,8 @@ C_SIGMA2 = 0.7
 # feature counts on both sides of _accel.GEMM_MIN_P, from which the dcov
 # distance block is one GEMM
 FEATURE_COUNTS = st.one_of(st.integers(1, 8), st.just(64))
+# and the high dimensions of the normal null
+PROJECTION_FEATURE_COUNTS = st.one_of(FEATURE_COUNTS, st.sampled_from((300, 2_000)))
 
 
 def _dense_pairs(kind, a, b):
@@ -188,7 +172,7 @@ def _dense_pairs(kind, a, b):
 def projection_samples(draw):
     n0 = draw(st.sampled_from((2, 5, 40, 513)))
     n1 = draw(st.sampled_from((3, 4, 9)))
-    p = draw(FEATURE_COUNTS)
+    p = draw(PROJECTION_FEATURE_COUNTS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n0 + n1, p))
     x[n0:] *= draw(st.sampled_from((1.0, 3.0)))
@@ -207,7 +191,7 @@ def projection_samples(draw):
 
 @settings(max_examples=60)
 @given(st.sampled_from(("dcov", "ipcov")), projection_samples())
-def test_xi02_and_condition_ratio_match_dense_reference(kind, g):
+def test_xi02_matches_dense_reference(kind, g):
     kernel = dcov_kernel() if kind == "dcov" else ipcov_kernel(C_SIGMA2)
     controls, cases = g.group(0), g.group(1)
     n1 = cases.shape[0]
@@ -216,23 +200,12 @@ def test_xi02_and_condition_ratio_match_dense_reference(kind, g):
     big_d = _dense_pairs(kind, cases, controls).mean(axis=1)
     h = 2.0 * (big_d[:, None] + big_d[None, :] - _dense_pairs(kind, cases, cases)
                - within.mean())
-    np.fill_diagonal(h, 0.0)
-    off = ~np.eye(n1, dtype=bool)
-    eh2 = (h[off] ** 2).mean()
     want_xi02 = h[np.triu_indices(n1, k=1)].var(ddof=1)
     # error of one projection entry: rounding
     scale = np.abs(h).max()
     dh = 1e-13 * scale
     assert_allclose(estimate_xi02(g, kernel), want_xi02, rtol=1e-12,
                     atol=4 * scale * dh + dh * dh)
-    try:
-        ratio = condition_diagnostic(g, kernel)
-    except DegenerateDataError:
-        assert eh2 <= dh * dh
-        return
-    big_g = np.einsum("ik,kj->ij", h, h) / n1
-    want_ratio = ((big_g[off] ** 2).mean() + (h[off] ** 4).mean() / n1) / eh2**2
-    assert_allclose(ratio, want_ratio, rtol=1e-12 + 50 * scale * dh / eh2)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +638,7 @@ def test_permutation_variance_matches_the_highdim_null(kernel):
     rng = np.random.default_rng(24)
     labels = rng.permutation(np.r_[np.zeros(1_000, np.int64), np.ones(50, np.int64)])
     g = group_by_label(LabeledSample(rng.standard_normal((1_050, 50)), labels))
-    xi02 = inference._highdim_summary(g, kernel, compute_rit(g, kernel))[0]
+    xi02 = estimate_xi02(g, kernel, compute_rit(g, kernel).meta["case_rowsums"])
     null = inference._highdim_variance(kernel.block_orders, xi02, g.counts[0] / g.counts[1])
     for seed in range(5):
         out = pvalue_permutation(g, kernel, B=3999, seed=seed)

@@ -9,7 +9,6 @@ from scipy.stats import norm
 from raresig import (
     LabeledSample,
     ValidationError,
-    compute_rit,
     custom_kernel,
     dcov_kernel,
     estimate_zeta1k,
@@ -27,7 +26,7 @@ from raresig import (
     pearson_kernel,
 )
 from raresig._accel import angle_embed
-from raresig.inference import _pair_projection
+from raresig.inference import estimate_xi02
 from raresig.multiclass import block_projection
 from raresig.rng import spawn_rng
 
@@ -255,37 +254,18 @@ def test_dcov_first_order_degeneracy():
     assert np.var(vals, ddof=1) < 0.05 * np.var(raw, ddof=1)
 
 
-def _shifted_projection(cases, controls, kernel):
-    """The full plug-in projection h = h0 - 2 gamma off the diagonal, with
-    gamma from the statistic's within-control sum."""
-    g = _two_class(controls, cases)
-    gamma = compute_rit(g, kernel).meta["s00"] / g.counts[0] ** 2
-    h = _pair_projection(g, kernel) - 2.0 * gamma
-    np.fill_diagonal(h, 0.0)
-    return h
-
-
-def test_pair_projection_matrix_values():
-    # dcov, cases {0, 2, 0} against controls {0, 2}: D = 1 at every case
-    # and gamma = 1; |0 - 2| = 2 gives h = 2 * (1 + 1 - 2 - 1) = -2, and
-    # the duplicate pair |0 - 0| = 0 gives 2 * (1 + 1 - 0 - 1) = 2
-    h = _shifted_projection([[0.0], [2.0], [0.0]], [[0.0], [2.0]], dcov_kernel())
-    assert_allclose(h, [[0.0, -2.0, 2.0], [-2.0, 0.0, -2.0], [2.0, -2.0, 0.0]],
-                    atol=1e-15)
+def test_xi02_hand_values():
+    # dcov, cases {0, 2, 0} against controls {0, 2}: D = 1 at every case;
+    # the pairs |0 - 2| = 2 give h = 2 * (1 + 1 - 2) = 0 and the duplicate
+    # pair |0 - 0| = 0 gives 4, so over (0, 4, 0) xi02 = 16/3
+    g = _two_class([[0.0], [2.0]], [[0.0], [2.0], [0.0]])
+    assert_allclose(estimate_xi02(g, dcov_kernel()), 16.0 / 3.0, rtol=1e-15)
     # ipcov with c = 1 at p = 1: the angle between x and y is
     # |atan x - atan y|; cases {-1, 1, -1} and controls {-1, 1} give
-    # D = pi/4, gamma = pi/4 and a pair angle of pi/2 (h = -pi/2) or 0
-    # (h = pi/2)
-    h = _shifted_projection([[-1.0], [1.0], [-1.0]], [[-1.0], [1.0]], ipcov_kernel())
-    q = math.pi / 2
-    assert_allclose(h, [[0.0, -q, q], [-q, 0.0, -q], [q, -q, 0.0]], atol=1e-15)
-    rng = np.random.default_rng(6)
-    cases, controls = rng.standard_normal((12, 2)), rng.standard_normal((30, 2))
-    for kernel in (dcov_kernel(), ipcov_kernel(0.5)):
-        h = _pair_projection(_two_class(controls, cases), kernel)
-        assert h.shape == (12, 12)
-        assert np.all(np.diag(h) == 0.0)
-        assert_allclose(h, h.T, rtol=0, atol=1e-14)
+    # D = pi/4 and a pair angle of pi/2 (h = 0) or 0 (h = pi), so
+    # xi02 = pi^2/3
+    g = _two_class([[-1.0], [1.0]], [[-1.0], [1.0], [-1.0]])
+    assert_allclose(estimate_xi02(g, ipcov_kernel()), math.pi**2 / 3.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,20 @@ def test_variance_formula_reference_values():
             multi_asymptotic_variance(orders, sizes, zetas, s=s)
 
 
+def test_variance_formulas_refuse_a_missing_or_non_numeric_zeta_they_read():
+    # a None zeta the formula reads (every rare-class zeta, and zeta_0
+    # under a ratio s), or a zeta that is not a number, is a
+    # ValidationError, not a TypeError from the sum
+    for zetas, s in (([0.1, None], None), ([None, 0.1], 5), ([0.1, "0.2"], None),
+                     (["0.2", 0.1], 5), (["0.2", 0.1], None)):
+        with pytest.raises(ValidationError, match="real"):
+            multi_asymptotic_variance((1, 1), (5,), zetas, s=s)
+    assert multi_asymptotic_variance((1, 1), (5,), [None, 0.1]) == 0.1
+    for diag, cross in (([None, 0.5], 0.1), ([0.5, "0.5"], 0.1), ([0.5, 0.5], None)):
+        with pytest.raises(ValidationError, match="real"):
+            multi_second_order_variance((2, 2, 2), (1, 1), diag, {(1, 2): cross})
+
+
 def test_variance_formula_binary_reduction():
     orders, sizes = (1, 1), (1,)
     assert multi_asymptotic_variance(orders, sizes, [None, 0.25]) == 0.25

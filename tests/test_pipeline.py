@@ -17,7 +17,7 @@ from raresig import LabeledSample, ValidationError, group_by_label
 from raresig import _accel, data, pipeline, subsample
 from raresig.cli import main
 from raresig.engine import compute_rit
-from raresig.inference import condition_diagnostic, estimate_xi02
+from raresig.inference import estimate_xi02
 from raresig.kernels import dcov_kernel, kernel_from_name
 from raresig.pipeline import MethodConfig, run_test
 from raresig.rng import spawn_seed
@@ -194,12 +194,14 @@ def test_imbalanced_kendall_zetas_at_every_control_cost_one_sorted_draw():
 
 
 def test_highdim_builds_the_pair_projection_once(monkeypatch):
-    # the statistic, xi02 and the condition ratio share one pass over the
-    # control pairs and one over the case-to-control pairs
+    # the statistic and xi02 share one pass over the control pairs and
+    # one over the case-to-control pairs; xi02 adds one pass of row sums
+    # and one of squares over the case pairs, and no warning
     sample = _sample("vector")
     grouped = group_by_label(sample)
-    within, cross = [], []
+    within, cross, moments = [], [], []
     within_sum, cross_rowsum = _accel.within_sum, _accel.cross_rowsum
+    centred_pair_moments = _accel.centred_pair_moments
 
     def counting_within(kernel, a):
         within.append(a)
@@ -209,34 +211,34 @@ def test_highdim_builds_the_pair_projection_once(monkeypatch):
         cross.append(b)
         return cross_rowsum(kernel, a, b)
 
+    def counting_moments(kernel, a):
+        moments.append(a)
+        return centred_pair_moments(kernel, a)
+
     monkeypatch.setattr(_accel, "within_sum", counting_within)
     monkeypatch.setattr(_accel, "cross_rowsum", counting_cross)
+    monkeypatch.setattr(_accel, "centred_pair_moments", counting_moments)
     for kind, s in itertools.product(SECOND_ORDER, (None, 3)):
         kernel = kernel_from_name(kind)
         data = grouped if s is None else _kept(grouped, kernel, s)
-        within.clear()
-        cross.clear()
+        for calls in (within, cross, moments):
+            calls.clear()
         method = MethodConfig(kernel=kind, mode="bit" if s else "rit", s=s,
                               inference="highdim")
         out = run_test(sample, method, SEED)
         assert sum(np.array_equal(a, data.group(0)) for a in within) == 1
         assert len(within) == 2 and len(cross) == 1
-        within.clear()
-        cross.clear()
+        assert len(moments) == 1 and np.array_equal(moments[0], data.group(1))
+        assert out.metadata["warnings"] == []
+        for calls in (within, cross, moments):
+            calls.clear()
         xi02 = estimate_xi02(data, kernel)
         assert out.metadata["xi02"] == xi02
-        assert within == [] and len(cross) == 1
+        assert within == [] and len(cross) == 1 and len(moments) == 1
         # Var(n1 T) = 2 xi02 (1 + 1/s)^2 under the H0 identities, the
         # full sample at s = n0/n1
         factor = (1 + 1 / (s or grouped.counts[0] / grouped.counts[1])) ** 2
         assert out.variance_estimate == pytest.approx(2 * xi02 * factor, rel=1e-14)
-        ratio = condition_diagnostic(data, kernel)
-        assert out.metadata["warnings"][-1] == (
-            f"high-dimensional normality diagnostic ratio {ratio:.3g} "
-            "(values near zero support the normal null)"
-        )
-    out = run_test(sample, MethodConfig(kernel="dcov", inference="highdim"), SEED)
-    assert len(out.metadata["warnings"]) == 1
 
 
 @pytest.mark.parametrize("kernel,params,inference", [
