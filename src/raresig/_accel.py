@@ -63,28 +63,29 @@ def _block_rows(n: int) -> int:
     return max(_TILE, _BLOCK_BYTES // (8 * n) // _TILE * _TILE)
 
 
-def _gemm(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
-    """``a @ bt`` over the last two axes (``bt`` tile-aligned columns of an
-    :func:`_operand`), ``a`` padded by zero rows to full tiles: a partial
-    tile sums in another order, and threads split a product along tiles.
-    The bits then hold at 1 and 2 BLAS threads on the shapes tested."""
+def _gemm(a: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """``a`` times the transpose of ``op`` over the last two axes (``op``
+    tile-aligned rows of an :func:`_operand`, read in place), ``a`` padded
+    by zero rows to full tiles: a partial tile sums in another order, and
+    threads split a product along tiles.  The bits then hold at 1 and 2
+    BLAS threads on the shapes tested."""
     m = a.shape[-2]
     pa = np.zeros(a.shape[:-2] + (m + -m % _TILE, a.shape[-1]))
     pa[..., :m, :] = a
-    return pa @ bt
+    return pa @ np.swapaxes(op, -1, -2)
 
 
 def _operand(b: np.ndarray) -> np.ndarray:
-    """``[-2v, 1, |v|^2]`` of the mapped rows ``b`` (none below
-    ``GEMM_MIN_P``) transposed, and zero columns up to whole tiles, at
-    least one: the right GEMM operand, built once a pass."""
+    """Rows ``[-2v, 1, |v|^2]`` of the mapped rows ``b`` (empty below
+    ``GEMM_MIN_P``), and zero rows up to whole tiles, at least one: the
+    right GEMM operand, built once a pass."""
     n, w = b.shape
-    bt = np.zeros((w // 2 + 1 if w >= GEMM_MIN_P else 0, n + _TILE - n % _TILE))
-    if len(bt):
+    op = np.zeros((n + _TILE - n % _TILE, w // 2 + 1 if w >= GEMM_MIN_P else 0))
+    if op.shape[1]:
         p = w // 2 - 1
-        np.multiply(b[:, p : 2 * p].T, -2.0, out=bt[:p, :n])
-        bt[p:, :n] = b[:, [2 * p + 1, 2 * p]].T
-    return bt
+        np.multiply(b[:, p : 2 * p], -2.0, out=op[:n, :p])
+        op[:n, p:] = b[:, [2 * p + 1, 2 * p]]
+    return op
 
 
 def _dcov_rows(x: np.ndarray) -> np.ndarray:
@@ -100,11 +101,11 @@ def _dcov_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _distances(a: np.ndarray, b: np.ndarray, f=None,
-               diag: int | None = None, bt: np.ndarray | None = None) -> np.ndarray:
+               diag: int | None = None, op: np.ndarray | None = None) -> np.ndarray:
     """Distances between the rows of ``a`` and ``b`` (:func:`_dcov_rows`),
     mapped in place by ``f`` when given; row i of ``a`` is row ``diag + i``
-    of ``b``, at distance 0, when ``diag`` is given; ``bt`` is ``b``'s
-    :func:`_operand`, or tile-aligned columns of a larger one.  A squared
+    of ``b``, at distance 0, when ``diag`` is given; ``op`` is ``b``'s
+    :func:`_operand`, or tile-aligned rows of a larger one.  A squared
     distance from the GEMM below ``_RECOMPUTE`` (|u|^2 + |v|^2) has lost
     digits to cancellation and is taken from ``cdist`` of the rows."""
     if a.shape[1] < GEMM_MIN_P:
@@ -112,7 +113,7 @@ def _distances(a: np.ndarray, b: np.ndarray, f=None,
         d = cdist(a, b)
         return d if f is None else f(d)
     p = a.shape[1] // 2 - 1
-    d = _gemm(a[:, p:], _operand(b) if bt is None else bt)[: len(a), : len(b)]
+    d = _gemm(a[:, p:], _operand(b) if op is None else op)[: len(a), : len(b)]
     if diag is not None:
         np.fill_diagonal(d[:, diag:], np.inf)
     if d.min() < _RECOMPUTE * (a[:, 2 * p].max() + b[:, 2 * p].max()):
@@ -133,15 +134,15 @@ def _recompute(a: np.ndarray, b: np.ndarray, i, j, p: int) -> np.ndarray:
     return cdist(a[ri, :p], b[rj, :p])[ii, jj] ** 2
 
 
-def _upper_sums(u: np.ndarray, bt: np.ndarray, idx: np.ndarray, f) -> np.ndarray:
+def _upper_sums(u: np.ndarray, op: np.ndarray, idx: np.ndarray, f) -> np.ndarray:
     """Sums of d over the pairs of each subset ``idx`` (c, m) of the mapped
-    rows ``u``, from one stacked :func:`_gemm` of columns of their operand
-    ``bt`` (zero column n pads); only each block's strict upper triangle is
+    rows ``u``, from one stacked :func:`_gemm` of rows of their operand
+    ``op`` (zero row n pads); only each block's strict upper triangle is
     packed, screened as in :func:`_distances`, ``sqrt``-ed, mapped, summed."""
     (c, m), p = idx.shape, u.shape[1] // 2 - 1
     j = np.arange(m + -m % _TILE)
     pad = np.concatenate([idx, np.full((c, len(j) - m), len(u))], axis=1)
-    full = _gemm(u[idx, p:], bt[:, pad].transpose(1, 0, 2))
+    full = _gemm(u[idx, p:], op[pad])
     upper = np.flatnonzero((j > np.arange(m)[:, None]) & (j < m))
     tri, sq = np.take(full.reshape(c, -1), upper, axis=1), u[idx, 2 * p]
     for i in np.flatnonzero(tri.min(axis=1, initial=np.inf) < _RECOMPUTE * 2 * sq.max(axis=1)):
@@ -182,10 +183,10 @@ def cross_rowsum(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     rows, f = _pair_metric(kernel)
     u = rows(np.concatenate([a, b]))
     a, b = u[: len(a)], u[len(a) :]
-    bt, step = _operand(b), _block_rows(len(b))
+    op, step = _operand(b), _block_rows(len(b))
     out = np.empty(a.shape[0])
     for lo in range(0, a.shape[0], step):
-        out[lo : lo + step] = _distances(a[lo : lo + step], b, f, bt=bt).sum(axis=1)
+        out[lo : lo + step] = _distances(a[lo : lo + step], b, f, op=op).sum(axis=1)
     return _twice(f, out)
 
 
@@ -194,7 +195,7 @@ def _within_total(a: np.ndarray, f) -> float:
     within each block of rows (``pdist``, or :func:`_upper_sums`) plus
     the whole block from those rows to later rows."""
     n, w = a.shape
-    bt, step = _operand(a), _block_rows(n)
+    op, step = _operand(a), _block_rows(n)
     parts = []
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -203,9 +204,9 @@ def _within_total(a: np.ndarray, f) -> float:
             d = pdist(a[lo:hi])
             parts.append(float((d if f is None else f(d)).sum()))
         else:
-            parts.append(float(_upper_sums(a, bt, np.arange(lo, hi)[None], f)[0]))
+            parts.append(float(_upper_sums(a, op, np.arange(lo, hi)[None], f)[0]))
         if hi < n:
-            parts.append(float(_distances(a[lo:hi], a[hi:], f, bt=bt[:, hi:]).sum()))
+            parts.append(float(_distances(a[lo:hi], a[hi:], f, op=op[hi:]).sum()))
     return _twice(f, math.fsum(parts))
 
 
@@ -228,7 +229,7 @@ def _subset_sums(u: np.ndarray, f):
     ``u``, each row's subset total, bitwise that of its rows: while m rows
     are one block, :func:`_upper_sums` of about ``_BLOCK_BYTES`` of
     products and operands a batch, else :func:`_within_total`."""
-    w, p, bt = u.shape[1], u.shape[1] // 2 - 1, _operand(u)
+    w, p, op = u.shape[1], u.shape[1] // 2 - 1, _operand(u)
 
     def sums(idx: np.ndarray) -> np.ndarray:
         c, m = idx.shape
@@ -236,7 +237,7 @@ def _subset_sums(u: np.ndarray, f):
             return np.array([_within_total(u[i], f) for i in idx])
         size = m + -m % _TILE
         step = max(1, _BLOCK_BYTES // (8 * size * (size + 2 * p + 4)))
-        return _twice(f, np.concatenate([_upper_sums(u, bt, idx[lo : lo + step], f)
+        return _twice(f, np.concatenate([_upper_sums(u, op, idx[lo : lo + step], f)
                                          for lo in range(0, c, step)]))
 
     return sums
@@ -247,13 +248,13 @@ def _within_rowsum(a: np.ndarray, f) -> np.ndarray:
     of :func:`within_sum`: each diagonal block with its diagonal zeroed,
     and each block-to-later-rows block added to the rows on both sides."""
     n = a.shape[0]
-    bt, step = _operand(a), _block_rows(n)
+    op, step = _operand(a), _block_rows(n)
     out = np.zeros(n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        out[lo:hi] += _distances(a[lo:hi], a[lo:hi], f, 0, bt[:, lo : lo + step]).sum(axis=1)
+        out[lo:hi] += _distances(a[lo:hi], a[lo:hi], f, 0, op[lo : lo + step]).sum(axis=1)
         if hi < n:
-            d = _distances(a[lo:hi], a[hi:], f, bt=bt[:, hi:])
+            d = _distances(a[lo:hi], a[hi:], f, op=op[hi:])
             out[lo:hi] += d.sum(axis=1)
             out[hi:] += d.sum(axis=0)
             del d  # before the next blocks: one block of distances live

@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -343,43 +344,57 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _preset_table3(kind: str, eg: int, args) -> list:
-    family = "first_order_eg1" if eg == 1 else "first_order_eg2"
-    n1 = _given(args.n1, 50)
-    base = ScenarioSpec(family, n=_given(args.n, 100_000), n1=n1, M=_given(args.M, 1000),
-                        alpha=args.alpha, seed=args.seed)
-    rit = MethodConfig(kernel=kind, mode="rit", xi_basis="controls",
-                       budget=args.budget)
-    rows = []
-    size_rep = run_erp(base.null(), rit, args.threads)
-    rows.append({**size_rep.row(), "setting": "size"})
-    power_rep = run_erp(base, rit, args.threads)
-    rows.append({**power_rep.row(), "setting": "power"})
-    for n1s in _given(args.n1s, [2000]):
-        s_val = max(2, int(round(n1s / n1)))
-        bit = MethodConfig(kernel=kind, mode="bit", s=s_val, xi_basis="controls",
-                           budget=args.budget)
-        rep = run_erp(base, bit, args.threads)
-        rows.append({**rep.row(), "setting": "power", "n1s": s_val * n1})
-    return rows
+def _ratios(args, default: int, n1: int) -> list:
+    """The sampling ratio of each ``--n1s`` budget, ``default`` when none is
+    given: s = max(2, round(n1s / n1))."""
+    return [max(2, int(round(n1s / n1))) for n1s in _given(args.n1s, [default])]
 
 
-def _preset_table_d4(args) -> list:
-    full = args.full
+def _preset_table3(fam: str, args) -> list:
+    """A RIT size row, a RIT power row and a BIT power row per ``--n1s``."""
+    kind, _, eg = fam[len("table3_"):].rpartition("_")
     n1 = _given(args.n1, 50)
-    s_val = _given(args.s, max(2, int(round((args.n1s[0] if args.n1s else 1000) / n1))))
+    base = ScenarioSpec(f"first_order_{eg}", n=_given(args.n, 100_000), n1=n1,
+                        M=_given(args.M, 1000), alpha=args.alpha, seed=args.seed)
+    rit = MethodConfig(kernel=kind, mode="rit", xi_basis="controls", budget=args.budget)
+    return [({"setting": "size"}, base.null(), rit), ({"setting": "power"}, base, rit),
+            *(({"setting": "power", "n1s": s * n1}, base, replace(rit, mode="bit", s=s))
+              for s in _ratios(args, 2000, n1))]
+
+
+def _preset_table_d4(fam: str, args) -> list:
+    """A BIT size row and a BIT power row per ratio: ``--s``, else one per
+    ``--n1s`` entry."""
+    full, n1 = args.full, _given(args.n1, 50)
     base = ScenarioSpec(
         "second_order_eg1", n=_given(args.n, 10_000 if full else 2_050), n1=n1,
         p=_given(args.p, 50), M=_given(args.M, 1000 if full else 200), alpha=args.alpha,
         seed=args.seed,
     )
-    bit_perm = MethodConfig(kernel="dcov", mode="bit", s=s_val,
-                            inference="permutation", B=_given(args.B, 199))
-    return [{**run_erp(base.null(), bit_perm, args.threads).row(), "setting": "size"},
-            {**run_erp(base, bit_perm, args.threads).row(), "setting": "power"}]
+    bits = [MethodConfig(kernel="dcov", mode="bit", s=s, inference="permutation",
+                         B=_given(args.B, 199))
+            for s in ([args.s] if args.s is not None else _ratios(args, 1000, n1))]
+    return [({"setting": setting, "n1s": bit.s * n1}, spec, bit)
+            for bit in bits for setting, spec in (("size", base.null()), ("power", base))]
+
+
+def _preset_family(fam: str, args) -> list:
+    """One row of the scenario family ``fam`` under the configured method."""
+    params = {k: v for k, v in (("delta", args.delta), ("delta0", args.delta0))
+              if v is not None}
+    scenario = ScenarioSpec(fam, n=_given(args.n, 10_000), n1=_given(args.n1, 50),
+                            p=_given(args.p, 1), effect=args.effect,
+                            M=_given(args.M, 1000 if args.full else 200),
+                            alpha=args.alpha, seed=args.seed, params=params)
+    method = MethodConfig(kernel=args.kernel.replace("-", "_"), mode=args.method,
+                          s=args.s, inference=args.inference, B=_given(args.B, 199),
+                          budget=args.budget, xi_basis="controls")
+    return [({}, scenario, method)]
 
 
 def _run_simulate(args) -> None:
+    """``figure1``, or every ``(fields, scenario, method)`` of the family's
+    preset run to one row: the report's row with ``fields`` added."""
     if any(v < 1 for v in args.n1s or ()):
         raise ValidationError("--n1s entries must be at least 1")
     fam = args.family.replace("-", "_")
@@ -388,37 +403,11 @@ def _run_simulate(args) -> None:
             M=_given(args.M, 500), alpha=args.alpha, seed=args.seed,
             n1=_given(args.n1, 100), effect=_given(args.effect, 0.2),
         )
-    elif fam.startswith("table3_"):
-        _, kind, eg = fam.split("_")
-        rows = _preset_table3(kind, int(eg[-1]), args)
-    elif fam == "table_d4_dcov_eg1":
-        rows = _preset_table_d4(args)
     else:
-        scenario = ScenarioSpec(
-            fam,
-            n=_given(args.n, 10_000),
-            n1=_given(args.n1, 50),
-            p=_given(args.p, 1),
-            effect=args.effect,
-            M=_given(args.M, 1000 if args.full else 200),
-            alpha=args.alpha,
-            seed=args.seed,
-            params={
-                k: v
-                for k, v in (("delta", args.delta), ("delta0", args.delta0))
-                if v is not None
-            },
-        )
-        method = MethodConfig(
-            kernel=args.kernel.replace("-", "_"),
-            mode=args.method,
-            s=args.s,
-            inference=args.inference,
-            B=_given(args.B, 199),
-            budget=args.budget,
-            xi_basis="controls",
-        )
-        rows = [run_erp(scenario, method, args.threads).row()]
+        preset = (_preset_table3 if fam.startswith("table3_")
+                  else _preset_table_d4 if fam == "table_d4_dcov_eg1" else _preset_family)
+        rows = [{**run_erp(spec, method, args.threads).row(), **fields}
+                for fields, spec, method in preset(fam, args)]
     _emit(rows, args.format, args.output)
 
 

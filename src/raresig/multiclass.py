@@ -134,13 +134,14 @@ def multi_asymptotic_variance(block_orders, rare_sizes, zetas, s=None) -> float:
     return float(total)
 
 
-def _variance_parts(block_orders, rare_sizes, zetas, s=None) -> tuple:
+def _variance_parts(block_orders, rare_sizes, zetas, s=None, read_control=False) -> tuple:
     """The two parts of :func:`multi_asymptotic_variance`, after its input
     check at ratio ``s``: the rare sum sum_k m_k^2 zeta_k / r_k and the
     control part times s, m_0^2 zeta_0 (None without zeta_0, which the
-    check requires when s is given)."""
+    check requires when s is given or the caller reads the control part)."""
     zetas = list(zetas)
-    read = zetas[1:] if s is None and zetas and zetas[0] is None else zetas
+    skip = s is None and not read_control and zetas and zetas[0] is None
+    read = zetas[1:] if skip else zetas
     ratios = _check_variance_inputs(block_orders, rare_sizes, s, read,
                                     [("zeta", zetas, "class")])
     m = block_orders

@@ -199,6 +199,17 @@ def generate(spec: ScenarioSpec, rep: int) -> LabeledSample:
 # ---------------------------------------------------------------------------
 
 
+def _normal_pvalue(sample: LabeledSample, kind: str, value: float) -> float:
+    """Two-sided p-value of the classical ``pearson`` or ``kendall``
+    ``value`` of ``sample`` under its normal null."""
+    n = sample.n
+    if kind == "pearson":
+        return 2 * _normal_sf(abs(value) * math.sqrt(n))
+    p1 = float((sample.labels == 1).mean())
+    sd = math.sqrt(4.0 * p1 * (1 - p1) / 3.0)
+    return 2 * _normal_sf(abs(value) * math.sqrt(n) / sd)
+
+
 def classical_pvalue(
     sample: LabeledSample, kind: str, B: int = 199, seed: int = 0
 ) -> float:
@@ -208,15 +219,8 @@ def classical_pvalue(
     latter with plug-in class ratio); the pairwise statistics use label
     permutation.
     """
-    n = sample.n
-    if kind == "pearson":
-        r = compute_classical(sample, "pearson")
-        return 2 * _normal_sf(abs(r) * math.sqrt(n))
-    if kind == "kendall":
-        tau = compute_classical(sample, "kendall")
-        p1 = float((sample.labels == 1).mean())
-        sd = math.sqrt(4.0 * p1 * (1 - p1) / 3.0)
-        return 2 * _normal_sf(abs(tau) * math.sqrt(n) / sd)
+    if kind in ("pearson", "kendall"):
+        return _normal_pvalue(sample, kind, compute_classical(sample, kind))
     if kind in ("dcov", "ipcov"):
         stats = np.abs(
             _permutation_stats(_classical_statistic(sample, kind), sample.labels, B, seed)
@@ -350,7 +354,7 @@ def figure1_phenomenon(
                 sample = generate(spec, rep)
                 for kind in ("pearson", "kendall"):
                     value = compute_classical(sample, kind)
-                    p = classical_pvalue(sample, kind)
+                    p = _normal_pvalue(sample, kind, value)
                     acc[kind]["stat"] += value
                     acc[kind]["abs"] += abs(value)
                     acc[kind]["rej"] += p <= alpha

@@ -183,7 +183,7 @@ def select_s_power_floor(
     """
     _check_power_inputs(xi01, mu0, alpha=alpha, beta=beta)
     d = _normal_ppf(1 - alpha / 2) - _normal_ppf(1 - beta)
-    full, control = _variance_parts((m0, m1), (n1,), [xi10, xi01])
+    full, control = _variance_parts((m0, m1), (n1,), [xi10, xi01], read_control=True)
     denom = n1 * mu0 * mu0 / (d * d) - full
     if denom <= 0:
         raise ValidationError(
@@ -208,7 +208,7 @@ def select_s_power_gap(
     if not 0 < epsilon < math.inf:
         raise ValidationError("epsilon must be positive and finite")
     mu = abs(mu0)
-    full, control = _variance_parts((m0, m1), (n1,), [xi10, xi01])
+    full, control = _variance_parts((m0, m1), (n1,), [xi10, xi01], read_control=True)
     phi_term = _STD_NORMAL.pdf(_normal_ppf(1 - alpha / 2) - mu * math.sqrt(n1 / full))
     return _clamp_s(math.sqrt(n1) * control * mu * phi_term
                     / (2.0 * epsilon * full**1.5))

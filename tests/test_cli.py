@@ -642,16 +642,53 @@ def test_cli_simulate_rejects_unknown_family(capsys):
     assert main(["simulate", "--family", "bogus"]) == 2
 
 
+def _erp_rows(shared: dict, *rows: dict) -> list:
+    return [{"alpha": 0.05, **shared, **row} for row in rows]
+
+
+# simulate argv and its rows, run time aside
+PINNED_ROWS = [
+    (["--family", "first_order_eg1", "--n", "600", "--n1", "30", "--M", "25"],
+     _erp_rows({"family": "first_order_eg1", "n": 600, "n1": 30, "p": 1, "M": 25},
+               {"effect": 0.3, "method": "kendall:rit:asymptotic", "erp": 0.36,
+                "mc_se": 0.096})),
+    (["--family", "table3_pearson_eg1", "--n", "3000", "--n1", "50", "--M", "20",
+      "--n1s", "200"],
+     _erp_rows({"family": "first_order_eg1", "n": 3000, "n1": 50, "p": 1, "M": 20},
+               {"setting": "size", "effect": 0.0, "method": "pearson:rit:asymptotic",
+                "erp": 0.05, "mc_se": 0.04873397172404482},
+               {"setting": "power", "effect": 0.3, "method": "pearson:rit:asymptotic",
+                "erp": 0.5, "mc_se": 0.11180339887498948},
+               {"setting": "power", "effect": 0.3, "method": "pearson:bit:s=4:asymptotic",
+                "erp": 0.3, "mc_se": 0.10246950765959598, "n1s": 200})),
+    (["--family", "table_d4_dcov_eg1", "--n", "1100", "--p", "10", "--M", "4", "--B", "19"],
+     _erp_rows({"family": "second_order_eg1", "n": 1100, "n1": 50, "p": 10, "M": 4,
+                "method": "dcov:bit:s=20:permutation", "n1s": 1000},
+               {"setting": "size", "effect": 0.0, "erp": 0.25, "mc_se": 0.21650635094610965},
+               {"setting": "power", "effect": 0.4, "erp": 1.0, "mc_se": 0.0})),
+]
+
+
 def test_cli_simulate_table_preset_smoke(capsys):
-    code = main(
-        ["simulate", "--family", "table3_pearson_eg1", "--n", "3000", "--n1", "50",
-         "--M", "20", "--n1s", "200"]
-    )
+    # a generic family, table3 and table_d4 (default budget) through the
+    # one runner: the rows each preset gave before it, plus table_d4's n1s
+    for argv, expected in PINNED_ROWS:
+        assert main(["simulate", *argv]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [{k: v for k, v in r.items() if k != "seconds_total"} for r in rows] == expected
+
+
+def test_cli_simulate_table_d4_runs_every_budget(capsys):
+    code = main(["simulate", "--family", "table_d4_dcov_eg1", "--M", "2", "--n", "400",
+                 "--n1", "20", "--n1s", "100,200", "--B", "19"])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
-    settings = [r["setting"] for r in rows]
-    assert settings == ["size", "power", "power"]
-    assert rows[2]["n1s"] == 200
+    assert [(r["setting"], r["method"], r["n1s"]) for r in rows] == [
+        ("size", "dcov:bit:s=5:permutation", 100),
+        ("power", "dcov:bit:s=5:permutation", 100),
+        ("size", "dcov:bit:s=10:permutation", 200),
+        ("power", "dcov:bit:s=10:permutation", 200),
+    ]
 
 
 def test_cli_bench_json(capsys):

@@ -224,6 +224,14 @@ def test_power_rules_read_the_variance_parts_without_rounding():
         assert _variance_parts((2, 1), (1,), [xi10, 1 / 3]) == (1 / 3, 4 * xi10)
 
 
+@pytest.mark.parametrize("xi10", [None, "0.3"])
+@pytest.mark.parametrize("rule", [select_s_power_floor, select_s_power_gap])
+def test_power_rules_refuse_an_unreadable_xi10(rule, xi10):
+    # both rules always read xi10: a None is refused, not skipped as unread
+    with pytest.raises(ValidationError):
+        rule(100, 1, 1, 0.3, xi10, 0.3, 0.05, 0.8)
+
+
 def test_select_s_monotonicity():
     base = dict(m0=1, m1=1, xi01=1 / 3, xi10=1 / 3, mu0=0.3, alpha=0.05)
     assert select_s_variance(100, 0.0005) >= select_s_variance(100, 0.001)
