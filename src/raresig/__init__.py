@@ -31,12 +31,7 @@ from .kernels import (
     imbalanced_kendall_kernel,
     ipcov_kernel,
     kendall_kernel,
-    kernel_dcov,
     kernel_from_name,
-    kernel_imbalanced_kendall,
-    kernel_ipcov,
-    kernel_kendall,
-    kernel_pearson,
     multi_kendall_kernel,
     pearson_kernel,
 )

@@ -172,7 +172,7 @@ def _pair_metric(kernel: KernelSpec):
     if kernel.kind == "rescaled_dcov":
         return _dcov_rows, None
     if kernel.kind == "rescaled_ipcov":
-        c = kernel.params.get("c_sigma2", 1.0)
+        c = kernel.params["c_sigma2"]
         return (lambda x: _dcov_rows(angle_embed(x, c) / 2.0)), _half_angles
     raise ValidationError(f"{kernel.kind} has no pair function")
 

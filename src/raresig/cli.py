@@ -462,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Independence tests for rare-event class labels.",
     )
     _global_flags(ap, suppress=False)
-    # accept the global flags after the subcommand too
+    # accept the global flags after any subcommand, nested ones included
     common = argparse.ArgumentParser(add_help=False)
     _global_flags(common, suppress=True)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -503,11 +503,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ss = sub.add_parser("select-s", help="choose the sampling ratio",
                         parents=[common])
     ss_sub = ss.add_subparsers(dest="rule", required=True)
-    v = ss_sub.add_parser("variance")
+    v = ss_sub.add_parser("variance", parents=[common])
     v.add_argument("--n1", type=int, required=True)
     v.add_argument("--epsilon", type=float, required=True)
-    pf = ss_sub.add_parser("power-floor")
-    pg = ss_sub.add_parser("power-gap")
+    pf = ss_sub.add_parser("power-floor", parents=[common])
+    pg = ss_sub.add_parser("power-gap", parents=[common])
     for q in (pf, pg):
         q.add_argument("--n1", type=int, required=True)
         q.add_argument("--m0", type=int, default=1)
@@ -522,10 +522,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("power", help="theoretical power calculators",
                         parents=[common])
     pw_sub = pw.add_subparsers(dest="calc", required=True)
-    fo = pw_sub.add_parser("first-order")
+    fo = pw_sub.add_parser("first-order", parents=[common])
     note = ("power of the high-dimensional test, whose n1 T is normal with variance "
             "m1^2 (m1-1)^2 xi02 / 2 (2 xi02 for dcov/ipcov) in the limit n1/n0 -> 0")
-    hd = pw_sub.add_parser("highdim", help=note, description=note)
+    hd = pw_sub.add_parser("highdim", help=note, description=note,
+                           parents=[common])
     for q, m1 in ((fo, 1), (hd, 2)):
         q.add_argument("--mu0", type=float, required=True)
         q.add_argument("--n1", type=int, required=True)
@@ -536,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fo.add_argument("--s", type=float)
     fo.add_argument("--xi10", type=float)
     hd.add_argument("--xi02", type=float, required=True)
-    lt = pw_sub.add_parser("local-threshold")
+    lt = pw_sub.add_parser("local-threshold", parents=[common])
     lt.add_argument("--beta", type=float, required=True)
     lt.add_argument("--alpha", type=float, default=0.05)
     lt.add_argument("--mu-g1", type=float, required=True)

@@ -332,8 +332,9 @@ def _classical_statistic(sample: LabeledSample, kind: str):
         if kind == "kendall":
             # the pooled sign counts summed over the cases: the
             # case/control sign sum, the case/case pairs cancelling
-            c = sign_counts(np.sort(x), x)
-            return lambda cases: 2.0 * c[cases[0]].sum(axis=1, dtype=np.int64) / (n * n)
+            ref = np.sort(x)
+            return lambda cases: 2.0 * sign_counts(ref, x[cases[0]]).sum(
+                axis=1, dtype=np.int64) / (n * n)
         sd = x.std()  # population moments in the pooled form
         if sd <= 0:
             raise DegenerateDataError("zero-variance feature")

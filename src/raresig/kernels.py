@@ -8,6 +8,10 @@ are degenerate, the two-case projection is not).  ``rescaled_kendall``
 is the sign kernel at any number K of rare classes (the binary and the
 m = 1 imbalanced kernels are K = 1); ``custom`` wraps a user callable.
 
+:func:`evaluate` is the one scalar evaluator of every kind: the literal
+kernel on explicit blocks, which the oracle ``compute_rit_bruteforce``
+and the ``custom`` Monte Carlo projection read; it uses no ``_accel`` code.
+
 The kernels' projections, whose variances drive the first-order
 asymptotic nulls, are in :func:`raresig.multiclass.block_projection`.
 """
@@ -31,11 +35,6 @@ __all__ = [
     "multi_kendall_kernel",
     "custom_kernel",
     "kernel_from_name",
-    "kernel_pearson",
-    "kernel_kendall",
-    "kernel_imbalanced_kendall",
-    "kernel_dcov",
-    "kernel_ipcov",
     "evaluate",
 ]
 
@@ -69,6 +68,10 @@ class KernelSpec:
             raise ValidationError("order must be 'first' or 'second'")
         if self.kind == "custom" and not callable(self.fn):
             raise ValidationError("custom kernels require a callable fn")
+        if self.kind == "rescaled_ipcov" and not (
+            0 < self.params.get("c_sigma2", math.nan) < math.inf
+        ):
+            raise ValidationError("c_sigma2 must be positive and finite")
 
     @property
     def m0(self) -> int:
@@ -110,8 +113,6 @@ def dcov_kernel() -> KernelSpec:
 def ipcov_kernel(c_sigma2: float = 1.0) -> KernelSpec:
     """Six-term angular-affinity kernel; ``c_sigma2`` shifts the inner
     products before the angle is taken."""
-    if not 0 < c_sigma2 < math.inf:
-        raise ValidationError("c_sigma2 must be positive and finite")
     return KernelSpec(
         "rescaled_ipcov", (2, 2), params={"c_sigma2": float(c_sigma2)}, order="second"
     )
@@ -147,56 +148,19 @@ def kernel_from_name(name: str, **params) -> KernelSpec:
     if name == "kendall":
         return kendall_kernel()
     if name == "imbalanced_kendall":
-        return imbalanced_kendall_kernel(int(params.get("m", 2)))
+        return imbalanced_kendall_kernel(params.get("m", 2))
     if name == "dcov":
         return dcov_kernel()
     if name == "ipcov":
-        return ipcov_kernel(float(params.get("c_sigma2", 1.0)))
+        return ipcov_kernel(params.get("c_sigma2", 1.0))
     if name == "multi_kendall":
-        return multi_kendall_kernel(int(params.get("n_rare", 1)))
+        return multi_kendall_kernel(params.get("n_rare", 1))
     raise ValidationError(f"unknown kernel name {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # scalar kernel evaluations
 # ---------------------------------------------------------------------------
-
-
-def _scalar(x, name: str) -> float:
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    if a.size != 1:
-        raise ValidationError(f"{name} kernel requires scalar features (p=1)")
-    return float(a[0])
-
-
-def kernel_pearson(x0, x1) -> float:
-    """x1 - x0 for scalar observations."""
-    return _scalar(x1, "pearson") - _scalar(x0, "pearson")
-
-
-def kernel_kendall(x0, x1) -> float:
-    """sgn(x1 - x0) with sgn(0) = 0."""
-    return float(np.sign(_scalar(x1, "kendall") - _scalar(x0, "kendall")))
-
-
-def kernel_imbalanced_kendall(x0s, x1) -> float:
-    """sgn(x1 - mean of the control block)."""
-    block = np.asarray(x0s, dtype=np.float64).reshape(-1)
-    if block.size < 1:
-        raise ValidationError("imbalanced_kendall needs m >= 1 controls")
-    return float(np.sign(_scalar(x1, "imbalanced_kendall") - block.mean()))
-
-
-def kernel_dcov(x0a, x0b, x1a, x1b) -> float:
-    """Cross distances minus twice the within-block distances."""
-    pts = [np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0a, x0b, x1a, x1b)]
-    if len({v.size for v in pts}) != 1:
-        raise ValidationError("dcov kernel arguments must share one dimension")
-    a, b, c, d = pts
-    e = np.linalg.norm
-    return float(
-        e(a - c) + e(a - d) + e(b - c) + e(b - d) - 2 * e(a - b) - 2 * e(c - d)
-    )
 
 
 def _angle(x, y, c_sigma2: float) -> float:
@@ -208,48 +172,32 @@ def _angle(x, y, c_sigma2: float) -> float:
     return 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
 
 
-def kernel_ipcov(x0a, x0b, x1a, x1b, c_sigma2: float = 1.0) -> float:
-    """Angular-affinity analogue of the distance kernel: the same six
-    terms over the angle between the augmented rows (see :func:`_angle`)."""
-    if not 0 < c_sigma2 < math.inf:
-        raise ValidationError("c_sigma2 must be positive and finite")
-    pts = [np.asarray(v, dtype=np.float64).reshape(-1) for v in (x0a, x0b, x1a, x1b)]
-    if len({v.size for v in pts}) != 1:
-        raise ValidationError("ipcov kernel arguments must share one dimension")
-    a, b, c, d = pts
-    A = lambda u, v: _angle(u, v, c_sigma2)  # noqa: E731
-    return A(a, c) + A(a, d) + A(b, c) + A(b, d) - 2 * A(a, b) - 2 * A(c, d)
-
-
 def evaluate(spec: KernelSpec, blocks) -> float:
     """Evaluate one kernel on explicit blocks (block k: (m_k, p) array)."""
     blocks = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in blocks]
-    if len(blocks) != spec.n_blocks:
-        raise ValidationError(
-            f"kernel takes {spec.n_blocks} blocks, got {len(blocks)}"
-        )
-    for k, b in enumerate(blocks):
-        if b.shape[0] != spec.block_orders[k]:
-            raise ValidationError(
-                f"block {k} needs {spec.block_orders[k]} rows, got {b.shape[0]}"
-            )
+    if [b.shape[0] for b in blocks] != list(spec.block_orders):
+        raise ValidationError(f"kernel takes blocks of {spec.block_orders} rows, got "
+                              f"{[b.shape[0] for b in blocks]}")
     kind = spec.kind
-    if kind == "rescaled_pearson":
-        return kernel_pearson(blocks[0][0], blocks[1][0])
-    if kind == "rescaled_kendall":
-        return math.fsum(kernel_kendall(blocks[0][0], b[0]) for b in blocks[1:])
-    if kind == "imbalanced_kendall":
-        return kernel_imbalanced_kendall(blocks[0][:, 0], blocks[1][0])
-    if kind == "rescaled_dcov":
-        return kernel_dcov(blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1])
-    if kind == "rescaled_ipcov":
-        return kernel_ipcov(
-            blocks[0][0],
-            blocks[0][1],
-            blocks[1][0],
-            blocks[1][1],
-            spec.params.get("c_sigma2", 1.0),
-        )
     if kind == "custom":
         return float(spec.fn(*blocks))
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+    p = {b.shape[1] for b in blocks}
+    if len(p) != 1:
+        raise ValidationError(f"{kind} kernel blocks must share one dimension")
+    if kind in SCALAR_KINDS and p != {1}:
+        raise ValidationError(f"{kind} kernel requires scalar features (p=1)")
+    x0 = blocks[0][:, 0]
+    if kind == "rescaled_pearson":
+        return float(blocks[1][0, 0] - x0[0])
+    if kind == "rescaled_kendall":
+        return math.fsum(float(np.sign(b[0, 0] - x0[0])) for b in blocks[1:])
+    if kind == "imbalanced_kendall":
+        return float(np.sign(blocks[1][0, 0] - x0.mean()))
+    if kind == "rescaled_dcov":
+        d = lambda u, v: np.linalg.norm(u - v)  # noqa: E731
+    elif kind == "rescaled_ipcov":
+        d = lambda u, v: _angle(u, v, spec.params["c_sigma2"])  # noqa: E731
+    else:
+        raise ValidationError(f"unknown kernel kind {kind!r}")
+    (a, b), (c, e) = blocks
+    return float(d(a, c) + d(a, e) + d(b, c) + d(b, e) - 2 * d(a, b) - 2 * d(c, e))

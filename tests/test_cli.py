@@ -460,6 +460,35 @@ def test_cli_exit_2_on_unknown_flag(capsys):
     assert main(["test", "--no-such-flag"]) == 2
 
 
+LEAVES = {
+    "variance": ["select-s", "variance", "--n1", "100", "--epsilon", "0.001"],
+    "power-floor": ["select-s", "power-floor", "--n1", "100", "--xi01", "0.33",
+                    "--xi10", "0.33", "--mu0", "0.3", "--beta", "0.8"],
+    "power-gap": ["select-s", "power-gap", "--n1", "100", "--xi01", "0.33",
+                  "--xi10", "0.33", "--mu0", "0.3", "--epsilon", "0.01"],
+    "first-order": ["power", "first-order", "--mu0", "0.1", "--n1", "100",
+                    "--xi01", "0.3"],
+    "highdim": ["power", "highdim", "--mu0", "0.1", "--n1", "50", "--xi02", "0.5"],
+    "local-threshold": ["power", "local-threshold", "--beta", "0.2", "--mu-g1", "1.0",
+                        "--xi", "0.33"],
+}
+
+
+@pytest.mark.parametrize("flag", ["format", "output"])
+@pytest.mark.parametrize("leaf", list(LEAVES))
+def test_cli_global_flags_after_a_nested_subcommand(leaf, flag, tmp_path, capsys):
+    assert main(LEAVES[leaf]) == 0
+    expected = capsys.readouterr().out
+    if flag == "format":
+        assert main([*LEAVES[leaf], "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+    else:
+        path = tmp_path / "out.txt"
+        assert main([*LEAVES[leaf], "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == expected
+
+
 def test_cli_select_s_variance(capsys):
     assert main(["select-s", "variance", "--n1", "100", "--epsilon", "0.001"]) == 0
     assert capsys.readouterr().out.strip() == "10"

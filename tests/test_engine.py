@@ -67,9 +67,10 @@ def test_dcov_closed_form_example():
 def test_bruteforce_single_term_equals_kernel():
     g = _grouped([[0.0], [1.0], [2.0], [5.0]], [0, 0, 1, 1])
     stat = compute_rit_bruteforce(g, dcov_kernel())
-    from raresig import kernel_dcov
+    from raresig import evaluate
 
-    assert_allclose(stat.value, kernel_dcov([0.0], [1.0], [2.0], [5.0]), atol=1e-14)
+    assert_allclose(stat.value, evaluate(dcov_kernel(), [[[0.0], [1.0]], [[2.0], [5.0]]]),
+                    atol=1e-14)
 
 
 def test_bruteforce_guard():

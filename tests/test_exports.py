@@ -58,6 +58,12 @@ REMOVED = (
     "PAIR_PROJECTION_GUARD",
     "_check_pair_guard",
     "_PAIR_PROJECTION_SCALE",
+    "kernel_pearson",
+    "kernel_kendall",
+    "kernel_imbalanced_kendall",
+    "kernel_dcov",
+    "kernel_ipcov",
+    "_scalar",
 )
 
 

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from raresig import (
+    KernelSpec,
     LabeledSample,
     ValidationError,
     custom_kernel,
@@ -17,11 +18,7 @@ from raresig import (
     imbalanced_kendall_kernel,
     ipcov_kernel,
     kendall_kernel,
-    kernel_dcov,
-    kernel_imbalanced_kendall,
-    kernel_ipcov,
-    kernel_kendall,
-    kernel_pearson,
+    kernel_from_name,
     multi_kendall_kernel,
     pearson_kernel,
 )
@@ -36,18 +33,43 @@ from raresig.rng import spawn_rng
 # ---------------------------------------------------------------------------
 
 
+def _pearson(x0, x1):
+    return evaluate(pearson_kernel(), [[x0], [x1]])
+
+
+def _kendall(x0, x1):
+    return evaluate(kendall_kernel(), [[x0], [x1]])
+
+
+def _imbalanced_kendall(x0s, x1):
+    spec = imbalanced_kendall_kernel(len(x0s))
+    return evaluate(spec, [np.reshape(x0s, (-1, 1)), [[x1]]])
+
+
+def _dcov(a, b, c, d):
+    return evaluate(dcov_kernel(), [[a, b], [c, d]])
+
+
+def _ipcov(a, b, c, d, c_sigma2=1.0):
+    return evaluate(ipcov_kernel(c_sigma2), [[a, b], [c, d]])
+
+
 def test_kernel_pearson_values():
-    assert kernel_pearson(0.0, 0.0) == 0.0
-    assert kernel_pearson(1.5, 2.0) == 0.5
-    assert kernel_pearson(2.0, 1.5) == -0.5
-    with pytest.raises(ValidationError):
-        kernel_pearson([1.0, 2.0], [0.0, 0.0])
+    assert _pearson(0.0, 0.0) == 0.0
+    assert _pearson(1.5, 2.0) == 0.5
+    assert _pearson(2.0, 1.5) == -0.5
+    with pytest.raises(ValidationError, match="p=1"):
+        evaluate(pearson_kernel(), [[[1.0, 2.0]], [[0.0, 0.0]]])
 
 
 def test_kernel_kendall_values():
-    assert kernel_kendall(1, 3) == 1.0
-    assert kernel_kendall(3, 1) == -1.0
-    assert kernel_kendall(2, 2) == 0.0
+    assert _kendall(1, 3) == 1.0
+    assert _kendall(3, 1) == -1.0
+    assert _kendall(2, 2) == 0.0
+    for spec in (kendall_kernel(), imbalanced_kendall_kernel(2), multi_kendall_kernel(2)):
+        blocks = [np.zeros((m, 2)) for m in spec.block_orders]
+        with pytest.raises(ValidationError, match="p=1"):
+            evaluate(spec, blocks)
 
 
 def test_one_sign_kernel_at_one_rare_class_and_one_control():
@@ -62,54 +84,81 @@ def test_one_sign_kernel_at_one_rare_class_and_one_control():
 
 
 def test_kernel_imbalanced_kendall_values():
-    assert kernel_imbalanced_kendall([0.0, 2.0], 2.0) == 1.0
-    assert kernel_imbalanced_kendall([5.0], 5.0) == 0.0
-    assert kernel_imbalanced_kendall([1.0, 2.0, 3.0], 0.0) == -1.0
+    assert _imbalanced_kendall([0.0, 2.0], 2.0) == 1.0
+    assert _imbalanced_kendall([5.0], 5.0) == 0.0
+    assert _imbalanced_kendall([1.0, 2.0, 3.0], 0.0) == -1.0
 
 
 def test_kernel_dcov_values():
-    assert kernel_dcov([1.0], [1.0], [1.0], [1.0]) == 0.0
-    assert kernel_dcov([0.0], [1.0], [0.0], [1.0]) == -2.0
+    assert _dcov([1.0], [1.0], [1.0], [1.0]) == 0.0
+    assert _dcov([0.0], [1.0], [0.0], [1.0]) == -2.0
     # within-block symmetry (up to summation-order rounding)
     rng = np.random.default_rng(0)
     for _ in range(10):
         a, b, c, d = rng.standard_normal((4, 3))
-        v = kernel_dcov(a, b, c, d)
-        assert_allclose(kernel_dcov(b, a, c, d), v, rtol=1e-12)
-        assert_allclose(kernel_dcov(a, b, d, c), v, rtol=1e-12)
-        w = kernel_ipcov(a, b, c, d)
-        assert_allclose(kernel_ipcov(b, a, c, d), w, rtol=1e-12, atol=1e-14)
-        assert_allclose(kernel_ipcov(a, b, d, c), w, rtol=1e-12, atol=1e-14)
-    with pytest.raises(ValidationError):
-        kernel_dcov([0.0], [1.0, 2.0], [0.0], [1.0])
+        v = _dcov(a, b, c, d)
+        assert_allclose(_dcov(b, a, c, d), v, rtol=1e-12)
+        assert_allclose(_dcov(a, b, d, c), v, rtol=1e-12)
+        w = _ipcov(a, b, c, d)
+        assert_allclose(_ipcov(b, a, c, d), w, rtol=1e-12, atol=1e-14)
+        assert_allclose(_ipcov(a, b, d, c), w, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValidationError, match="dimension"):
+        evaluate(dcov_kernel(), [[[0.0], [1.0]], [[0.0, 2.0], [1.0, 2.0]]])
+
+
+@pytest.mark.parametrize("spec", [
+    pearson_kernel(), kendall_kernel(), imbalanced_kendall_kernel(2),
+    multi_kendall_kernel(2), dcov_kernel(), ipcov_kernel(0.7),
+], ids=lambda spec: f"{spec.kind}-{spec.n_blocks}")
+def test_every_built_in_kind_refuses_blocks_of_different_dimension(spec):
+    blocks = [np.zeros((m, 1 if k == 0 else 2)) for k, m in enumerate(spec.block_orders)]
+    with pytest.raises(ValidationError, match="dimension"):
+        evaluate(spec, blocks)
 
 
 def test_kernel_ipcov_values():
-    assert kernel_ipcov([1.0], [1.0], [1.0], [1.0]) == 0.0
+    assert _ipcov([1.0], [1.0], [1.0], [1.0]) == 0.0
     # blocks equal pointwise: the self-affinities vanish, leaving
     # -2 A(a, b) (four identical points are needed for full cancellation)
     from raresig.kernels import _angle
 
-    left = kernel_ipcov([0.3], [1.2], [0.3], [1.2])
+    left = _ipcov([0.3], [1.2], [0.3], [1.2])
     assert_allclose(left, -2 * _angle(np.array([0.3]), np.array([1.2]), 1.0),
                     rtol=1e-12)
     assert_allclose(
-        kernel_ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=1.0), -math.pi / 2,
+        _ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=1.0), -math.pi / 2,
         atol=1e-12,
     )
     for c in (0.0, math.nan, math.inf):
-        for refuse in (lambda: kernel_ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=c),
-                       lambda: ipcov_kernel(c), lambda: angle_embed([[0.0]], c)):
+        for refuse in (lambda: _ipcov([0.0], [1.0], [0.0], [1.0], c_sigma2=c),
+                       lambda: ipcov_kernel(c), lambda: angle_embed([[0.0]], c),
+                       lambda: KernelSpec("rescaled_ipcov", (2, 2),
+                                          params={"c_sigma2": c}, order="second")):
             with pytest.raises(ValidationError, match="c_sigma2"):
                 refuse()
+    # a directly built ipcov spec names its c_sigma2
+    with pytest.raises(ValidationError, match="c_sigma2"):
+        KernelSpec("rescaled_ipcov", (2, 2), order="second")
 
 
 def test_first_order_antisymmetry_under_block_swap():
     rng = np.random.default_rng(1)
     for _ in range(20):
         x0, x1 = rng.standard_normal(2)
-        assert kernel_pearson(x0, x1) == -kernel_pearson(x1, x0)
-        assert kernel_kendall(x0, x1) == -kernel_kendall(x1, x0)
+        assert _pearson(x0, x1) == -_pearson(x1, x0)
+        assert _kendall(x0, x1) == -_kendall(x1, x0)
+
+
+def test_kernel_from_name_refuses_non_integer_block_orders():
+    # an integer-valued float builds the kernel; a fraction is refused,
+    # not truncated
+    assert imbalanced_kendall_kernel(2).block_orders == kernel_from_name(
+        "imbalanced-kendall", m=2.0).block_orders == (2, 1)
+    assert kernel_from_name("multi_kendall", n_rare=2.0).block_orders == (1, 1, 1)
+    with pytest.raises(ValidationError, match="integer m"):
+        kernel_from_name("imbalanced_kendall", m=2.5)
+    with pytest.raises(ValidationError, match="rare class"):
+        kernel_from_name("multi_kendall", n_rare=1.9)
 
 
 def test_kernel_spec_arity_validation():
@@ -224,7 +273,7 @@ def test_imbalanced_kendall_projection_reads_one_sorted_draw():
     g = _two_class(rng.standard_normal((12, 1)), rng.standard_normal((5, 1)))
     x0, pts = g.group(0)[:, 0], rng.standard_normal((9, 1))
     pair_means = [(x0[i] + x0[j]) / 2 for i in range(12) for j in range(i)]
-    brute = [np.mean([kernel_imbalanced_kendall([mu], v) for mu in pair_means])
+    brute = [np.mean([_imbalanced_kendall([mu], v) for mu in pair_means])
              for v in pts[:, 0]]
     assert_allclose(block_projection(g, spec, 1, pts, 100, spawn_rng(0)), brute,
                     atol=1e-15)
@@ -249,7 +298,7 @@ def test_dcov_first_order_degeneracy():
     g = _two_class(ref, points)
     vals = block_projection(g, dcov_kernel(), 1, points, 4000, spawn_rng(5))
     raw = [
-        kernel_dcov(*rng.standard_normal((4, 2))) for _ in range(400)
+        _dcov(*rng.standard_normal((4, 2))) for _ in range(400)
     ]
     assert np.var(vals, ddof=1) < 0.05 * np.var(raw, ddof=1)
 

@@ -148,6 +148,16 @@ def test_multiclass_bit_uses_the_sampling_ratio():
     assert p_bit != evaluate_replication(sample, rit, SEED)
 
 
+@pytest.mark.parametrize("kernel, params", [("imbalanced-kendall", {"m": 2.5}),
+                                            ("multi_kendall", {"n_rare": 1.9})])
+def test_a_fractional_block_order_is_refused_not_truncated(kernel, params):
+    method = MethodConfig(kernel=kernel, kernel_params=params)
+    with pytest.raises(ValidationError):
+        run_test(_sample("scalar"), method, SEED)
+    with pytest.raises(ValidationError):
+        method.resolved_inference()
+
+
 def test_multiclass_pvalue_stays_positive():
     # far-shifted rare classes push |z| past the double range of the normal tail
     rng = np.random.default_rng(7)

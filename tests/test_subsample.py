@@ -14,9 +14,9 @@ from raresig import (
     compute_rit,
     dcov_kernel,
     draw_subsample,
+    evaluate,
     group_by_label,
     kendall_kernel,
-    kernel_dcov,
     power_first_order,
     select_s_power_floor,
     select_s_power_gap,
@@ -109,7 +109,7 @@ def test_manual_plan_matches_direct_enumeration():
     ts = compute_bit(g, dcov_kernel(), plan)
     x0 = g.group(0)[inclusion]
     x1 = g.group(1)
-    direct = kernel_dcov(x0[0], x0[1], x1[0], x1[1]) / math.comb(s * 2, 2)
+    direct = evaluate(dcov_kernel(), [x0, x1]) / math.comb(s * 2, 2)
     assert_allclose(ts.value, direct, atol=1e-14)
 
 
